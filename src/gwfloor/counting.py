@@ -102,10 +102,11 @@ def kontsevich(d: int) -> int:
 
 
 def _reindex_drop_last(e: GwElem, s: int) -> GwElem:
-    """View an element of GW over d_1..d_s with d_s inert as one over d_1..d_{s-1}."""
-    for m, _ in e.terms:
-        assert s not in m.d_subset
-    return GwElem(e.terms, s - 1)
+    """View an element of GW over d_1..d_s with d_s inert as one over d_1..d_{s-1}.
+
+    Raises IndexError when d_s occurs in e.
+    """
+    return GwElem.from_coeffs(e.terms, s - 1)
 
 
 def verify_square_substitution(spec: DegreeSpec, s: int) -> bool:

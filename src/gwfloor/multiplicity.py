@@ -6,18 +6,22 @@ Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 * edge_mult(m)       -- a whole non-twin bounded elevator, = m_a1(m)^2,
 * twin_edge_mult     -- a twin elevator pair carrying the point q_i,
 * gamma(m, i)        -- a floor merged with the adjacent elevator point,
-* beta(i)            -- a free double point,
+* gwring.beta_elem   -- a free double point,
 * twin_tree_mult     -- a whole twin tree.
+
+The local factors are cached by (weight, index, s), safe as GwElem is immutable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .gwring import GwElem, GwMonomial, h, one
+from .gwring import GwElem, beta_elem, h, one
 
 
+@lru_cache(maxsize=None)
 def m_a1(m: int, num_params: int = 0) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -26,6 +30,7 @@ def m_a1(m: int, num_params: int = 0) -> GwElem:
     return (m // 2) * h(num_params)
 
 
+@lru_cache(maxsize=None)
 def edge_mult(m: int, num_params: int = 0) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -34,6 +39,7 @@ def edge_mult(m: int, num_params: int = 0) -> GwElem:
     return (m * m // 2) * h(num_params)
 
 
+@lru_cache(maxsize=None)
 def twin_edge_mult(m: int, i: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -46,6 +52,7 @@ def twin_edge_mult(m: int, i: int, num_params: int) -> GwElem:
     return (m * m // 2) * anisotropic + hyper
 
 
+@lru_cache(maxsize=None)
 def gamma(m: int, i: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -55,13 +62,6 @@ def gamma(m: int, i: int, num_params: int) -> GwElem:
         return (m * m // 2) * h(num_params)
     two_part = GwElem.symbol(2, (), num_params) + GwElem.symbol(-2, (i,), num_params)
     return one(num_params) + ((m - 1) // 2) * two_part + (m * (m - 1) // 2) * h(num_params)
-
-
-def beta(i: int, num_params: int) -> GwElem:
-    if not (1 <= i <= num_params):
-        raise IndexError(f"point index {i} out of range 1..{num_params}")
-    return GwElem.from_coeffs(
-        {GwMonomial(2, ()): 1, GwMonomial(2, (i,)): 1}, num_params)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def diagram_mult(merged, num_params: int | None = None) -> GwElem:
             black = pair[0] if merged.base.colors[pair[0]] == "b" else pair[1]
             absorbed_blacks.add(black)
         elif label[0] == "free":
-            total = total * beta(idx + 1, s)
+            total = total * beta_elem(idx + 1, s)
     for u, v, w in merged.base.edges:
         if u in twin_vertices or v in twin_vertices:
             continue

@@ -23,10 +23,10 @@ from gwfloor.counting import (
 )
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.gwring import (
-    BetaForm, GwElem, GwMonomial, beta_decompose, equals_mod, h, one,
+    BetaForm, GwElem, GwMonomial, beta_decompose, beta_elem, equals_mod, h, one,
 )
 from gwfloor.multiplicity import (
-    TwinTreeSummary, beta, diagram_mult, edge_mult, gamma, m_a1,
+    TwinTreeSummary, diagram_mult, edge_mult, gamma, m_a1,
     twin_edge_mult, twin_tree_mult,
 )
 from gwfloor.tables import KNOWN_COUNTS, PUBLISHED_ERRATA
@@ -75,7 +75,8 @@ def test_criterion_01_table1_cubic_classes():
         reps = merged_classes(spec, default_pairs(3))
         assert len(reps) == 6
         mults = [diagram_mult(m, 3) for m in reps]
-        expected = [beta(1, 3), beta(2, 3), beta(3, 3), one(3), one(3), 2 * h(3)]
+        expected = [beta_elem(1, 3), beta_elem(2, 3), beta_elem(3, 3),
+                    one(3), one(3), 2 * h(3)]
         remaining = list(mults)
         for e in expected:
             assert e in remaining
@@ -84,7 +85,8 @@ def test_criterion_01_table1_cubic_classes():
         total = GwElem.zero(3)
         for e in mults:
             total = total + e
-        assert total == 2 * h(3) + beta(1, 3) + beta(2, 3) + beta(3, 3) + 2 * one(3)
+        assert total == 2 * h(3) + beta_elem(1, 3) + beta_elem(2, 3) + \
+            beta_elem(3, 3) + 2 * one(3)
         assert total.rank() == 12
         assert total.signature({1: 1, 2: 1, 3: 1}) == 8
         assert total.signature({1: -1, 2: -1, 3: -1}) == 2
@@ -202,7 +204,7 @@ def test_criterion_11_formula_layer_properties():
                     rhs = rhs * edge_mult(w, t) * edge_mult(w, t)
                 for i in tree.point_indices:
                     if i != j:
-                        rhs = rhs * beta(i, t)
+                        rhs = rhs * beta_elem(i, t)
                 assert equals_mod(e.substitute_square(j), rhs)
             sig = e.signature({i: -1 for i in range(1, t + 1)})
             prod = 1

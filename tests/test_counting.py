@@ -1,7 +1,7 @@
 import pytest
 
 from gwfloor.counting import (
-    count, default_pairs, kontsevich, verify_merge_invariance,
+    _reindex_drop_last, count, default_pairs, kontsevich, verify_merge_invariance,
     verify_rank_and_signatures, verify_square_substitution, witt_compare,
 )
 from gwfloor.degrees import n_delta, parse_degree
@@ -97,6 +97,12 @@ class TestSquareSubstitution:
 
     def test_vacuous_at_zero(self):
         assert verify_square_substitution(parse_degree("p2:2"), 0)
+
+    def test_reindex_requires_inert_last_parameter(self):
+        assert _reindex_drop_last(GwElem.symbol(3, (1,), 2), 2) == \
+            GwElem.symbol(3, (1,), 1)
+        with pytest.raises(IndexError):
+            _reindex_drop_last(GwElem.symbol(3, (1, 2), 2), 2)
 
 
 class TestMergeInvariance:

@@ -1,11 +1,20 @@
+import multiprocessing
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gwfloor
 from gwfloor.gwring import (
-    BetaForm, GwElem, GwMonomial, ResidualNotInSpan, beta_decompose, beta_elem,
-    beta_sym, display, equals_mod, h, mono_mul, one, to_json_dict, trace_kummer,
+    MAX_PARAMS, BetaForm, GwElem, GwMonomial, ResidualNotInSpan, beta_decompose,
+    beta_elem, beta_sym, display, equals_mod, h, one, to_json_dict,
 )
+
+from kummer import trace_kummer
 
 
 def sym(a, ds=(), s=0):
@@ -20,16 +29,16 @@ class TestMonomial:
 
     def test_mul_examples(self):
         # <2><2d1> = <d1>, <-d1><-d1> = <1>, <3><2d1d2> = <6d1d2>
-        assert mono_mul(GwMonomial.of(2), GwMonomial.of(2, [1])) == GwMonomial.of(1, [1])
+        assert GwMonomial.of(2) * GwMonomial.of(2, [1]) == GwMonomial.of(1, [1])
         m = GwMonomial.of(-1, [1])
-        assert mono_mul(m, m) == GwMonomial.of(1)
-        assert mono_mul(GwMonomial.of(3), GwMonomial.of(2, [1, 2])) == \
+        assert m * m == GwMonomial.of(1)
+        assert GwMonomial.of(3) * GwMonomial.of(2, [1, 2]) == \
             GwMonomial.of(6, [1, 2])
 
     @given(st.integers(1, 50), st.integers(1, 50))
     def test_squares_to_one(self, q1, q2):
         m = GwMonomial.of(q1 * q2, [1, 3])
-        assert mono_mul(m, m) == GwMonomial.of(1)
+        assert m * m == GwMonomial.of(1)
 
     def test_key_serialization(self):
         assert GwMonomial.of(2, [1, 3]).key() == "+2*d1d3"
@@ -57,7 +66,7 @@ class TestRingOps:
         assert e == h(1)
 
     def test_mismatched_params_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             sym(1, (), 1) + sym(1, (), 2)
 
 
@@ -197,3 +206,98 @@ class TestDisplay:
         d = to_json_dict(2 * h(1) + beta_elem(1, 1))
         assert d["h"] == 2
         assert {"sign": 1, "q": 2, "d": [1], "c": 1} in d["terms"]
+
+
+nonzero = st.one_of(st.integers(1, 10 ** 5), st.integers(-10 ** 5, -1))
+subsets = st.frozensets(st.integers(1, 4))
+
+
+class TestMaskEncoding:
+    @given(nonzero, subsets, nonzero, subsets)
+    @settings(max_examples=200, deadline=None)
+    def test_symbol_product_is_xor(self, a, I, b, J):
+        assert sym(a, I, 4) * sym(b, J, 4) == sym(a * b, I ^ J, 4)
+
+    def test_same_masks_in_a_spawned_process(self):
+        # This process has long met the prime 2; a fresh one meets 99991
+        # first.  Masks must not depend on the order primes are first seen.
+        args = [(-99991, (1,)), (3 * 65537, (2, 3)), (2, ()), (-6, (1, 3))]
+        expected = [sym(a, ds, 3) for a, ds in args]
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            future = pool.submit(_symbols, args, 3)
+            got = future.result(timeout=120)
+        assert got == expected
+
+    def test_index_outside_layout_rejected(self):
+        with pytest.raises(ValueError):
+            GwElem.zero(MAX_PARAMS + 1)
+        with pytest.raises(ValueError):
+            GwMonomial(1, (0,))
+        with pytest.raises(ValueError):
+            GwMonomial.of(1, [MAX_PARAMS + 1])
+
+    def test_prime_beyond_limit_rejected(self):
+        with pytest.raises(ValueError):
+            sym(2 ** 31 - 1)  # a prime
+
+
+def _symbols(args, num_params):
+    return [GwElem.symbol(a, ds, num_params) for a, ds in args]
+
+
+class TestChecksRaise:
+    """Invariant checks raise exceptions, so they hold under python -O too."""
+
+    @pytest.mark.parametrize("int_part,d_subset,sign", [
+        (4, (), 1), (0, (), 1), (-3, (), 1), (3, (2, 1), 1), (3, (1, 1), 1),
+        (3, (), 0),
+    ])
+    def test_monomial_validation(self, int_part, d_subset, sign):
+        with pytest.raises(ValueError):
+            GwMonomial(int_part, d_subset, sign)
+
+    def test_zero_symbol_rejected(self):
+        with pytest.raises(ValueError):
+            GwMonomial.of(0)
+
+    def test_from_coeffs_index_range(self):
+        with pytest.raises(IndexError):
+            GwElem.from_coeffs({GwMonomial.of(1, [3]): 1}, 2)
+        with pytest.raises(IndexError):
+            sym(1, (3,), 2)
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_beta_elem_range(self, i):
+        with pytest.raises(IndexError):
+            beta_elem(i, 2)
+
+    def test_mismatched_params_rejected(self):
+        with pytest.raises(ValueError):
+            sym(1, (), 1) * sym(1, (), 2)
+        with pytest.raises(ValueError):
+            equals_mod(one(1), one(2))
+
+    def test_beta_decompose_self_check(self, monkeypatch):
+        # a presentation that does not expand back to its input is refused
+        real = BetaForm.expand
+        monkeypatch.setattr(BetaForm, "expand",
+                            lambda form, s=None: real(form, s) + 2 * one(s))
+        with pytest.raises(ResidualNotInSpan):
+            beta_decompose(2 * h(1) + beta_elem(1, 1) + 6 * one(1))
+
+    def test_checks_survive_optimize(self):
+        src = str(Path(gwfloor.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "from gwfloor.gwring import GwMonomial\n"
+            "assert False, 'asserts are on'\n"
+            "try:\n"
+            "    GwMonomial(4, ())\n"
+            "except ValueError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        ) % src
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

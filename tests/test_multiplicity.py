@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from gwfloor.gwring import GwElem, equals_mod, h, one
+from gwfloor.gwring import GwElem, GwMonomial, beta_elem, equals_mod, h, one
 from gwfloor.multiplicity import (
-    TwinTreeSummary, beta, edge_mult, gamma, m_a1, twin_edge_mult,
+    TwinTreeSummary, edge_mult, gamma, m_a1, twin_edge_mult,
     twin_tree_mult,
 )
+
+from kummer import trace_kummer
 
 S = 6  # ambient parameter count used throughout
 
@@ -38,9 +40,15 @@ def test_gamma_examples():
 
 
 def test_beta_signature():
-    b = beta(1, S)
+    b = beta_elem(1, S)
     assert b.rank() == 2
     assert b.signature({i: -1 for i in range(1, S + 1)}) == 0
+
+
+@pytest.mark.parametrize("s", range(4))
+@pytest.mark.parametrize("m", range(1, 13))
+def test_m_a1_is_kummer_trace(m, s):
+    assert m_a1(m, s) == trace_kummer(m, GwMonomial.of(1), "x", s)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -115,7 +123,7 @@ def test_twin_tree_square_substitution(weights, m_root, unbounded, floors):
             rhs = rhs * edge_mult(w, t) * edge_mult(w, t)
         for i in tree.point_indices:
             if i != j:
-                rhs = rhs * beta(i, t)
+                rhs = rhs * beta_elem(i, t)
         assert equals_mod(lhs, rhs)
 
 
