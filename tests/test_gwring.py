@@ -68,6 +68,10 @@ class TestRingOps:
     def test_mismatched_params_rejected(self):
         with pytest.raises(ValueError):
             sym(1, (), 1) + sym(1, (), 2)
+        with pytest.raises(ValueError):
+            sym(1, (), 1) * sym(1, (), 2)
+        with pytest.raises(ValueError):
+            equals_mod(one(1), one(2))
 
 
 class TestRankSignature:
@@ -271,12 +275,6 @@ class TestChecksRaise:
     def test_beta_elem_range(self, i):
         with pytest.raises(IndexError):
             beta_elem(i, 2)
-
-    def test_mismatched_params_rejected(self):
-        with pytest.raises(ValueError):
-            sym(1, (), 1) * sym(1, (), 2)
-        with pytest.raises(ValueError):
-            equals_mod(one(1), one(2))
 
     def test_beta_decompose_self_check(self, monkeypatch):
         # a presentation that does not expand back to its input is refused
