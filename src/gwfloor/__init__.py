@@ -5,8 +5,8 @@ from .counting import CountResult, count, kontsevich, verify_merge_invariance, \
     verify_rank_and_signatures, verify_square_substitution, witt_compare
 from .degrees import DegreeSpec, InvalidDegree, end_spec, n_delta, parse_degree, \
     white_spec
-from .diagrams import FloorDiagram, MergedFloorDiagram, canonical_key, classify, \
-    detect_twin_trees, enumerate_diagrams, merge
+from .diagrams import FloorDiagram, MergedFloorDiagram, classify, detect_twin_trees, \
+    enumerate_diagrams, merge
 from .gwring import BetaForm, GwElem, GwMonomial, ResidualNotInSpan, \
     beta_decompose, beta_elem, display, equals_mod, h, one
 from .multiplicity import TwinTreeSummary, diagram_mult, edge_mult, gamma, \
@@ -15,7 +15,7 @@ from .multiplicity import TwinTreeSummary, diagram_mult, edge_mult, gamma, \
 __all__ = [
     "BetaForm", "CountResult", "DegreeSpec", "FloorDiagram", "GwElem",
     "GwMonomial", "InvalidDegree", "MergedFloorDiagram", "ResidualNotInSpan",
-    "TwinTreeSummary", "beta_decompose", "beta_elem", "canonical_key", "classify",
+    "TwinTreeSummary", "beta_decompose", "beta_elem", "classify",
     "count", "detect_twin_trees", "diagram_mult", "display", "edge_mult",
     "end_spec", "enumerate_diagrams", "equals_mod", "gamma", "h", "kontsevich",
     "m_a1", "merge", "n_delta", "one", "parse_degree",

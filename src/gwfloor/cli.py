@@ -13,10 +13,9 @@ import sys
 import time
 
 from . import gwring
-from .counting import count, verify_merge_invariance, verify_rank_and_signatures, \
-    verify_square_substitution
+from .counting import count, default_pairs, merged_classes, verify_merge_invariance, \
+    verify_rank_and_signatures, verify_square_substitution
 from .degrees import InvalidDegree, n_delta, parse_degree
-from .diagrams import canonical_key, enumerate_diagrams, merge
 from .gwring import BetaForm, ResidualNotInSpan
 from .tables import FULL_EXTRA_SPECS, KNOWN_COUNTS, QUICK_SPECS
 
@@ -165,28 +164,17 @@ def _run_table(args) -> int:
 
 def _run_enumerate(args) -> int:
     spec = parse_degree(args.spec)
-    pairs = _parse_pairs(args.pairs) if args.pairs else None
-    s = args.pairs_count if args.pairs_count is not None else \
-        (len(pairs) if pairs else 0)
-    if pairs is None:
-        pairs = [(2 * i, 2 * i + 1) for i in range(s)]
-    lines = []
-    seen = set()
-    for diagram in enumerate_diagrams(spec):
-        m = merge(diagram, pairs)
-        key = canonical_key(m)
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(json.dumps({
-            "positions": list(range(1, m.base.n + 1)),
-            "colors": list(m.base.colors),
-            "leaks": [list(v) if v is not None else None for v in m.base.leaks],
-            "edges": [[u + 1, v + 1, w] for u, v, w in m.base.edges],
-            "ends": [[p + 1, ("in" if d < 0 else "out")] for p, d in m.base.ends],
-            "pairs": [[a + 1, b + 1] for a, b in m.pairs],
-            "classification": [list(c) for c in m.classification],
-        }, sort_keys=True))
+    pairs = tuple(_parse_pairs(args.pairs)) if args.pairs else \
+        default_pairs(args.pairs_count or 0)
+    lines = [json.dumps({
+        "positions": list(range(1, m.base.n + 1)),
+        "colors": list(m.base.colors),
+        "leaks": [list(v) if v is not None else None for v in m.base.leaks],
+        "edges": [[u + 1, v + 1, w] for u, v, w in m.base.edges],
+        "ends": [[p + 1, ("in" if d < 0 else "out")] for p, d in m.base.ends],
+        "pairs": [[a + 1, b + 1] for a, b in m.pairs],
+        "classification": [list(c) for c in m.classification],
+    }, sort_keys=True) for m in merged_classes(spec, pairs)]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 from . import gwring
 from .degrees import DegreeSpec, n_delta
-from .diagrams import MergedFloorDiagram, canonical_key, enumerate_diagrams, merge
+from .diagrams import FloorDiagram, MergedFloorDiagram, check_pairs, enumerate_diagrams, \
+    merge
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod
 from .multiplicity import diagram_mult
 
@@ -37,17 +38,48 @@ def default_pairs(s: int) -> tuple[tuple[int, int], ...]:
     return tuple((2 * i, 2 * i + 1) for i in range(s))
 
 
+@lru_cache(maxsize=None)
+def _diagram_index(spec: DegreeSpec) -> dict[FloorDiagram, int]:
+    return {d: i for i, d in enumerate(enumerate_diagrams(spec))}
+
+
+@lru_cache(maxsize=None)
+def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
+    """Per enumerated diagram, the index of its (a, a+1)-swap, or None."""
+    index = _diagram_index(spec)
+    return tuple(index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
+
+
 @lru_cache(maxsize=256)
 def merged_classes(spec: DegreeSpec,
                    pairs: tuple[tuple[int, int], ...]) -> tuple[MergedFloorDiagram, ...]:
-    """One classified representative per merged-diagram class, key-sorted."""
-    classes: dict[bytes, MergedFloorDiagram] = {}
-    for diagram in enumerate_diagrams(spec):
-        m = merge(diagram, list(pairs))
-        assert m is not None
-        key = canonical_key(m)
-        classes.setdefault(key, m)
-    return tuple(classes[k] for k in sorted(classes))
+    """One classified representative per merged-diagram class, first-seen order.
+
+    A class is an orbit of the enumerated diagrams under exchanging the two
+    positions of any subset of the pairs; its representative is its first
+    diagram.  Classes are the components of a union-find over single swaps:
+    the pairs are disjoint and adjacent, so swapping (a, a+1) changes only
+    the order of a and a+1, and each validity condition at a vertex depends
+    only on whether its own pair is swapped.  So if d and g.d are both
+    valid, so is every diagram on a single-swap path between them, and it
+    is enumerated.
+    """
+    pairs = check_pairs(pairs, n_delta(spec))
+    diagrams = enumerate_diagrams(spec)
+    root = list(range(len(diagrams)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, _ in pairs:
+        for i, j in enumerate(_swap_partners(spec, a)):
+            if j is not None:
+                ri, rj = find(i), find(j)
+                root[max(ri, rj)] = min(ri, rj)
+    return tuple(merge(d, pairs) for i, d in enumerate(diagrams) if find(i) == i)
 
 
 def _class_mult(args) -> GwElem:

@@ -8,15 +8,20 @@ plus a weight-1 edge.  Enumeration sweeps the positions bottom-to-top,
 maintaining the multiset of elevator strands crossing the current gap.
 
 Merging declares disjoint adjacent position pairs to be double points.
-Twin trees are maximal components of merged pairs whose two strands are
-isomorphic and attach to the rest of the diagram at a single root
-elevator pair; every other pair is a free double point unless it merges
-a floor with the adjacent elevator point.
+Diagrams that differ by exchanging the two positions of some pairs give
+the same merged diagram; `FloorDiagram.swapped` exchanges one pair, and
+`counting.merged_classes` joins the enumerated diagrams one swap at a
+time in a union-find to find these classes.  Twin trees are maximal
+components of merged pairs whose two strands are isomorphic and attach
+to the rest of the diagram at a single root elevator pair; every other
+pair is a free double point unless it merges a floor with the adjacent
+elevator point.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,18 +73,19 @@ class FloorDiagram:
         return out
 
     def validate(self, spec: DegreeSpec) -> None:
+        """Raise ValueError unless this is a floor diagram of the degree."""
         n = n_delta(spec)
-        assert self.n == n
+        _require(self.n == n, f"{self.n} positions, expected {n}")
         w_count, _ = white_spec(spec)
         minus, plus = leak_budget(spec)
         inc, out = end_spec(spec)
-        assert sum(1 for c in self.colors if c == "w") == w_count
-        assert len(self.edges) == n - 1
+        _require(self.colors.count("w") == w_count, f"expected {w_count} floors")
+        _require(len(self.edges) == n - 1, f"expected {n - 1} edges")
         nbrs = self.neighbors()
         # bipartite, connected (tree follows from edge count + connectivity)
         for u, v, w in self.edges:
-            assert u < v and w >= 1
-            assert {self.colors[u], self.colors[v]} == {"w", "b"}
+            _require(u < v and w >= 1 and {self.colors[u], self.colors[v]} == {"w", "b"},
+                     f"edge {(u, v, w)} is not an ascending weighted white-black edge")
         seen, stack = {0}, [0]
         while stack:
             x = stack.pop()
@@ -87,32 +93,47 @@ class FloorDiagram:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        assert len(seen) == n, "diagram is not connected"
+        _require(len(seen) == n, "diagram is not connected")
         got_minus = got_plus = 0
         for i, c in enumerate(self.colors):
             if c == "w":
                 leak = self.leaks[i]
-                assert leak is not None and set(leak) <= {-1, 1}
+                _require(leak is not None and set(leak) <= {-1, 1}, f"leaks {leak} at {i}")
                 got_minus += leak.count(-1)
                 got_plus += leak.count(1)
-                assert self.divergence(i) == sum(leak)
+                _require(self.divergence(i) == sum(leak), f"floor {i} is unbalanced")
+                continue
+            _require(self.leaks[i] is None, f"black {i} carries leaks")
+            _require(self.divergence(i) == 0, f"black {i} is unbalanced")
+            deg_edges = nbrs[i]
+            deg_ends = [e for e in self.ends if e[0] == i]
+            if deg_ends:
+                _require(len(deg_ends) == 1 and len(deg_edges) == 1, f"black {i} valence")
+                _require(deg_edges[0][1] == 1, f"end at black {i} has weight > 1")
+                (other, _), (_, direction) = deg_edges[0], deg_ends[0]
+                _require((other > i) if direction == INCOMING else (other < i),
+                         f"end at black {i} points the wrong way")
             else:
-                assert self.leaks[i] is None
-                assert self.divergence(i) == 0
-                deg_edges = nbrs[i]
-                deg_ends = [e for e in self.ends if e[0] == i]
-                if deg_ends:
-                    assert len(deg_ends) == 1 and len(deg_edges) == 1
-                    assert deg_edges[0][1] == 1
-                    (other, _), (_, direction) = deg_edges[0], deg_ends[0]
-                    assert (other > i) if direction == INCOMING else (other < i)
-                else:
-                    assert len(deg_edges) == 2
-                    (a, wa), (b, wb) = deg_edges
-                    assert wa == wb and min(a, b) < i < max(a, b)
-        assert (got_minus, got_plus) == (minus, plus)
-        assert sum(1 for _, d in self.ends if d == INCOMING) == inc
-        assert sum(1 for _, d in self.ends if d == OUTGOING) == out
+                _require(len(deg_edges) == 2, f"black {i} is not bivalent")
+                (a, wa), (b, wb) = deg_edges
+                _require(wa == wb and min(a, b) < i < max(a, b), f"black {i} is no splice")
+        _require((got_minus, got_plus) == (minus, plus), "wrong leak counts")
+        _require(sum(1 for _, d in self.ends if d == INCOMING) == inc, "incoming ends")
+        _require(sum(1 for _, d in self.ends if d == OUTGOING) == out, "outgoing ends")
+
+    def swapped(self, a: int) -> FloorDiagram:
+        """The diagram with the vertices at positions a and a + 1 exchanged."""
+        p = list(range(self.n))
+        p[a], p[a + 1] = a + 1, a  # an involution: old <-> new position
+        return FloorDiagram(
+            tuple(self.colors[i] for i in p), tuple(self.leaks[i] for i in p),
+            tuple(sorted((min(p[u], p[v]), max(p[u], p[v]), w) for u, v, w in self.edges)),
+            tuple(sorted((p[i], d) for i, d in self.ends)))
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"invalid floor diagram: {what}")
 
 
 def _partitions(total: int, max_parts: int):
@@ -311,16 +332,9 @@ class MergedFloorDiagram:
         return len(self.pairs)
 
 
-def merge(diagram: FloorDiagram,
-          pair_positions: list[tuple[int, int]]) -> MergedFloorDiagram | None:
-    """Merge the given disjoint adjacent position pairs into double points.
-
-    Positions are 0-based.  Raises ValueError on a malformed pair list;
-    returns None if a black-black pair cannot carry overlapping elevator
-    strands (impossible for adjacent pairs of an enumerated diagram, kept
-    as a guard for hand-built input).
-    """
-    n = diagram.n
+def check_pairs(pair_positions: Iterable[tuple[int, int]],
+                n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted 0-based position pairs; ValueError unless adjacent, disjoint, < n."""
     pairs = tuple(sorted(tuple(sorted(p)) for p in pair_positions))
     used = set()
     for a, b in pairs:
@@ -329,34 +343,18 @@ def merge(diagram: FloorDiagram,
         if a in used or b in used:
             raise ValueError("merge pairs must be disjoint")
         used.update((a, b))
-    spans = _strand_spans(diagram)
-    for a, b in pairs:
-        if diagram.colors[a] == "b" and diagram.colors[b] == "b":
-            lo = max(spans[a][0], spans[b][0])
-            hi = min(spans[a][1], spans[b][1])
-            if lo > hi:
-                return None
-    merged = MergedFloorDiagram(diagram, pairs)
-    return classify(merged)
+    return pairs
 
 
-def _strand_spans(diagram: FloorDiagram) -> dict[int, tuple[int, int]]:
-    """For each black vertex, the position interval its elevator spans."""
-    spans = {}
-    nbrs = diagram.neighbors()
-    end_dirs = {p: d for p, d in diagram.ends}
-    for i, c in enumerate(diagram.colors):
-        if c != "b":
-            continue
-        whites = sorted(v for v, _ in nbrs[i])
-        if i in end_dirs:
-            if end_dirs[i] == INCOMING:
-                spans[i] = (-1, whites[0])
-            else:
-                spans[i] = (whites[0], diagram.n)
-        else:
-            spans[i] = (whites[0], whites[1])
-    return spans
+def merge(diagram: FloorDiagram,
+          pair_positions: Iterable[tuple[int, int]]) -> MergedFloorDiagram:
+    """Merge the given disjoint adjacent position pairs into double points.
+
+    Positions are 0-based; a malformed pair list raises ValueError.  Two
+    blacks at adjacent positions p, p + 1 of a valid diagram always carry
+    overlapping elevators, as each elevator spans both p and p + 1.
+    """
+    return classify(MergedFloorDiagram(diagram, check_pairs(pair_positions, diagram.n)))
 
 
 def _black_items(diagram: FloorDiagram, nbrs, pos):
@@ -549,32 +547,3 @@ def classify(merged: MergedFloorDiagram) -> MergedFloorDiagram:
             labels.append(("free",))
     return MergedFloorDiagram(diagram, merged.pairs, tuple(labels),
                               trees, vertex_sets)
-
-
-def canonical_key(merged: MergedFloorDiagram) -> bytes:
-    """Class representative key: invariant under swapping within any pair.
-
-    Minimum over all within-pair orderings of the diagram serialization;
-    isomorphisms respecting the induced partial order are exactly the
-    within-pair swaps, so equal keys characterize equal merged diagrams.
-    """
-    d = merged.base
-    n = d.n
-    best = None
-    for bits in range(1 << len(merged.pairs)):
-        perm = list(range(n))
-        for i, (a, b) in enumerate(merged.pairs):
-            if bits >> i & 1:
-                perm[a], perm[b] = perm[b], perm[a]
-        colors = tuple(d.colors[perm[i]] for i in range(n))
-        leaks = tuple(d.leaks[perm[i]] for i in range(n))
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        edges = tuple(sorted(
-            (min(inv[u], inv[v]), max(inv[u], inv[v]), w) for u, v, w in d.edges))
-        ends = tuple(sorted((inv[p], direction) for p, direction in d.ends))
-        ser = (colors, leaks, edges, ends, merged.pairs)
-        if best is None or ser < best:
-            best = ser
-    return repr(best).encode()

@@ -9,7 +9,8 @@ Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 * gwring.beta_elem   -- a free double point,
 * twin_tree_mult     -- a whole twin tree.
 
-The local factors are cached by (weight, index, s), safe as GwElem is immutable.
+The local factors are cached by (weight, index, s) and the twin-tree
+factor by (tree, s), safe as GwElem is immutable.
 """
 
 from __future__ import annotations
@@ -79,12 +80,14 @@ class TwinTreeSummary:
     unbounded_twin_elevators: int
 
     def __post_init__(self):
-        assert self.point_indices, "a twin tree carries at least one double point"
-        assert tuple(sorted(self.point_indices)) == self.point_indices
-        elev_points = [i for _, i in self.elevator_marks]
-        assert len(set(elev_points)) == len(elev_points)
-        assert set(elev_points) <= set(self.point_indices)
-        assert self.m_root in [m for m, _ in self.elevator_marks]
+        points, elev_points = self.point_indices, [i for _, i in self.elevator_marks]
+        if not points or tuple(sorted(points)) != points:
+            raise ValueError(f"point indices {points} are empty or unsorted")
+        if len(set(elev_points)) != len(elev_points) or not set(elev_points) <= set(points):
+            raise ValueError(f"elevator marks {self.elevator_marks} are not distinct "
+                             "points of the tree")
+        if self.m_root not in [m for m, _ in self.elevator_marks]:
+            raise ValueError(f"root weight {self.m_root} is not an elevator weight")
 
     @property
     def t(self) -> int:
@@ -95,6 +98,7 @@ class TwinTreeSummary:
         return self.m_root + self.unbounded_twin_elevators
 
 
+@lru_cache(maxsize=None)
 def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     total = one(num_params)
     for m, i in tree.elevator_marks:

@@ -92,6 +92,10 @@ class TestEnumerate:
         code, out = run(capsys, "enumerate", "p2:3")
         assert len(out.strip().splitlines()) == 9
 
+    def test_non_adjacent_pairs_exit_code(self, capsys):
+        assert main(["enumerate", "p2:3", "--pairs", "1,3"]) == EXIT_PARSE
+        assert "not an adjacent position pair" in capsys.readouterr().err
+
 
 class TestRendering:
     @pytest.mark.parametrize("form,s", [

@@ -2,11 +2,12 @@ import pytest
 
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, canonical_key, classify,
+    INCOMING, OUTGOING, FloorDiagram, MergedFloorDiagram, classify,
     detect_twin_trees, enumerate_diagrams, merge,
 )
-from gwfloor.counting import default_pairs, merged_classes
+from gwfloor.counting import _disjoint_adjacent_pairs, default_pairs, merged_classes
 
+from keying import canonical_key
 from wdvv import blowup_count
 
 SMALL_SPECS = ["p2:1", "p2:2", "p2:3", "p1xp1:1,1", "p1xp1:2,2", "p1xp1:2,3",
@@ -182,6 +183,76 @@ class TestCanonicalKey:
         for diagram in enumerate_diagrams(spec):
             keys.add(canonical_key(merge(diagram, list(default_pairs(3)))))
         assert len(keys) == 6
+
+
+KEYED_SPECS = ["p2:3", "p1xp1:2,2", "p1xp1:2,3", "bl1:4,2", "bl2:4,1,1",
+               "bl3:4,1,1,2"]
+
+
+def _placements():
+    """Every placement with s <= 4 on KEYED_SPECS, default pairs beyond."""
+    for spec_str in KEYED_SPECS:
+        n = n_delta(parse_degree(spec_str))
+        for s in range(min(4, n // 2) + 1):
+            yield spec_str, s, tuple(_disjoint_adjacent_pairs(n, s))
+    for spec_str in ["p2:4", "p1xp1:2,4"]:
+        n = n_delta(parse_degree(spec_str))
+        for s in range(n // 2 + 1):
+            yield spec_str, s, (default_pairs(s),)
+
+
+class TestMergedClasses:
+    @pytest.mark.parametrize("spec_str,s,placements", [
+        pytest.param(*p, id=f"{p[0]}-s{p[1]}") for p in _placements()])
+    def test_partition_matches_ordering_key(self, spec_str, s, placements):
+        # every diagram's key equals the key of exactly one representative
+        spec = parse_degree(spec_str)
+        diagrams = enumerate_diagrams(spec)
+        for pairs in placements:
+            reps = merged_classes(spec, pairs)
+            rep_keys = [canonical_key(m) for m in reps]
+            assert len(set(rep_keys)) == len(reps), pairs
+            keys = {canonical_key(MergedFloorDiagram(d, pairs)) for d in diagrams}
+            assert keys == set(rep_keys), pairs
+
+    def test_representatives_first_seen(self):
+        spec = parse_degree("p2:4")
+        diagrams = enumerate_diagrams(spec)
+        reps = merged_classes(spec, default_pairs(3))
+        positions = [diagrams.index(m.base) for m in reps]
+        assert positions == sorted(positions) and positions[0] == 0
+
+    @pytest.mark.parametrize("pairs,message", [
+        (((0, 2),), "not an adjacent position pair"),
+        (((7, 8),), "not an adjacent position pair"),
+        (((0, 1), (1, 2)), "must be disjoint"),
+    ])
+    def test_malformed_pairs_rejected(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            merged_classes(parse_degree("p2:3"), pairs)
+
+    def test_swap_is_an_involution(self):
+        d = cubic_t2_diagram()
+        assert d.swapped(4).swapped(4) == d
+        assert d.swapped(4) != d
+
+
+class TestValidateRaises:
+    def test_wrong_degree(self):
+        with pytest.raises(ValueError, match="positions"):
+            cubic_t2_diagram().validate(parse_degree("p1xp1:2,2"))
+
+    def test_broken_elevator(self):
+        d = cubic_t2_diagram()
+        bad = FloorDiagram(d.colors, d.leaks,
+                           d.edges[:-1] + ((5, 7, 2),), d.ends)
+        with pytest.raises(ValueError):
+            bad.validate(parse_degree("p2:3"))
+
+    def test_swapped_type_a_pair(self):
+        # the floor would sit below the black that feeds it
+        with pytest.raises(ValueError, match="unbalanced"):
+            cubic_t2_diagram().swapped(2).validate(parse_degree("p2:3"))
 
 
 class TestClassSoundness:

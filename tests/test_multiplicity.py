@@ -1,6 +1,11 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gwfloor
 
 from gwfloor.gwring import GwElem, GwMonomial, beta_elem, equals_mod, h, one
 from gwfloor.multiplicity import (
@@ -152,3 +157,38 @@ def test_invalid_weight_rejected():
         edge_mult(0)
     with pytest.raises(IndexError):
         gamma(1, 7, S)
+
+
+@pytest.mark.parametrize("points,marks,m_root", [
+    ((), (), 1),
+    ((2, 1), ((1, 1),), 1),
+    ((1, 2), ((1, 1), (2, 1)), 1),
+    ((1,), ((1, 2),), 1),
+    ((1, 2), ((1, 1),), 2),
+])
+def test_twin_tree_summary_checks_raise(points, marks, m_root):
+    with pytest.raises(ValueError):
+        TwinTreeSummary(points, marks, m_root, 0)
+
+
+def test_twin_tree_summary_checks_survive_optimize():
+    src = str(Path(gwfloor.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "from gwfloor.multiplicity import TwinTreeSummary\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    TwinTreeSummary((1, 2), ((1, 1),), 2, 0)\n"
+        "except ValueError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    ) % src
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_twin_tree_mult_cached_per_tree_and_s():
+    tree = _tree([2, 1], m_root=2, unbounded=0, floor_points=1)
+    assert twin_tree_mult(tree, S) is twin_tree_mult(_tree([2, 1], 2, 0, 1), S)
+    assert twin_tree_mult(tree, S + 1).num_params == S + 1
