@@ -125,10 +125,10 @@ class FloorDiagram:
         """The diagram with the vertices at positions a and a + 1 exchanged."""
         p = list(range(self.n))
         p[a], p[a + 1] = a + 1, a  # an involution: old <-> new position
+        edges = [(p[u], p[v], w) if p[u] < p[v] else (p[v], p[u], w) for u, v, w in self.edges]
         return FloorDiagram(
-            tuple(self.colors[i] for i in p), tuple(self.leaks[i] for i in p),
-            tuple(sorted((min(p[u], p[v]), max(p[u], p[v]), w) for u, v, w in self.edges)),
-            tuple(sorted((p[i], d) for i, d in self.ends)))
+            tuple([self.colors[i] for i in p]), tuple([self.leaks[i] for i in p]),
+            tuple(sorted(edges)), tuple(sorted([(p[i], d) for i, d in self.ends])))
 
 
 def _require(ok: bool, what: str) -> None:

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import gwfloor
-
 from gwfloor.gwring import GwElem, GwMonomial, beta_elem, equals_mod, h, one
 from gwfloor.multiplicity import (
     TwinTreeSummary, edge_mult, gamma, m_a1, twin_edge_mult,
