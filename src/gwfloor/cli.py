@@ -129,7 +129,7 @@ def _run_count(args) -> int:
     s = args.pairs_count if args.pairs_count is not None else \
         (len(pairs) if pairs else 0)
     t0 = time.monotonic()
-    result = count(spec, s, pairs, workers=args.threads)
+    result = count(spec, s, pairs)
     ms = (time.monotonic() - t0) * 1000
     record = output_record(result, ms)
     if args.format == "json":
@@ -147,7 +147,7 @@ def _run_table(args) -> int:
     records, lines = [], []
     for s in range(n // 2 + 1):
         t0 = time.monotonic()
-        result = count(spec, s, workers=args.threads)
+        result = count(spec, s)
         ms = (time.monotonic() - t0) * 1000
         records.append(output_record(result, ms))
         lines.append(f"({result.r}, {s})  "
@@ -235,10 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_format=True):
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--ascii", action="store_true")
         p.add_argument("--out", default=None, metavar="FILE")
         if with_format:
+            p.add_argument("--ascii", action="store_true")
             p.add_argument("--format", choices=["text", "json", "csv"],
                            default="text")
 
@@ -259,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--pairs-count", type=int, default=None)
     p.add_argument("--pairs", default=None)
-    p.add_argument("--emit", action="store_true",
-                   help="accepted for compatibility; JSON is always emitted")
     common(p, with_format=False)
     p.set_defaults(func=_run_enumerate)
 

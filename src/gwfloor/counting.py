@@ -8,7 +8,6 @@ records rank and the constant-sign signature specializations.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,31 +81,19 @@ def merged_classes(spec: DegreeSpec,
     return tuple(merge(d, pairs) for i, d in enumerate(diagrams) if find(i) == i)
 
 
-def _class_mult(args) -> GwElem:
-    merged_diagram, s = args
-    return diagram_mult(merged_diagram, s)
-
-
 def count(spec: DegreeSpec, s: int,
-          pair_positions: list[tuple[int, int]] | None = None,
-          workers: int = 1) -> CountResult:
+          pair_positions: list[tuple[int, int]] | None = None) -> CountResult:
     n = n_delta(spec)
     if not 0 <= 2 * s <= n:
         raise ValueError(f"need 0 <= 2s <= n({spec}) = {n}, got s = {s}")
     pairs = default_pairs(s) if pair_positions is None \
-        else tuple(sorted(tuple(sorted(p)) for p in pair_positions))
+        else check_pairs(pair_positions, n)
     if len(pairs) != s:
         raise ValueError(f"expected {s} pairs, got {len(pairs)}")
     reps = merged_classes(spec, pairs)
-    if workers > 1 and len(reps) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            mults = list(pool.map(_class_mult, [(m, s) for m in reps],
-                                  chunksize=max(1, len(reps) // workers)))
-    else:
-        mults = [diagram_mult(m, s) for m in reps]
     total = GwElem.zero(s)
-    for e in mults:
-        total = total + e
+    for m in reps:
+        total = total + diagram_mult(m, s)
     form = beta_decompose(total)
     return CountResult(
         spec=spec, r=n - 2 * s, s=s, total=total, beta_form=form,

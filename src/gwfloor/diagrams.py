@@ -397,14 +397,8 @@ def _match_item(pair_of, a, b):
     return None
 
 
-def detect_twin_trees(merged: MergedFloorDiagram) -> list[TwinTreeSummary]:
-    trees, _ = _analyze_twins(merged)
-    return list(trees)
-
-
-def _analyze_twins(merged: MergedFloorDiagram):
+def _analyze_twins(merged: MergedFloorDiagram, nbrs):
     diagram = merged.base
-    nbrs = diagram.neighbors()
     pairs = merged.pairs
     pair_of: dict[int, int] = {}
     for k, (a, b) in enumerate(pairs):
@@ -504,7 +498,8 @@ def _analyze_twins(merged: MergedFloorDiagram):
             continue
         comp_bb = [k for k in members if k in bb_match]
         comp_ww = [k for k in members if k in ww_links]
-        assert len(comp_bb) == len(comp_ww) + unbounded
+        _require(len(comp_bb) == len(comp_ww) + unbounded,
+                 f"twin tree on pairs {members} miscounts its elevator pairs")
         marks = []
         m_root = None
         for k in comp_bb:
@@ -529,7 +524,8 @@ def classify(merged: MergedFloorDiagram) -> MergedFloorDiagram:
     """Label every merged pair: twin tree member, type A, or free."""
     diagram = merged.base
     edge_set = {(u, v): w for u, v, w in diagram.edges}
-    trees, (vertex_sets, twin_pairs) = _analyze_twins(merged)
+    nbrs = diagram.neighbors()
+    trees, (vertex_sets, twin_pairs) = _analyze_twins(merged, nbrs)
     tree_of_pair = {}
     for t_idx, tree in enumerate(trees):
         for i in tree.point_indices:
@@ -541,7 +537,7 @@ def classify(merged: MergedFloorDiagram) -> MergedFloorDiagram:
             labels.append(("twin", tree_of_pair[k]))
         elif {ca, cb} == {"w", "b"} and (a, b) in edge_set:
             black = a if ca == "b" else b
-            weight = sorted(diagram.neighbors()[black])[0][1]
+            weight = sorted(nbrs[black])[0][1]
             labels.append(("type_a", weight))
         else:
             labels.append(("free",))

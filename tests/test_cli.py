@@ -45,11 +45,10 @@ class TestCount:
         assert record["c0"] == 8
         assert "ms" not in record
 
-    def test_json_stable_across_runs_and_workers(self, capsys):
-        _, out1 = run(capsys, "count", "p2:3", "--pairs-count", "2",
-                      "--format", "json")
-        _, out2 = run(capsys, "count", "p2:3", "--pairs-count", "2",
-                      "--format", "json", "--threads", "2")
+    def test_json_stable_across_runs(self, capsys):
+        argv = ("count", "p2:3", "--pairs-count", "2", "--format", "json")
+        _, out1 = run(capsys, *argv)
+        _, out2 = run(capsys, *argv)
         assert out1 == out2
 
     def test_parse_error_exit_code(self, capsys):
@@ -95,6 +94,21 @@ class TestEnumerate:
     def test_non_adjacent_pairs_exit_code(self, capsys):
         assert main(["enumerate", "p2:3", "--pairs", "1,3"]) == EXIT_PARSE
         assert "not an adjacent position pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "p2:3", "--threads", "2"],
+    ["table", "p2:3", "--threads", "2"],
+    ["enumerate", "p2:3", "--emit"],
+    ["enumerate", "p2:3", "--ascii"],
+    ["verify", "--ascii"],
+], ids=["count-threads", "table-threads", "enumerate-emit", "enumerate-ascii",
+        "verify-ascii"])
+def test_removed_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRendering:

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import gwfloor
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
     INCOMING, OUTGOING, FloorDiagram, MergedFloorDiagram, classify,
-    detect_twin_trees, enumerate_diagrams, merge,
+    enumerate_diagrams, merge,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, default_pairs, merged_classes
 
@@ -91,7 +95,7 @@ class TestMerge:
         d = cubic_t2_diagram()
         d.validate(parse_degree("p2:3"))
         m = merge(d, [(4, 5), (6, 7)])
-        trees = detect_twin_trees(m)
+        trees = m.twin_trees
         assert len(trees) == 1
         tree = trees[0]
         assert tree.t == 2
@@ -103,20 +107,20 @@ class TestMerge:
     def test_no_double_merges_no_trees(self):
         d = cubic_t2_diagram()
         m = merge(d, [(3, 4)])  # white + adjacent black
-        assert detect_twin_trees(m) == []
+        assert m.twin_trees == ()
         assert m.classification == (("type_a", 1),)
 
     def test_asymmetric_double_elevator_is_free(self):
         d = quadric_asymmetric_diagram()
         d.validate(parse_degree("p1xp1:2,2"))
         m = merge(d, [(3, 4)])  # outgoing-end black with a splice black
-        assert detect_twin_trees(m) == []
+        assert m.twin_trees == ()
         assert m.classification == (("free",),)
 
     def test_simplest_twin_tree(self):
         d = cubic_t2_diagram()
         m = merge(d, [(0, 1)])  # two incoming ends into the same floor
-        trees = detect_twin_trees(m)
+        trees = m.twin_trees
         assert len(trees) == 1
         assert trees[0].t == 1
         assert trees[0].m_circ == 2
@@ -132,7 +136,7 @@ class TestMerge:
         )
         d.validate(parse_degree("p2:3"))
         m = merge(d, [(0, 1)])
-        assert detect_twin_trees(m) == []
+        assert m.twin_trees == ()
         assert m.classification == (("free",),)
 
 
@@ -253,6 +257,14 @@ class TestValidateRaises:
         # the floor would sit below the black that feeds it
         with pytest.raises(ValueError, match="unbalanced"):
             cubic_t2_diagram().swapped(2).validate(parse_degree("p2:3"))
+
+    def test_no_asserts_in_package(self):
+        # checks must hold under python -O, which strips assert statements
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(gwfloor.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestClassSoundness:
