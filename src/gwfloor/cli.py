@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 
 from . import gwring
-from .counting import count, default_pairs, merged_classes, verify_merge_invariance, \
+from .counting import count, merged_classes, resolve_pairs, verify_merge_invariance, \
     verify_rank_and_signatures, verify_square_substitution
 from .degrees import InvalidDegree, n_delta, parse_degree
 from .gwring import BetaForm, ResidualNotInSpan
@@ -39,32 +38,6 @@ def render_beta_form(form: BetaForm, ascii_mode: bool = False) -> str:
         head = "" if form.one_coeff == 1 else f"{form.one_coeff}"
         parts.append(f"{head}{one}")
     return " + ".join(parts) if parts else "0"
-
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>-?\d*)\s*(?P<kind>h|(?:β|b)\^\{?\((?P<level>\d+)\)\}?|(?:⟨|<)1(?:⟩|>))$")
-
-
-def parse_beta_text(text: str, s: int) -> BetaForm:
-    """Inverse of render_beta_form (both unicode and ascii variants)."""
-    h_coeff, one_coeff = 0, 0
-    betas = [0] * s
-    if text.strip() == "0":
-        return BetaForm(0, tuple(betas), 0)
-    for raw in text.split("+"):
-        m = _TERM_RE.match(raw.strip())
-        if not m:
-            raise ValueError(f"cannot parse term {raw.strip()!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") not in ("", "-") \
-            else (-1 if m.group("coeff") == "-" else 1)
-        kind = m.group("kind")
-        if kind == "h":
-            h_coeff += coeff
-        elif m.group("level"):
-            betas[int(m.group("level")) - 1] += coeff
-        else:
-            one_coeff += coeff
-    return BetaForm(h_coeff, tuple(betas), one_coeff)
 
 
 def output_record(result, duration_ms: float) -> dict:
@@ -110,6 +83,12 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _resolve_args_pairs(args, spec) -> tuple[tuple[int, int], ...]:
+    """The checked pairs named by --pairs and --pairs-count."""
+    pairs = _parse_pairs(args.pairs) if args.pairs else None
+    return resolve_pairs(spec, args.pairs_count, pairs)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -125,11 +104,9 @@ def _strip_timing(record: dict) -> dict:
 
 def _run_count(args) -> int:
     spec = parse_degree(args.spec)
-    pairs = _parse_pairs(args.pairs) if args.pairs else None
-    s = args.pairs_count if args.pairs_count is not None else \
-        (len(pairs) if pairs else 0)
+    pairs = _resolve_args_pairs(args, spec)
     t0 = time.monotonic()
-    result = count(spec, s, pairs)
+    result = count(spec, len(pairs), pairs)
     ms = (time.monotonic() - t0) * 1000
     record = output_record(result, ms)
     if args.format == "json":
@@ -164,8 +141,7 @@ def _run_table(args) -> int:
 
 def _run_enumerate(args) -> int:
     spec = parse_degree(args.spec)
-    pairs = tuple(_parse_pairs(args.pairs)) if args.pairs else \
-        default_pairs(args.pairs_count or 0)
+    pairs = _resolve_args_pairs(args, spec)
     lines = [json.dumps({
         "positions": list(range(1, m.base.n + 1)),
         "colors": list(m.base.colors),

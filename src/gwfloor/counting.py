@@ -37,6 +37,27 @@ def default_pairs(s: int) -> tuple[tuple[int, int], ...]:
     return tuple((2 * i, 2 * i + 1) for i in range(s))
 
 
+def resolve_pairs(spec: DegreeSpec, s: int | None,
+                  pair_positions: list[tuple[int, int]] | None
+                  ) -> tuple[tuple[int, int], ...]:
+    """The checked pairs of an s-point count of the degree.
+
+    None stands for default_pairs(s) resp. for s = the number of given
+    pairs.  ValueError unless 0 <= 2s <= n and the pairs are s disjoint
+    adjacent position pairs.
+    """
+    n = n_delta(spec)
+    if s is None:
+        s = 0 if pair_positions is None else len(pair_positions)
+    if not 0 <= 2 * s <= n:
+        raise ValueError(f"need 0 <= 2s <= n({spec}) = {n}, got s = {s}")
+    pairs = default_pairs(s) if pair_positions is None \
+        else check_pairs(pair_positions, n)
+    if len(pairs) != s:
+        raise ValueError(f"expected {s} pairs, got {len(pairs)}")
+    return pairs
+
+
 @lru_cache(maxsize=None)
 def _diagram_index(spec: DegreeSpec) -> dict[FloorDiagram, int]:
     return {d: i for i, d in enumerate(enumerate_diagrams(spec))}
@@ -84,13 +105,7 @@ def merged_classes(spec: DegreeSpec,
 def count(spec: DegreeSpec, s: int,
           pair_positions: list[tuple[int, int]] | None = None) -> CountResult:
     n = n_delta(spec)
-    if not 0 <= 2 * s <= n:
-        raise ValueError(f"need 0 <= 2s <= n({spec}) = {n}, got s = {s}")
-    pairs = default_pairs(s) if pair_positions is None \
-        else check_pairs(pair_positions, n)
-    if len(pairs) != s:
-        raise ValueError(f"expected {s} pairs, got {len(pairs)}")
-    reps = merged_classes(spec, pairs)
+    reps = merged_classes(spec, resolve_pairs(spec, s, pair_positions))
     total = GwElem.zero(s)
     for m in reps:
         total = total + diagram_mult(m, s)

@@ -11,11 +11,16 @@ Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
 the same merged diagram; `FloorDiagram.swapped` exchanges one pair, and
 `counting.merged_classes` joins the enumerated diagrams one swap at a
-time in a union-find to find these classes.  Twin trees are maximal
-components of merged pairs whose two strands are isomorphic and attach
-to the rest of the diagram at a single root elevator pair; every other
-pair is a free double point unless it merges a floor with the adjacent
-elevator point.
+time in a union-find to find these classes.
+
+`merge` checks a pair list and hands it to `classify`, which builds the
+one record of a merged diagram, `MergedFloorDiagram`, always fully
+labelled.  Twin trees are maximal components of merged pairs whose two
+strands are isomorphic and attach to the rest of the diagram at a single
+root elevator pair; their pairs are labelled "twin".  Every other pair is
+"type_a" if it merges a floor with the adjacent elevator point, and
+"free" otherwise.  The labels alone say which edges a local factor
+absorbs, so the record stores nothing else about them.
 """
 
 from __future__ import annotations
@@ -189,8 +194,6 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
         whites_left = w_total - whites
         blacks_left = b_total - (pos - whites)
         in_left, out_left = in_total - inc, out_total_ends - out
-        if whites_left + blacks_left != n - pos:
-            return False
         sb = sum(1 for s in strands if s[2] == _SEEK_BLACK)
         sw = len(strands) - sb
         if blacks_left < in_left + out_left:
@@ -321,15 +324,16 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
 
 @dataclass(frozen=True)
 class MergedFloorDiagram:
+    """A floor diagram with merged pairs, each pair labelled by `classify`.
+
+    classification[k] is ("twin", tree index), ("type_a", elevator weight)
+    or ("free",) for pairs[k]; twin_trees[t] summarises twin tree t.
+    """
+
     base: FloorDiagram
     pairs: tuple[tuple[int, int], ...]
-    classification: tuple[tuple, ...] | None = None
-    twin_trees: tuple[TwinTreeSummary, ...] = ()
-    twin_vertex_sets: tuple[frozenset, ...] = ()
-
-    @property
-    def num_points(self) -> int:
-        return len(self.pairs)
+    classification: tuple[tuple, ...]
+    twin_trees: tuple[TwinTreeSummary, ...]
 
 
 def check_pairs(pair_positions: Iterable[tuple[int, int]],
@@ -354,7 +358,7 @@ def merge(diagram: FloorDiagram,
     blacks at adjacent positions p, p + 1 of a valid diagram always carry
     overlapping elevators, as each elevator spans both p and p + 1.
     """
-    return classify(MergedFloorDiagram(diagram, check_pairs(pair_positions, diagram.n)))
+    return classify(diagram, check_pairs(pair_positions, diagram.n))
 
 
 def _black_items(diagram: FloorDiagram, nbrs, pos):
@@ -363,24 +367,15 @@ def _black_items(diagram: FloorDiagram, nbrs, pos):
     return items
 
 
-def _feasible_matchings(diagram, nbrs, pair_of, x, y):
-    """Ways to pair the two items of black x with those of black y."""
+def _first_matching(diagram, nbrs, pair_of, x, y):
+    """The kinds of the first feasible pairing of black x's items with y's."""
     xi = _black_items(diagram, nbrs, x)
     yi = _black_items(diagram, nbrs, y)
-    out = []
-    for perm in (list(range(len(yi))), list(reversed(range(len(yi))))):
-        if len(set(perm)) != len(yi):
-            continue
-        kinds = []
-        for a, b in zip(xi, (yi[j] for j in perm)):
-            kind = _match_item(pair_of, a, b)
-            if kind is None:
-                kinds = None
-                break
-            kinds.append(kind)
-        if kinds is not None and kinds not in out:
-            out.append(kinds)
-    return out
+    for ordered in (yi, yi[::-1]):
+        kinds = [_match_item(pair_of, a, b) for a, b in zip(xi, ordered)]
+        if None not in kinds:
+            return kinds
+    return None
 
 
 def _match_item(pair_of, a, b):
@@ -397,9 +392,8 @@ def _match_item(pair_of, a, b):
     return None
 
 
-def _analyze_twins(merged: MergedFloorDiagram, nbrs):
-    diagram = merged.base
-    pairs = merged.pairs
+def _analyze_twins(diagram: FloorDiagram, pairs, nbrs):
+    """The twin trees, and the indices of the pairs that lie on one."""
     pair_of: dict[int, int] = {}
     for k, (a, b) in enumerate(pairs):
         pair_of[a] = k
@@ -413,9 +407,9 @@ def _analyze_twins(merged: MergedFloorDiagram, nbrs):
     # per-pair local validation
     bb_match: dict[int, list] = {}
     for k in bb:
-        options = _feasible_matchings(diagram, nbrs, pair_of, *pairs[k])
-        if options:
-            bb_match[k] = options[0]
+        kinds = _first_matching(diagram, nbrs, pair_of, *pairs[k])
+        if kinds is not None:
+            bb_match[k] = kinds
     ww_links: dict[int, list[int]] = {}
     for k in ww:
         u, v = pairs[k]
@@ -470,7 +464,6 @@ def _analyze_twins(merged: MergedFloorDiagram, nbrs):
         comps.setdefault(find(k), []).append(k)
 
     trees: list[TwinTreeSummary] = []
-    vertex_sets: list[frozenset] = []
     twin_pairs: set[int] = set()
     for members in sorted(comps.values()):
         comp_set = set(members)
@@ -515,23 +508,25 @@ def _analyze_twins(merged: MergedFloorDiagram, nbrs):
             unbounded_twin_elevators=unbounded,
         )
         trees.append(tree)
-        vertex_sets.append(frozenset(v for k in members for v in pairs[k]))
         twin_pairs.update(members)
-    return tuple(trees), (tuple(vertex_sets), twin_pairs)
+    return tuple(trees), twin_pairs
 
 
-def classify(merged: MergedFloorDiagram) -> MergedFloorDiagram:
-    """Label every merged pair: twin tree member, type A, or free."""
-    diagram = merged.base
+def classify(diagram: FloorDiagram,
+             pairs: tuple[tuple[int, int], ...]) -> MergedFloorDiagram:
+    """The merged diagram, each pair labelled twin tree member, type A, or free.
+
+    pairs must be check_pairs output for the diagram; merge() checks them.
+    """
     edge_set = {(u, v): w for u, v, w in diagram.edges}
     nbrs = diagram.neighbors()
-    trees, (vertex_sets, twin_pairs) = _analyze_twins(merged, nbrs)
+    trees, twin_pairs = _analyze_twins(diagram, pairs, nbrs)
     tree_of_pair = {}
     for t_idx, tree in enumerate(trees):
         for i in tree.point_indices:
             tree_of_pair[i - 1] = t_idx
     labels = []
-    for k, (a, b) in enumerate(merged.pairs):
+    for k, (a, b) in enumerate(pairs):
         ca, cb = diagram.colors[a], diagram.colors[b]
         if k in twin_pairs:
             labels.append(("twin", tree_of_pair[k]))
@@ -541,5 +536,4 @@ def classify(merged: MergedFloorDiagram) -> MergedFloorDiagram:
             labels.append(("type_a", weight))
         else:
             labels.append(("free",))
-    return MergedFloorDiagram(diagram, merged.pairs, tuple(labels),
-                              trees, vertex_sets)
+    return MergedFloorDiagram(diagram, pairs, tuple(labels), trees)

@@ -103,13 +103,6 @@ class GwMonomial:
     def __mul__(self, other: "GwMonomial") -> "GwMonomial":
         return _monomial(_mask(self) ^ _mask(other))
 
-    def key(self) -> str:
-        """Stable serialization "+q*d{i}d{j}..." with ascending indices."""
-        head = ("+" if self.sign > 0 else "-") + str(self.int_part)
-        if not self.d_subset:
-            return head
-        return head + "*" + "".join(f"d{i}" for i in self.d_subset)
-
     def __str__(self):
         body = str(self.sign * self.int_part)
         tail = "".join(f"d{i}" for i in self.d_subset)
@@ -381,12 +374,6 @@ def display(e: GwElem) -> tuple[int, list[tuple[GwMonomial, int]]]:
         if c != 0:
             residual.append((m, c))
     return n, residual
-
-
-def assemble(h_count: int, residual: Iterable[tuple[GwMonomial, int]],
-             num_params: int) -> GwElem:
-    total = h_count * h(num_params)
-    return total + GwElem.from_coeffs(dict(residual), num_params)
 
 
 def to_json_dict(e: GwElem) -> dict:

@@ -116,34 +116,29 @@ def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
 
 
 def diagram_mult(merged, num_params: int | None = None) -> GwElem:
-    """Total quadratic multiplicity of a classified merged floor diagram.
+    """Total quadratic multiplicity of a merged floor diagram.
 
-    Product of twin-tree factors, gamma factors for white-plus-adjacent-
-    black merges, beta factors for free double points, and m_a1 factors
-    over the remaining bounded edges (skipping edges inside twin trees and
-    the elevator through each merged type-A black vertex).
+    Product of twin-tree factors, gamma factors for type-A pairs (a floor
+    merged with the adjacent elevator point), beta factors for free double
+    points, and m_a1 factors over the remaining bounded edges.  The pair
+    labels say which edges are not remaining: every edge at a vertex of a
+    "twin" pair lies inside a twin tree, and the elevator through the
+    black of a "type_a" pair is absorbed into its gamma factor.
     """
-    if merged.classification is None:
-        raise ValueError("diagram must be classified first")
     s = len(merged.pairs) if num_params is None else num_params
     total = one(s)
     for tree in merged.twin_trees:
         total = total * twin_tree_mult(tree, s)
-    twin_vertices = set()
-    for verts in merged.twin_vertex_sets:
-        twin_vertices.update(verts)
-    absorbed_blacks = set()
+    skipped = set()
     for idx, (pair, label) in enumerate(zip(merged.pairs, merged.classification)):
-        if label[0] == "type_a":
+        if label[0] == "twin":
+            skipped.update(pair)
+        elif label[0] == "type_a":
             total = total * gamma(label[1], idx + 1, s)
-            black = pair[0] if merged.base.colors[pair[0]] == "b" else pair[1]
-            absorbed_blacks.add(black)
+            skipped.add(pair[0] if merged.base.colors[pair[0]] == "b" else pair[1])
         elif label[0] == "free":
             total = total * beta_elem(idx + 1, s)
     for u, v, w in merged.base.edges:
-        if u in twin_vertices or v in twin_vertices:
-            continue
-        if u in absorbed_blacks or v in absorbed_blacks:
-            continue
-        total = total * m_a1(w, s)
+        if u not in skipped and v not in skipped:
+            total = total * m_a1(w, s)
     return total

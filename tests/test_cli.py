@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from gwfloor.cli import (
-    EXIT_PARSE, main, parse_beta_text, render_beta_form,
-)
+from gwfloor.cli import EXIT_PARSE, main, render_beta_form
 from gwfloor.gwring import BetaForm
+
+from betatext import parse_beta_text
 
 
 def run(capsys, *argv):
@@ -94,6 +94,15 @@ class TestEnumerate:
     def test_non_adjacent_pairs_exit_code(self, capsys):
         assert main(["enumerate", "p2:3", "--pairs", "1,3"]) == EXIT_PARSE
         assert "not an adjacent position pair" in capsys.readouterr().err
+
+    def test_negative_pairs_count_exit_code(self, capsys):
+        assert main(["enumerate", "p2:3", "--pairs-count", "-1"]) == EXIT_PARSE
+        assert "need 0 <= 2s <= n" in capsys.readouterr().err
+
+    def test_pairs_disagreeing_with_count_exit_code(self, capsys):
+        argv = ["enumerate", "p2:3", "--pairs", "1,2", "--pairs-count", "3"]
+        assert main(argv) == EXIT_PARSE
+        assert "expected 3 pairs, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,7 @@ import pytest
 import gwfloor
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, MergedFloorDiagram, classify,
-    enumerate_diagrams, merge,
+    INCOMING, OUTGOING, FloorDiagram, enumerate_diagrams, merge,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, default_pairs, merged_classes
 
@@ -165,19 +164,18 @@ class TestClassify:
 class TestCanonicalKey:
     def test_swap_within_pair_same_key(self):
         d = cubic_t2_diagram()
-        m = merge(d, [(4, 5), (6, 7)])
         # swapping both pairs produces the mirror-labeled diagram
         d2 = FloorDiagram(
             colors=d.colors, leaks=d.leaks,
             edges=((0, 3, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1),
                    (4, 7, 1), (5, 6, 1)),
             ends=d.ends)
-        m2 = merge(d2, [(4, 5), (6, 7)])
-        assert canonical_key(m) == canonical_key(m2)
+        pairs = ((4, 5), (6, 7))
+        assert canonical_key(d, pairs) == canonical_key(d2, pairs)
 
     def test_cubic_classes_distinct(self):
         reps = merged_classes(parse_degree("p2:3"), default_pairs(3))
-        keys = [canonical_key(m) for m in reps]
+        keys = [canonical_key(m.base, m.pairs) for m in reps]
         assert len(set(keys)) == 6
 
     def test_preimage_collapse(self):
@@ -185,7 +183,7 @@ class TestCanonicalKey:
         spec = parse_degree("p2:3")
         keys = set()
         for diagram in enumerate_diagrams(spec):
-            keys.add(canonical_key(merge(diagram, list(default_pairs(3)))))
+            keys.add(canonical_key(diagram, default_pairs(3)))
         assert len(keys) == 6
 
 
@@ -214,10 +212,16 @@ class TestMergedClasses:
         diagrams = enumerate_diagrams(spec)
         for pairs in placements:
             reps = merged_classes(spec, pairs)
-            rep_keys = [canonical_key(m) for m in reps]
+            rep_keys = [canonical_key(m.base, m.pairs) for m in reps]
             assert len(set(rep_keys)) == len(reps), pairs
-            keys = {canonical_key(MergedFloorDiagram(d, pairs)) for d in diagrams}
+            keys = {canonical_key(d, pairs) for d in diagrams}
             assert keys == set(rep_keys), pairs
+            # diagram_mult reads the twin-tree vertices off the pair labels
+            for m in reps:
+                for t, tree in enumerate(m.twin_trees):
+                    labelled = {k + 1 for k, label in enumerate(m.classification)
+                                if label == ("twin", t)}
+                    assert set(tree.point_indices) == labelled, (pairs, m)
 
     def test_representatives_first_seen(self):
         spec = parse_degree("p2:4")
@@ -265,6 +269,16 @@ class TestValidateRaises:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+    def test_merged_record_has_no_defaults(self):
+        # classify builds every field, so no half-built record can exist
+        path = Path(gwfloor.__file__).parent / "diagrams.py"
+        (cls,) = [node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef) and node.name == "MergedFloorDiagram"]
+        fields = [(node.target.id, node.value is not None)
+                  for node in cls.body if isinstance(node, ast.AnnAssign)]
+        assert fields == [("base", False), ("pairs", False),
+                          ("classification", False), ("twin_trees", False)]
 
 
 class TestClassSoundness:
