@@ -15,11 +15,16 @@ time in a union-find to find these classes.
 
 `merge` checks a pair list and hands it to `classify`, which builds the
 one record of a merged diagram, `MergedFloorDiagram`, always fully
-labelled.  Twin trees are maximal components of merged pairs whose two
-strands are isomorphic and attach to the rest of the diagram at a single
-root elevator pair; their pairs are labelled "twin".  Every other pair is
-"type_a" if it merges a floor with the adjacent elevator point, and
-"free" otherwise.  The labels alone say which edges a local factor
+labelled.  A twin tree is two isomorphic strands of merged pairs hanging
+from one root elevator pair.  As the diagram is a tree, removing a floor
+r splits it into branches; for a black pair (x, y) joined to r by edges
+of equal weight, `_twin_trees` walks the branches at x and at y in step
+and keeps them as a twin tree when the pairs map one onto the other.
+Equivalently, the twin trees are the minimal non-empty sets of pairs
+whose simultaneous swap leaves the diagram unchanged (`tests/twins.py`
+checks this).  Pairs on a twin tree are labelled "twin".  Every other
+pair is "type_a" if it merges a floor with the adjacent elevator point,
+and "free" otherwise.  The labels alone say which edges a local factor
 absorbs, so the record stores nothing else about them.
 """
 
@@ -361,155 +366,49 @@ def merge(diagram: FloorDiagram,
     return classify(diagram, check_pairs(pair_positions, diagram.n))
 
 
-def _black_items(diagram: FloorDiagram, nbrs, pos):
-    items = [("edge", v, w) for v, w in sorted(nbrs[pos])]
-    items += [("end", d, 1) for p, d in diagram.ends if p == pos]
-    return items
+def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
+    """The twin trees of the merged pairs, by the point of their first elevator mark.
 
-
-def _first_matching(diagram, nbrs, pair_of, x, y):
-    """The kinds of the first feasible pairing of black x's items with y's."""
-    xi = _black_items(diagram, nbrs, x)
-    yi = _black_items(diagram, nbrs, y)
-    for ordered in (yi, yi[::-1]):
-        kinds = [_match_item(pair_of, a, b) for a, b in zip(xi, ordered)]
-        if None not in kinds:
-            return kinds
-    return None
-
-
-def _match_item(pair_of, a, b):
-    ka, va, wa = a
-    kb, vb, wb = b
-    if ka != kb or wa != wb:
-        return None
-    if ka == "end":
-        return ("endpair",) if va == vb else None
-    if va == vb:
-        return ("root", va)
-    if pair_of.get(va) is not None and pair_of.get(va) == pair_of.get(vb):
-        return ("link", pair_of[va])
-    return None
-
-
-def _analyze_twins(diagram: FloorDiagram, pairs, nbrs):
-    """The twin trees, and the indices of the pairs that lie on one."""
-    pair_of: dict[int, int] = {}
+    A twin tree hangs from a floor r at a black pair (x, y) joined to r by
+    edges of equal weight: it is the branch at x and the branch at y, seen
+    from r, when the pairs map one branch onto the other.  Both branches
+    are walked in step; the walk fails at the first (u, v) whose leaks
+    (None at a black, so colours too), ends or children do not correspond
+    under the pairs.  A black's elevator weight is that of any of its
+    edges, here the one the walk came in by.
+    """
+    partner, index = {}, {}
     for k, (a, b) in enumerate(pairs):
-        pair_of[a] = k
-        pair_of[b] = k
-
-    bb = [k for k, (a, b) in enumerate(pairs)
-          if diagram.colors[a] == "b" and diagram.colors[b] == "b"]
-    ww = [k for k, (a, b) in enumerate(pairs)
-          if diagram.colors[a] == "w" and diagram.colors[b] == "w"]
-
-    # per-pair local validation
-    bb_match: dict[int, list] = {}
-    for k in bb:
-        kinds = _first_matching(diagram, nbrs, pair_of, *pairs[k])
-        if kinds is not None:
-            bb_match[k] = kinds
-    ww_links: dict[int, list[int]] = {}
-    for k in ww:
-        u, v = pairs[k]
-        if diagram.leaks[u] != diagram.leaks[v]:
+        partner[a], partner[b] = b, a
+        index[a] = index[b] = k + 1
+    ends = dict(diagram.ends)
+    trees = []
+    for x, y in pairs:
+        if diagram.colors[x] != "b" or diagram.colors[y] != "b":
             continue
-        eu, ev = sorted(nbrs[u]), sorted(nbrs[v])
-        if len(eu) != len(ev):
-            continue
-        links = []
-        ok = True
-        remaining = list(ev)
-        for c, w in eu:
-            pk = pair_of.get(c)
-            if pk is None or pk not in bb:
-                ok = False
-                break
-            ca, cb = pairs[pk]
-            partner = cb if c == ca else ca
-            if (partner, w) not in remaining:
-                ok = False
-                break
-            remaining.remove((partner, w))
-            links.append(pk)
-        if ok and not remaining:
-            ww_links[k] = links
-
-    # components over locally valid pairs, linked bb <-> ww
-    parent = {k: k for k in list(bb_match) + list(ww_links)}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for k, kinds in bb_match.items():
-        for kind in kinds:
-            if kind[0] == "link" and kind[1] in ww_links:
-                union(k, kind[1])
-    for k, links in ww_links.items():
-        for pk in links:
-            if pk in bb_match:
-                union(k, pk)
-
-    comps: dict[int, list[int]] = {}
-    for k in parent:
-        comps.setdefault(find(k), []).append(k)
-
-    trees: list[TwinTreeSummary] = []
-    twin_pairs: set[int] = set()
-    for members in sorted(comps.values()):
-        comp_set = set(members)
-        roots = 0
-        unbounded = 0
-        valid = True
-        for k in members:
-            if k in ww_links:
-                if any(pk not in comp_set for pk in ww_links[k]):
-                    valid = False
+        for r, m_root in set(nbrs[x]) & set(nbrs[y]):
+            points, marks, unbounded = [], [], 0
+            stack = [(x, y, r, r, m_root)]
+            while stack:
+                u, v, up_u, up_v, w = stack.pop()
+                kids = [(c, wc) for c, wc in nbrs[u] if c != up_u]
+                v_kids = {(c, wc) for c, wc in nbrs[v] if c != up_v}
+                if (diagram.leaks[u] != diagram.leaks[v] or ends.get(u) != ends.get(v)
+                        or len(kids) != len(v_kids)
+                        or any((partner.get(c), wc) not in v_kids for c, wc in kids)):
                     break
+                points.append(index[u])
+                if diagram.colors[u] == "b":
+                    marks.append((w, index[u]))
+                    unbounded += u in ends
+                stack.extend((c, partner[c], u, v, wc) for c, wc in kids)
             else:
-                for kind in bb_match[k]:
-                    if kind[0] == "root":
-                        if pair_of.get(kind[1]) in comp_set:
-                            valid = False  # root on a floor of this very tree
-                        roots += 1
-                    elif kind[0] == "endpair":
-                        unbounded += 1
-                    elif kind[0] == "link" and kind[1] not in comp_set:
-                        valid = False
-                if not valid:
-                    break
-        if not valid or roots != 1:
-            continue
-        comp_bb = [k for k in members if k in bb_match]
-        comp_ww = [k for k in members if k in ww_links]
-        _require(len(comp_bb) == len(comp_ww) + unbounded,
-                 f"twin tree on pairs {members} miscounts its elevator pairs")
-        marks = []
-        m_root = None
-        for k in comp_bb:
-            x, _ = pairs[k]
-            weight = sorted(nbrs[x])[0][1]
-            marks.append((weight, k + 1))
-            if any(kind[0] == "root" for kind in bb_match[k]):
-                m_root = weight
-        tree = TwinTreeSummary(
-            point_indices=tuple(sorted(k + 1 for k in members)),
-            elevator_marks=tuple(sorted(marks, key=lambda t: t[1])),
-            m_root=m_root,
-            unbounded_twin_elevators=unbounded,
-        )
-        trees.append(tree)
-        twin_pairs.update(members)
-    return tuple(trees), twin_pairs
+                floors = len(points) - len(marks)
+                _require(len(marks) == floors + unbounded,
+                         f"twin tree on points {sorted(points)} miscounts its elevator pairs")
+                trees.append(TwinTreeSummary(tuple(sorted(points)), tuple(sorted(
+                    marks, key=lambda mark: mark[1])), m_root, unbounded))
+    return sorted(trees, key=lambda tree: tree.elevator_marks[0][1])
 
 
 def classify(diagram: FloorDiagram,
@@ -519,21 +418,14 @@ def classify(diagram: FloorDiagram,
     pairs must be check_pairs output for the diagram; merge() checks them.
     """
     edge_set = {(u, v): w for u, v, w in diagram.edges}
-    nbrs = diagram.neighbors()
-    trees, twin_pairs = _analyze_twins(diagram, pairs, nbrs)
-    tree_of_pair = {}
-    for t_idx, tree in enumerate(trees):
-        for i in tree.point_indices:
-            tree_of_pair[i - 1] = t_idx
+    trees = _twin_trees(diagram, pairs, diagram.neighbors())
+    tree_of_pair = {i - 1: t for t, tree in enumerate(trees) for i in tree.point_indices}
     labels = []
-    for k, (a, b) in enumerate(pairs):
-        ca, cb = diagram.colors[a], diagram.colors[b]
-        if k in twin_pairs:
+    for k, pair in enumerate(pairs):
+        if k in tree_of_pair:
             labels.append(("twin", tree_of_pair[k]))
-        elif {ca, cb} == {"w", "b"} and (a, b) in edge_set:
-            black = a if ca == "b" else b
-            weight = sorted(nbrs[black])[0][1]
-            labels.append(("type_a", weight))
+        elif pair in edge_set:
+            labels.append(("type_a", edge_set[pair]))
         else:
             labels.append(("free",))
-    return MergedFloorDiagram(diagram, pairs, tuple(labels), trees)
+    return MergedFloorDiagram(diagram, pairs, tuple(labels), tuple(trees))

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+import gwfloor.diagrams as diagrams
 from gwfloor.cli import EXIT_PARSE, main, render_beta_form
+from gwfloor.counting import merged_classes
 from gwfloor.gwring import BetaForm
 
 from betatext import parse_beta_text
@@ -134,7 +137,35 @@ class TestRendering:
         assert parse_beta_text(text, s) == form
 
 
+def _without_type_a(classify):
+    def mutant(diagram, pairs):
+        merged = classify(diagram, pairs)
+        labels = tuple(("free",) if label[0] == "type_a" else label
+                       for label in merged.classification)
+        return dataclasses.replace(merged, classification=labels)
+    return mutant
+
+
+# Planted bugs in the classification layer; verify must fail on each.
+CLASSIFY_MUTANTS = {
+    "no_twin_trees": ("_twin_trees", lambda real: lambda *args: []),
+    "type_a_as_free": ("classify", _without_type_a),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("name", sorted(CLASSIFY_MUTANTS))
+    def test_classify_mutant_fails_quick(self, name, capsys, monkeypatch):
+        attr, make = CLASSIFY_MUTANTS[name]
+        monkeypatch.setattr(diagrams, attr, make(getattr(diagrams, attr)))
+        merged_classes.cache_clear()
+        try:
+            code = main(["verify", "--scope", "quick"])
+        finally:
+            merged_classes.cache_clear()
+        capsys.readouterr()
+        assert code != 0
+
     def test_quick_passes(self, capsys):
         code, out = run(capsys, "verify", "--scope", "quick")
         report = json.loads(out)

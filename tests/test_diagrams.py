@@ -11,6 +11,7 @@ from gwfloor.diagrams import (
 from gwfloor.counting import _disjoint_adjacent_pairs, default_pairs, merged_classes
 
 from keying import canonical_key
+from twins import swap_fixing_sets
 from wdvv import blowup_count
 
 SMALL_SPECS = ["p2:1", "p2:2", "p2:3", "p1xp1:1,1", "p1xp1:2,2", "p1xp1:2,3",
@@ -138,6 +139,27 @@ class TestMerge:
         assert m.twin_trees == ()
         assert m.classification == (("free",),)
 
+    def test_weight_two_twin_elevator(self):
+        # two weight-2 elevators leave floor 3 for twin floors 6, 7, each
+        # continuing by a weight-1 elevator to twin floors 10, 11
+        d = FloorDiagram(
+            colors=tuple("bbbwbbwwbbww"),
+            leaks=(None, None, None, (-1,), None, None, (1,), (1,),
+                   None, None, (1,), (1,)),
+            edges=((0, 3, 1), (1, 3, 1), (2, 3, 1), (3, 4, 2), (3, 5, 2),
+                   (4, 6, 2), (5, 7, 2), (6, 8, 1), (7, 9, 1), (8, 10, 1),
+                   (9, 11, 1)),
+            ends=((0, INCOMING), (1, INCOMING), (2, INCOMING)),
+        )
+        d.validate(parse_degree("bl2:5,1,1"))
+        m = merge(d, [(4, 5), (6, 7), (8, 9), (10, 11)])
+        (tree,) = m.twin_trees
+        assert tree.point_indices == (1, 2, 3, 4)
+        assert tree.elevator_marks == ((2, 1), (1, 3))
+        assert tree.m_root == 2
+        assert tree.unbounded_twin_elevators == 0
+        assert m.classification == (("twin", 0),) * 4
+
 
 class TestClassify:
     def test_weight_three_elevator_type_a(self):
@@ -155,8 +177,6 @@ class TestClassify:
 
     def test_non_adjacent_black_is_free(self):
         d = cubic_t2_diagram()
-        m = merge(d, [(2, 3)])  # incoming black not attached to this floor?
-        # position 2 feeds floor 3, so this IS adjacent; use (5, 6) instead:
         m = merge(d, [(5, 6)])  # splice black 5 feeds floor 7, merged with 6
         assert m.classification == (("free",),)
 
@@ -222,6 +242,8 @@ class TestMergedClasses:
                     labelled = {k + 1 for k, label in enumerate(m.classification)
                                 if label == ("twin", t)}
                     assert set(tree.point_indices) == labelled, (pairs, m)
+                twins = {frozenset(tree.point_indices) for tree in m.twin_trees}
+                assert twins == swap_fixing_sets(m.base, m.pairs), (pairs, m)
 
     def test_representatives_first_seen(self):
         spec = parse_degree("p2:4")
