@@ -1,13 +1,16 @@
 """Orchestration: full quadratically enriched counts and verification.
 
 count() folds the quadratic multiplicities of all merged-diagram classes
-of a degree, presents the total in the h / beta^{(l)} / <1> basis, and
+of a degree, evaluating each distinct local-factor signature once
+(`multiplicity.signature`) and weighting it by its number of classes;
+it presents the total in the h / beta^{(l)} / <1> basis, and
 records rank and the constant-sign signature specializations.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,7 +19,7 @@ from .degrees import DegreeSpec, n_delta
 from .diagrams import FloorDiagram, MergedFloorDiagram, check_pairs, enumerate_diagrams, \
     merge
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod
-from .multiplicity import diagram_mult
+from .multiplicity import signature, signature_mult
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,16 @@ def _diagram_index(spec: DegreeSpec) -> dict[FloorDiagram, int]:
 
 @lru_cache(maxsize=None)
 def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
-    """Per enumerated diagram, the index of its (a, a+1)-swap, or None."""
+    """Per enumerated diagram, the index of its (a, a+1)-swap, or None.
+
+    A diagram with an edge joining a and a + 1 has no valid swap, so it is
+    not swapped at all.  The black of that edge is a splice or an end
+    black: after the swap a splice black has both neighbours on one side,
+    and an end black's end points the wrong way.
+    """
     index = _diagram_index(spec)
-    return tuple(index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
+    return tuple(None if any(u == a and v == a + 1 for u, v, _ in d.edges)
+                 else index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
 
 
 @lru_cache(maxsize=256)
@@ -107,8 +117,8 @@ def count(spec: DegreeSpec, s: int,
     n = n_delta(spec)
     reps = merged_classes(spec, resolve_pairs(spec, s, pair_positions))
     total = GwElem.zero(s)
-    for m in reps:
-        total = total + diagram_mult(m, s)
+    for sig, k in Counter(signature(m) for m in reps).items():
+        total = total + k * signature_mult(sig, s)
     form = beta_decompose(total)
     return CountResult(
         spec=spec, r=n - 2 * s, s=s, total=total, beta_form=form,

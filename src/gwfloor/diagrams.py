@@ -191,19 +191,20 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
     leaks: list[tuple[int, ...] | None] = []
     edges: list[tuple[int, int, int]] = []
     ends: list[tuple[int, int]] = []
-    # strand: [origin, weight, stage, comp]
+    # strand: [origin, weight, stage, comp]; every edit is undone in place,
+    # so a strand stays the same list object while it is open
     strands: list[list[int]] = []
+    seek_black = 0  # the number of strands in stage _SEEK_BLACK
     comp_counter = itertools.count()
 
     def feasible(pos, whites, minus, plus, inc, out):
         whites_left = w_total - whites
         blacks_left = b_total - (pos - whites)
         in_left, out_left = in_total - inc, out_total_ends - out
-        sb = sum(1 for s in strands if s[2] == _SEEK_BLACK)
-        sw = len(strands) - sb
+        sw = len(strands) - seek_black
         if blacks_left < in_left + out_left:
             return False
-        if sb > blacks_left - in_left:
+        if seek_black > blacks_left - in_left:
             return False
         if whites_left == 0 and (sw > 0 or in_left > 0):
             return False
@@ -253,16 +254,17 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
                                     chosen, comps, lm, lp, parts)
 
     def apply_white(pos, whites, minus, plus, inc, out, chosen, comps, lm, lp, parts):
-        saved = [list(s) for s in strands]
+        nonlocal seek_black
         comp = min(comps) if comps else next(comp_counter)
-        new_edges = [(strands[i][0], pos, strands[i][1]) for i in chosen]
-        for i in sorted(chosen, reverse=True):
+        closed = [(i, strands[i]) for i in chosen]  # chosen is ascending
+        new_edges = [(s[0], pos, s[1]) for _, s in closed]
+        for i in reversed(chosen):
             del strands[i]
-        for s in strands:
-            if s[3] in comps:
-                s[3] = comp
-        for w in parts:
-            strands.append([pos, w, _SEEK_BLACK, comp])
+        relabelled = [(s, s[3]) for s in strands if s[3] in comps]
+        for s, _ in relabelled:
+            s[3] = comp
+        strands.extend([pos, w, _SEEK_BLACK, comp] for w in parts)
+        seek_black += len(parts)
         sealed = not any(s[3] == comp for s in strands)
         if not sealed or pos == n - 1:
             colors.append("w")
@@ -272,9 +274,15 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
             edges[len(edges) - len(new_edges):] = []
             leaks.pop()
             colors.pop()
-        strands[:] = [list(s) for s in saved]
+        seek_black -= len(parts)
+        del strands[len(strands) - len(parts):]
+        for s, old in relabelled:
+            s[3] = old
+        for i, s in closed:
+            strands.insert(i, s)
 
     def place_black(pos, whites, minus, plus, inc, out):
+        nonlocal seek_black
         colors.append("b")
         leaks.append(None)
         # (a) splice an open elevator strand (dedupe identical strands)
@@ -286,11 +294,13 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
             if sig in seen:
                 continue
             seen.add(sig)
-            origin, weight, _, comp = s
+            origin, weight = sig
             edges.append((origin, pos, weight))
-            strands[i] = [pos, weight, _SEEK_WHITE, comp]
+            s[0], s[2] = pos, _SEEK_WHITE
+            seek_black -= 1
             place(pos + 1, whites, minus, plus, inc, out)
-            strands[i] = [origin, weight, _SEEK_BLACK, comp]
+            seek_black += 1
+            s[0], s[2] = origin, _SEEK_BLACK
             edges.pop()
         # (b) consume an incoming end
         if inc < in_total:
@@ -309,15 +319,17 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
                 if sig in seen:
                     continue
                 seen.add(sig)
-                origin, weight, _, comp = s
+                origin, _, _, comp = s
                 alive = any(t[3] == comp for j, t in enumerate(strands) if j != i)
                 if not alive and pos != n - 1:
                     continue  # sealing the component early
                 edges.append((origin, pos, 1))
                 ends.append((pos, OUTGOING))
                 del strands[i]
+                seek_black -= 1
                 place(pos + 1, whites, minus, plus, inc, out + 1)
-                strands.insert(i, [origin, weight, _SEEK_BLACK, comp])
+                seek_black += 1
+                strands.insert(i, s)
                 ends.pop()
                 edges.pop()
         leaks.pop()
@@ -416,7 +428,10 @@ def classify(diagram: FloorDiagram,
     """The merged diagram, each pair labelled twin tree member, type A, or free.
 
     pairs must be check_pairs output for the diagram; merge() checks them.
+    Without pairs there is nothing to label, and no work is done.
     """
+    if not pairs:
+        return MergedFloorDiagram(diagram, pairs, (), ())
     edge_set = {(u, v): w for u, v, w in diagram.edges}
     trees = _twin_trees(diagram, pairs, diagram.neighbors())
     tree_of_pair = {i - 1: t for t, tree in enumerate(trees) for i in tree.point_indices}

@@ -9,6 +9,13 @@ Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 * gwring.beta_elem   -- a free double point,
 * twin_tree_mult     -- a whole twin tree.
 
+The multiplicity of a merged diagram is the product of these factors, so
+it depends only on its local-factor signature: the twin-tree summaries,
+the pair labels, and the sorted weights of the edges that no label
+absorbs (`signature`).  `signature_mult` evaluates a signature, and
+`diagram_mult` is `signature_mult` of a diagram's signature;
+`counting.count` evaluates each distinct signature of a row once.
+
 The local factors are cached by (weight, index, s) and the twin-tree
 factor by (tree, s), safe as GwElem is immutable.
 """
@@ -115,30 +122,48 @@ def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     return total * subset_sum
 
 
-def diagram_mult(merged, num_params: int | None = None) -> GwElem:
-    """Total quadratic multiplicity of a merged floor diagram.
+def signature(merged) -> tuple:
+    """The local-factor signature of a merged floor diagram.
+
+    (twin_trees, classification, sorted weights of the remaining edges):
+    all that its multiplicity depends on.  The pair labels say which
+    edges are not remaining: every edge at a vertex of a "twin" pair lies
+    inside a twin tree, and the elevator through the black of a "type_a"
+    pair is absorbed into its gamma factor.
+    """
+    absorbed = set()
+    for pair, label in zip(merged.pairs, merged.classification):
+        if label[0] == "twin":
+            absorbed.update(pair)
+        elif label[0] == "type_a":
+            absorbed.add(pair[0] if merged.base.colors[pair[0]] == "b" else pair[1])
+    weights = sorted(w for u, v, w in merged.base.edges
+                     if u not in absorbed and v not in absorbed)
+    return merged.twin_trees, merged.classification, tuple(weights)
+
+
+def signature_mult(sig: tuple, num_params: int) -> GwElem:
+    """Total quadratic multiplicity of the merged diagrams with this signature.
 
     Product of twin-tree factors, gamma factors for type-A pairs (a floor
     merged with the adjacent elevator point), beta factors for free double
-    points, and m_a1 factors over the remaining bounded edges.  The pair
-    labels say which edges are not remaining: every edge at a vertex of a
-    "twin" pair lies inside a twin tree, and the elevator through the
-    black of a "type_a" pair is absorbed into its gamma factor.
+    points, and m_a1 factors over the remaining bounded edges.
     """
-    s = len(merged.pairs) if num_params is None else num_params
-    total = one(s)
-    for tree in merged.twin_trees:
-        total = total * twin_tree_mult(tree, s)
-    skipped = set()
-    for idx, (pair, label) in enumerate(zip(merged.pairs, merged.classification)):
-        if label[0] == "twin":
-            skipped.update(pair)
-        elif label[0] == "type_a":
-            total = total * gamma(label[1], idx + 1, s)
-            skipped.add(pair[0] if merged.base.colors[pair[0]] == "b" else pair[1])
+    twin_trees, classification, weights = sig
+    total = one(num_params)
+    for tree in twin_trees:
+        total = total * twin_tree_mult(tree, num_params)
+    for idx, label in enumerate(classification):
+        if label[0] == "type_a":
+            total = total * gamma(label[1], idx + 1, num_params)
         elif label[0] == "free":
-            total = total * beta_elem(idx + 1, s)
-    for u, v, w in merged.base.edges:
-        if u not in skipped and v not in skipped:
-            total = total * m_a1(w, s)
+            total = total * beta_elem(idx + 1, num_params)
+    for w in weights:
+        total = total * m_a1(w, num_params)
     return total
+
+
+def diagram_mult(merged, num_params: int | None = None) -> GwElem:
+    """Total quadratic multiplicity of a merged floor diagram (see signature_mult)."""
+    s = len(merged.pairs) if num_params is None else num_params
+    return signature_mult(signature(merged), s)

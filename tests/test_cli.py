@@ -4,9 +4,11 @@ import json
 import pytest
 
 import gwfloor.diagrams as diagrams
-from gwfloor.cli import EXIT_PARSE, main, render_beta_form
+import gwfloor.multiplicity as multiplicity
+from gwfloor.cli import EXIT_PARSE, EXIT_RESIDUAL, main, render_beta_form
 from gwfloor.counting import merged_classes
-from gwfloor.gwring import BetaForm
+from gwfloor.gwring import BetaForm, GwElem
+from gwfloor.multiplicity import twin_tree_mult
 
 from betatext import parse_beta_text
 
@@ -153,18 +155,67 @@ CLASSIFY_MUTANTS = {
 }
 
 
+def _gamma_classes_swapped(gamma):
+    # <2> + <-2 d_i> in the odd-weight factor becomes <-2> + <2 d_i>
+    def mutant(m, i, num_params):
+        def sym(a, d=()):
+            return GwElem.symbol(a, d, num_params)
+        wrong = sym(-2) + sym(2, (i,)) - sym(2) - sym(-2, (i,))
+        return gamma(m, i, num_params) + (m % 2) * ((m - 1) // 2) * wrong
+    return mutant
+
+
+def _twin_parity_flipped(twin_tree_mult):
+    # one more unbounded twin elevator flips the parity of m_circ
+    def mutant(tree, num_params):
+        flipped = dataclasses.replace(
+            tree, unbounded_twin_elevators=tree.unbounded_twin_elevators + 1)
+        return twin_tree_mult(flipped, num_params)
+    return mutant
+
+
+# Planted bugs in the local factors; verify must fail on each.
+LOCAL_FACTOR_MUTANTS = {
+    "gamma_classes_swapped": ("gamma", _gamma_classes_swapped),
+    "twin_parity_flipped": ("twin_tree_mult", _twin_parity_flipped),
+}
+
+
+def _verify_quick_under(module, attr, make, monkeypatch, capsys):
+    # classes or twin-tree factors cached before the patch would hide it
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    twin_tree_mult.cache_clear()
+    merged_classes.cache_clear()
+    try:
+        code = main(["verify", "--scope", "quick"])
+    finally:
+        twin_tree_mult.cache_clear()
+        merged_classes.cache_clear()
+    return code, capsys.readouterr().out
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", sorted(CLASSIFY_MUTANTS))
     def test_classify_mutant_fails_quick(self, name, capsys, monkeypatch):
         attr, make = CLASSIFY_MUTANTS[name]
-        monkeypatch.setattr(diagrams, attr, make(getattr(diagrams, attr)))
-        merged_classes.cache_clear()
-        try:
-            code = main(["verify", "--scope", "quick"])
-        finally:
-            merged_classes.cache_clear()
-        capsys.readouterr()
+        code, _ = _verify_quick_under(diagrams, attr, make, monkeypatch, capsys)
         assert code != 0
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_FACTOR_MUTANTS))
+    def test_local_factor_mutant_fails_quick(self, name, capsys, monkeypatch):
+        attr, make = LOCAL_FACTOR_MUTANTS[name]
+        code, out = _verify_quick_under(multiplicity, attr, make, monkeypatch, capsys)
+        assert code == 1  # a report, not a crash
+        assert json.loads(out)["failures"]
+
+    def test_residual_is_a_failure_for_verify_only(self, capsys, monkeypatch):
+        attr, make = LOCAL_FACTOR_MUTANTS["gamma_classes_swapped"]
+        monkeypatch.setattr(multiplicity, attr, make(getattr(multiplicity, attr)))
+        assert main(["table", "p1xp1:2,3"]) == EXIT_RESIDUAL
+        assert main(["verify", "--scope", "quick"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert any(f["spec"] == "p1xp1:2,3" and f["check"] == "residual_not_in_span"
+                   and f["error"] for f in failures)
 
     def test_quick_passes(self, capsys):
         code, out = run(capsys, "verify", "--scope", "quick")

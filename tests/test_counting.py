@@ -1,11 +1,13 @@
 import pytest
 
 from gwfloor.counting import (
-    _reindex_drop_last, count, default_pairs, kontsevich, verify_merge_invariance,
-    verify_rank_and_signatures, verify_square_substitution, witt_compare,
+    _reindex_drop_last, count, default_pairs, kontsevich, merged_classes,
+    verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution,
+    witt_compare,
 )
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
+from gwfloor.multiplicity import diagram_mult, signature
 from gwfloor.tables import KNOWN_COMPLEX, KNOWN_COUNTS
 
 from wdvv import blowup_count
@@ -54,6 +56,21 @@ class TestCount:
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             count(parse_degree("p2:3"), 5)
+
+    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:2,4"])
+    def test_per_signature_sum_is_per_class_sum(self, spec_str):
+        spec = parse_degree(spec_str)
+        for s in range(n_delta(spec) // 2 + 1):
+            reps = merged_classes(spec, default_pairs(s))
+            per_class = GwElem.zero(s)
+            for m in reps:
+                per_class = per_class + diagram_mult(m, s)
+            assert count(spec, s).total == per_class, s
+
+    def test_signatures_fewer_than_classes(self):
+        # count() evaluates 58 products for this row, not 98
+        reps = merged_classes(parse_degree("p2:4"), default_pairs(5))
+        assert (len(reps), len({signature(m) for m in reps})) == (98, 58)
 
 
 class TestRankOracles:

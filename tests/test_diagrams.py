@@ -8,7 +8,8 @@ from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
     INCOMING, OUTGOING, FloorDiagram, enumerate_diagrams, merge,
 )
-from gwfloor.counting import _disjoint_adjacent_pairs, default_pairs, merged_classes
+from gwfloor.counting import _diagram_index, _disjoint_adjacent_pairs, _swap_partners, \
+    default_pairs, merged_classes
 
 from keying import canonical_key
 from twins import swap_fixing_sets
@@ -109,6 +110,13 @@ class TestMerge:
         m = merge(d, [(3, 4)])  # white + adjacent black
         assert m.twin_trees == ()
         assert m.classification == (("type_a", 1),)
+
+    def test_no_pairs_no_work(self, monkeypatch):
+        def unused(self):
+            raise AssertionError("neighbors() built without pairs")
+        monkeypatch.setattr(FloorDiagram, "neighbors", unused)
+        m = merge(cubic_t2_diagram(), [])
+        assert (m.pairs, m.classification, m.twin_trees) == ((), (), ())
 
     def test_asymmetric_double_elevator_is_free(self):
         d = quadric_asymmetric_diagram()
@@ -260,6 +268,15 @@ class TestMergedClasses:
     def test_malformed_pairs_rejected(self, pairs, message):
         with pytest.raises(ValueError, match=message):
             merged_classes(parse_degree("p2:3"), pairs)
+
+    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"])
+    def test_swap_partners_match_plain_lookup(self, spec_str):
+        # skipping diagrams with an edge joining a and a + 1 loses no partner
+        spec = parse_degree(spec_str)
+        index = _diagram_index(spec)
+        for a in range(n_delta(spec) - 1):
+            plain = tuple(index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
+            assert _swap_partners(spec, a) == plain, a
 
     def test_swap_is_an_involution(self):
         d = cubic_t2_diagram()

@@ -6,7 +6,8 @@ masks.  They pin the values and the order of `total.terms`, which the JSON
 promises to keep stable across engine changes.  The `enumerate` fixtures
 were written while merged classes were still found by the 2^s ordering
 key; they pin the class representatives, their first-seen order and
-their labels.
+their labels.  The published `table p1xp1:2,5` fixture was written while
+every class's multiplicity was still multiplied out on its own.
 """
 
 from pathlib import Path
@@ -22,6 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (["table", "p2:4"], "table_p2_4.json"),
     (["table", "p1xp1:2,4"], "table_p1xp1_2_4.json"),
     (["count", "p2:3", "--pairs-count", "3"], "count_p2_3_s3.json"),
+    (["table", "p1xp1:2,5"], "table_p1xp1_2_5.json"),
 ])
 def test_json_matches_golden(capsys, argv, fixture):
     assert main(argv + ["--format", "json"]) == 0
