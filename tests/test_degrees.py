@@ -6,6 +6,7 @@ from gwfloor.degrees import (
 )
 
 ALL_FAMILIES = ["p2:3", "p1xp1:2,3", "bl1:4,2", "bl2:4,2,1", "bl3:4,1,1,2"]
+FORCED_BUDGETS = ["bl1:3,3", "bl3:2,1,1,1", "bl3:4,2,2,2", "bl3:4,1,1,3"]
 
 
 def test_parse_grammar():
@@ -16,7 +17,7 @@ def test_parse_grammar():
 
 @pytest.mark.parametrize("bad", [
     "p3:1", "p2:", "p2:0", "p1xp1:2", "bl1:2,3", "bl2:4,1,2", "bl2:3,2,2",
-    "bl3:3,1,2,1", "bl3:4,2,1,3", "nonsense",
+    "bl3:3,1,2,1", "bl3:4,2,1,3", "nonsense", "bl1:3,4", "bl2:4,3,2", "bl3:4,2,2,3",
 ])
 def test_invalid_rejected(bad):
     with pytest.raises(InvalidDegree):
@@ -29,6 +30,10 @@ def test_n_delta_values():
     assert n_delta(parse_degree("bl3:3,1,1,1")) == 5
     assert n_delta(parse_degree("p2:4")) == 11
     assert n_delta(parse_degree("bl2:4,2,1")) == 8
+    assert n_delta(parse_degree("bl1:3,3")) == 5
+    assert n_delta(parse_degree("bl3:2,1,1,1")) == 2
+    assert n_delta(parse_degree("bl3:4,2,2,2")) == 5
+    assert n_delta(parse_degree("bl3:4,1,1,3")) == 6
 
 
 def test_white_spec_values():
@@ -37,6 +42,11 @@ def test_white_spec_values():
     assert white_spec(parse_degree("bl3:3,1,1,1")) == (2, (-1, 1))
     assert white_spec(parse_degree("bl1:4,2")) == (4, (0, 0, 1, 1))
     assert white_spec(parse_degree("bl2:4,2,1")) == (4, (-1, 0, 1, 1))
+    # budgets that force a leak (or its absence) on every floor
+    assert white_spec(parse_degree("bl1:3,3")) == (3, (0, 0, 0))
+    assert white_spec(parse_degree("bl3:2,1,1,1")) == (1, (-1,))
+    assert white_spec(parse_degree("bl3:4,2,2,2")) == (2, (-1, -1))
+    assert white_spec(parse_degree("bl3:4,1,1,3")) == (1, (-1,))
 
 
 def test_end_spec_values():
@@ -44,9 +54,13 @@ def test_end_spec_values():
     assert end_spec(parse_degree("p1xp1:2,3")) == (3, 3)
     assert end_spec(parse_degree("bl3:4,1,1,2")) == (2, 2)
     assert end_spec(parse_degree("bl2:4,2,2")) == (0, 0)
+    assert end_spec(parse_degree("bl1:3,3")) == (0, 0)
+    assert end_spec(parse_degree("bl3:2,1,1,1")) == (0, 1)
+    assert end_spec(parse_degree("bl3:4,2,2,2")) == (0, 2)
+    assert end_spec(parse_degree("bl3:4,1,1,3")) == (2, 3)
 
 
-@pytest.mark.parametrize("spec_str", ALL_FAMILIES + ["p2:1", "bl1:3,3", "bl3:2,1,1,1"])
+@pytest.mark.parametrize("spec_str", ALL_FAMILIES + FORCED_BUDGETS + ["p2:1"])
 def test_tree_euler_count(spec_str):
     # blacks = (whites - 1) splices + one per end
     spec = parse_degree(spec_str)
@@ -56,7 +70,7 @@ def test_tree_euler_count(spec_str):
     assert n_delta(spec) - whites == (whites - 1) + inc + out
 
 
-@pytest.mark.parametrize("spec_str", ALL_FAMILIES)
+@pytest.mark.parametrize("spec_str", ALL_FAMILIES + FORCED_BUDGETS)
 def test_leak_budget_matches_multiset(spec_str):
     spec = parse_degree(spec_str)
     _, leaks = white_spec(spec)

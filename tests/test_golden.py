@@ -7,7 +7,10 @@ promises to keep stable across engine changes.  The `enumerate` fixtures
 were written while merged classes were still found by the 2^s ordering
 key; they pin the class representatives, their first-seen order and
 their labels.  The published `table p1xp1:2,5` fixture was written while
-every class's multiplicity was still multiplied out on its own.
+every class's multiplicity was still multiplied out on its own.  The
+blowup fixtures, `table bl3:5,2,1,1` and `enumerate bl2:4,1,1` at s = 2
+(whose floors carry both a -1 and a +1 leak), were written while
+`enumerate_diagrams` still chose a floor's leak options by family name.
 """
 
 from pathlib import Path
@@ -24,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (["table", "p1xp1:2,4"], "table_p1xp1_2_4.json"),
     (["count", "p2:3", "--pairs-count", "3"], "count_p2_3_s3.json"),
     (["table", "p1xp1:2,5"], "table_p1xp1_2_5.json"),
+    (["table", "bl3:5,2,1,1"], "table_bl3_5_2_1_1.json"),
 ])
 def test_json_matches_golden(capsys, argv, fixture):
     assert main(argv + ["--format", "json"]) == 0
@@ -35,6 +39,7 @@ def test_json_matches_golden(capsys, argv, fixture):
     (["enumerate", "p2:4", "--pairs-count", "2"], "enumerate_p2_4_s2.jsonl"),
     (["enumerate", "p1xp1:2,3", "--pairs", "2,3;5,6"],
      "enumerate_p1xp1_2_3_pairs.jsonl"),
+    (["enumerate", "bl2:4,1,1", "--pairs-count", "2"], "enumerate_bl2_4_1_1_s2.jsonl"),
 ])
 def test_enumerate_matches_golden(capsys, argv, fixture):
     assert main(argv) == 0
