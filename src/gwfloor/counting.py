@@ -1,5 +1,10 @@
 """Orchestration: full quadratically enriched counts and verification.
 
+merged_classes() finds the classes of the enumerated diagrams under the
+within-pair swaps by first-seen labels: per pair, each diagram takes the
+lesser label of itself and of its swap partner (`_swap_partners`), and
+the diagrams that keep their own index represent the classes.
+
 count() folds the quadratic multiplicities of all merged-diagram classes
 of a degree, evaluating each distinct local-factor signature once
 (`multiplicity.signature`) and weighting it by its number of classes;
@@ -70,14 +75,18 @@ def _diagram_index(spec: DegreeSpec) -> dict[FloorDiagram, int]:
 def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
     """Per enumerated diagram, the index of its (a, a+1)-swap, or None.
 
-    A diagram with an edge joining a and a + 1 has no valid swap, so it is
-    not swapped at all.  The black of that edge is a splice or an end
-    black: after the swap a splice black has both neighbours on one side,
-    and an end black's end points the wrong way.
+    The swap is valid iff no edge joins a and a + 1.  If one does, its
+    black is a splice or an end black: after the swap a splice black has
+    both neighbours on one side, and an end black's end points the wrong
+    way.  If none does, no neighbour of the vertex at a or a + 1 is the
+    other one, so every neighbour stays on the same side of each black,
+    and every edge, end and leak moves with its vertex, keeping every
+    divergence.  The swapped diagram is then a floor diagram of the degree
+    and was enumerated; a missing one raises KeyError.
     """
     index = _diagram_index(spec)
     return tuple(None if any(u == a and v == a + 1 for u, v, _ in d.edges)
-                 else index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
+                 else index[d.swapped(a)] for d in enumerate_diagrams(spec))
 
 
 @lru_cache(maxsize=256)
@@ -87,29 +96,20 @@ def merged_classes(spec: DegreeSpec,
 
     A class is an orbit of the enumerated diagrams under exchanging the two
     positions of any subset of the pairs; its representative is its first
-    diagram.  Classes are the components of a union-find over single swaps:
-    the pairs are disjoint and adjacent, so swapping (a, a+1) changes only
-    the order of a and a+1, and each validity condition at a vertex depends
-    only on whether its own pair is swapped.  So if d and g.d are both
-    valid, so is every diagram on a single-swap path between them, and it
-    is enumerated.
+    diagram.  The pairs are disjoint, so the swaps commute, and whether a
+    diagram has a valid (a, a+1)-swap (no edge joining a and a + 1) does
+    not change under the other swaps.  So the orbit of a diagram under the
+    first k pairs is the union of the orbits, under the first k - 1 pairs,
+    of the diagram and of its k-th swap partner, and its first-seen label
+    (the least index in its orbit) is the lesser of theirs.
     """
     pairs = check_pairs(pairs, n_delta(spec))
     diagrams = enumerate_diagrams(spec)
-    root = list(range(len(diagrams)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
+    first = range(len(diagrams))
     for a, _ in pairs:
-        for i, j in enumerate(_swap_partners(spec, a)):
-            if j is not None:
-                ri, rj = find(i), find(j)
-                root[max(ri, rj)] = min(ri, rj)
-    return tuple(merge(d, pairs) for i, d in enumerate(diagrams) if find(i) == i)
+        first = [f if j is None else min(f, first[j])
+                 for f, j in zip(first, _swap_partners(spec, a))]
+    return tuple(merge(d, pairs) for i, d in enumerate(diagrams) if first[i] == i)
 
 
 def count(spec: DegreeSpec, s: int,

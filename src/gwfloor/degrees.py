@@ -2,7 +2,10 @@
 
 Families and parameter conventions follow the dual polygons: the plane of
 degree d, the quadric of bidegree (a1, a2), and the blowups of the plane
-in one, two or three points.  Derived data: the number of point
+in one, two or three points.  The four plane families share one polygon,
+the triangle of degree d with its corners cut by a1, a2, a3, so each of
+their data is one formula in (d, a1, a2, a3), an absent multiplicity
+being 0; only the quadric has its own.  Derived data: the number of point
 conditions n, the white-vertex (floor) count with its leak budget, and
 the incoming/outgoing vertical end counts.
 """
@@ -16,6 +19,13 @@ class InvalidDegree(ValueError):
     pass
 
 
+# parameter names per family
+_PARAMS = {
+    "p2": ("d",), "p1xp1": ("a1", "a2"), "bl1": ("d", "a1"),
+    "bl2": ("d", "a1", "a2"), "bl3": ("d", "a1", "a2", "a3"),
+}
+
+
 @dataclass(frozen=True)
 class DegreeSpec:
     family: str                 # "p2" | "p1xp1" | "bl1" | "bl2" | "bl3"
@@ -25,30 +35,20 @@ class DegreeSpec:
         f, p = self.family, self.params
         if any(x < 1 for x in p):
             raise InvalidDegree(f"parameters must be positive: {self}")
-        if f == "p2":
-            if len(p) != 1:
-                raise InvalidDegree("p2 takes one parameter d")
-        elif f == "p1xp1":
-            if len(p) != 2:
-                raise InvalidDegree("p1xp1 takes (a1, a2)")
-        elif f == "bl1":
-            if len(p) != 2 or p[1] > p[0]:
-                raise InvalidDegree("bl1 takes (d, a1) with a1 <= d")
-        elif f == "bl2":
-            if len(p) != 3:
-                raise InvalidDegree("bl2 takes (d, a1, a2)")
-            d, a1, a2 = p
-            if a1 < a2 or a1 + a2 > d:
-                raise InvalidDegree("bl2 needs a1 >= a2 and a1 + a2 <= d")
-        elif f == "bl3":
-            if len(p) != 4:
-                raise InvalidDegree("bl3 takes (d, a1, a2, a3)")
-            d, a1, a2, a3 = p
-            if a1 < a2 or a1 + a2 > d or a1 + a3 > d or a2 + a3 > d:
-                raise InvalidDegree(
-                    "bl3 needs a1 >= a2, a1+a2 <= d, a1+a3 <= d, a2+a3 <= d")
-        else:
+        if f not in _PARAMS:
             raise InvalidDegree(f"unknown family {f!r}")
+        names = _PARAMS[f]
+        if len(p) != len(names):
+            raise InvalidDegree(f"{f} takes ({', '.join(names)})")
+        if f != "p1xp1":
+            d, a1, a2, a3 = _plane(self)
+            if a1 < a2:
+                raise InvalidDegree(f"{f} needs a1 >= a2: {self}")
+            # every pairwise sum of the a_i is <= d; a2 + a3 <= a1 + a3 follows
+            for name, a in (("a2", a2), ("a3", a3)):
+                if a1 + a > d:
+                    cond = f"a1 + {name}" if name in names else "a1"
+                    raise InvalidDegree(f"{f} needs {cond} <= d: {self}")
         if n_delta(self) < 1:
             raise InvalidDegree(f"n(degree) < 1: {self}")
 
@@ -66,53 +66,39 @@ def parse_degree(text: str) -> DegreeSpec:
     return DegreeSpec(family, params)
 
 
+def _plane(spec: DegreeSpec) -> tuple[int, int, int, int]:
+    """(d, a1, a2, a3) of a plane family, an absent multiplicity being 0."""
+    return spec.params + (0,) * (4 - len(spec.params))
+
+
 def n_delta(spec: DegreeSpec) -> int:
     """Number of point conditions: boundary lattice points minus one."""
-    p = spec.params
-    if spec.family == "p2":
-        return 3 * p[0] - 1
     if spec.family == "p1xp1":
-        return 2 * (p[0] + p[1]) - 1
-    if spec.family == "bl1":
-        return 3 * p[0] - p[1] - 1
-    if spec.family == "bl2":
-        return 3 * p[0] - p[1] - p[2] - 1
-    return 3 * p[0] - p[1] - p[2] - p[3] - 1
+        a1, a2 = spec.params
+        return 2 * (a1 + a2) - 1
+    d, a1, a2, a3 = _plane(spec)
+    return 3 * d - a1 - a2 - a3 - 1
 
 
 def white_spec(spec: DegreeSpec) -> tuple[int, tuple[int, ...]]:
     """(floor count, degree-level leak multiset, one entry per floor)."""
-    p = spec.params
-    if spec.family == "p2":
-        d = p[0]
-        return d, (1,) * d
     if spec.family == "p1xp1":
-        return p[0], (0,) * p[0]
-    if spec.family == "bl1":
-        d, a1 = p
-        return d, (0,) * a1 + (1,) * (d - a1)
-    if spec.family == "bl2":
-        d, a1, a2 = p
-        return d, (-1,) * a2 + (0,) * (a1 - a2) + (1,) * (d - a1)
-    d, a1, a2, a3 = p
+        a1, _ = spec.params
+        return a1, (0,) * a1
+    d, a1, a2, a3 = _plane(spec)
     return d - a3, (-1,) * a2 + (0,) * (a1 - a2) + (1,) * (d - a1 - a3)
 
 
 def leak_budget(spec: DegreeSpec) -> tuple[int, int]:
     """(number of floors carrying a -1 leak, number carrying a +1 leak)."""
     _, leaks = white_spec(spec)
-    return sum(1 for v in leaks if v == -1), sum(1 for v in leaks if v == 1)
+    return leaks.count(-1), leaks.count(1)
 
 
 def end_spec(spec: DegreeSpec) -> tuple[int, int]:
     """(incoming, outgoing) vertical end counts."""
-    p = spec.params
-    if spec.family == "p2":
-        return p[0], 0
     if spec.family == "p1xp1":
-        return p[1], p[1]
-    if spec.family == "bl1":
-        return p[0] - p[1], 0
-    if spec.family == "bl2":
-        return p[0] - p[1] - p[2], 0
-    return p[0] - p[1] - p[2], p[3]
+        _, a2 = spec.params
+        return a2, a2
+    d, a1, a2, a3 = _plane(spec)
+    return d - a1 - a2, a3

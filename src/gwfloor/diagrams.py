@@ -5,13 +5,15 @@ vertices are floors (carrying leaks), black vertices are the marked
 points of elevators, either splicing a bounded elevator between two
 floors (valence 2, equal weights) or carrying one unbounded vertical end
 plus a weight-1 edge.  Enumeration sweeps the positions bottom-to-top,
-maintaining the multiset of elevator strands crossing the current gap.
+maintaining the multiset of elevator strands crossing the current gap;
+which leaks a floor may carry follows from the degree's leak budget and
+floor count alone.
 
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
 the same merged diagram; `FloorDiagram.swapped` exchanges one pair, and
-`counting.merged_classes` joins the enumerated diagrams one swap at a
-time in a union-find to find these classes.
+`counting.merged_classes` labels each enumerated diagram with the first
+diagram of its class, one pair at a time.
 
 `merge` checks a pair list and hands it to `classify`, which builds the
 one record of a merged diagram, `MergedFloorDiagram`, always fully
@@ -146,25 +148,14 @@ def _require(ok: bool, what: str) -> None:
         raise ValueError(f"invalid floor diagram: {what}")
 
 
-def _partitions(total: int, max_parts: int):
-    """Weakly decreasing partitions of total with at most max_parts parts."""
-    if total == 0:
+def _partitions(rest: int, bound: int, parts_left: int):
+    """Weakly decreasing partitions of rest into at most parts_left parts <= bound."""
+    if rest == 0:
         yield ()
-        return
-    if max_parts == 0:
-        return
-
-    def rec(rest, bound, parts_left):
-        if rest == 0:
-            yield ()
-            return
-        if parts_left == 0:
-            return
+    elif parts_left:
         for first in range(min(rest, bound), 0, -1):
-            for tail in rec(rest - first, first, parts_left - 1):
+            for tail in _partitions(rest - first, first, parts_left - 1):
                 yield (first,) + tail
-
-    yield from rec(total, total, max_parts)
 
 
 @lru_cache(maxsize=None)
@@ -176,15 +167,11 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
     in_total, out_total_ends = end_spec(spec)
     b_total = n - w_total
 
-    family = spec.family
-    if family == "p2":
-        leak_options = ((0, 1),)
-    elif family == "p1xp1":
-        leak_options = ((0, 0),)
-    elif family == "bl1":
-        leak_options = ((0, 0), (0, 1))
-    else:
-        leak_options = ((0, 0), (0, 1), (1, 0), (1, 1))
+    def counts(budget):
+        # a floor carries a leak only if some floor must, and none only if not all must
+        return [0] * (budget < w_total) + [1] * (budget > 0)
+
+    leak_options = [(lm, lp) for lm in counts(minus_total) for lp in counts(plus_total)]
 
     results: list[FloorDiagram] = []
     colors: list[str] = []
@@ -249,7 +236,7 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
                     out_flow = close_total - leak_val
                     if out_flow < 0:
                         continue
-                    for parts in _partitions(out_flow, blacks_left):
+                    for parts in _partitions(out_flow, out_flow, blacks_left):
                         apply_white(pos, whites, minus + lm, plus + lp, inc, out,
                                     chosen, comps, lm, lp, parts)
 

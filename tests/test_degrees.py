@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gwfloor.degrees import (
@@ -21,6 +23,20 @@ def test_parse_grammar():
 ])
 def test_invalid_rejected(bad):
     with pytest.raises(InvalidDegree):
+        parse_degree(bad)
+
+
+@pytest.mark.parametrize("bad,condition", [
+    ("bl1:3,4", "bl1 needs a1 <= d"),
+    ("bl2:4,1,2", "bl2 needs a1 >= a2"),
+    ("bl2:4,3,2", "bl2 needs a1 + a2 <= d"),
+    ("bl3:4,2,1,3", "bl3 needs a1 + a3 <= d"),
+    ("bl3:4,2,2,3", "bl3 needs a1 + a3 <= d"),
+    ("p1xp1:2", "p1xp1 takes (a1, a2)"),
+    ("bl3:4,1,1", "bl3 takes (d, a1, a2, a3)"),
+])
+def test_invalid_names_family_and_condition(bad, condition):
+    with pytest.raises(InvalidDegree, match=re.escape(condition)):
         parse_degree(bad)
 
 

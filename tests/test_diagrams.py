@@ -271,12 +271,16 @@ class TestMergedClasses:
 
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"])
     def test_swap_partners_match_plain_lookup(self, spec_str):
-        # skipping diagrams with an edge joining a and a + 1 loses no partner
+        # skipping diagrams with an edge joining a and a + 1 loses no partner,
+        # and every diagram without such an edge has one
         spec = parse_degree(spec_str)
         index = _diagram_index(spec)
         for a in range(n_delta(spec) - 1):
             plain = tuple(index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
             assert _swap_partners(spec, a) == plain, a
+            joined = tuple(any((u, v) == (a, a + 1) for u, v, _ in d.edges)
+                           for d in enumerate_diagrams(spec))
+            assert tuple(j is None for j in plain) == joined, a
 
     def test_swap_is_an_involution(self):
         d = cubic_t2_diagram()
