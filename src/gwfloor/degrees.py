@@ -19,7 +19,6 @@ class InvalidDegree(ValueError):
     pass
 
 
-# parameter names per family
 _PARAMS = {
     "p2": ("d",), "p1xp1": ("a1", "a2"), "bl1": ("d", "a1"),
     "bl2": ("d", "a1", "a2"), "bl3": ("d", "a1", "a2", "a3"),
