@@ -11,13 +11,24 @@ every class's multiplicity was still multiplied out on its own.  The
 blowup fixtures, `table bl3:5,2,1,1` and `enumerate bl2:4,1,1` at s = 2
 (whose floors carry both a -1 and a +1 leak), were written while
 `enumerate_diagrams` still chose a floor's leak options by family name.
+The sequence fixture, `enumerate_sequences.json`, holds the number of
+diagrams and the SHA-256 of the JSON lines of the whole
+`enumerate_diagrams` sequence per degree, so it pins every diagram and
+its place in the order; it was written while the diagrams were still
+enumerated by a recursive sweep with undo.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from gwfloor.cli import main
+from gwfloor.degrees import parse_degree
+from gwfloor.diagrams import enumerate_diagrams
+
+from test_degrees import FORCED_BUDGETS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,3 +56,25 @@ def test_enumerate_matches_golden(capsys, argv, fixture):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / fixture).read_bytes()
+
+
+SEQUENCE_SPECS = ["p2:4", "p2:5", "p1xp1:2,5", "p1xp1:3,3", "bl2:4,1,1", "bl3:5,2,1,1",
+                  "bl3:6,3,2,2"] + FORCED_BUDGETS
+
+
+def enumeration_sequence(spec_str: str) -> dict:
+    """The number of diagrams and the SHA-256 of their JSON lines, in order."""
+    diagrams = enumerate_diagrams(parse_degree(spec_str))
+    text = "".join(json.dumps([d.colors, d.leaks, d.edges, d.ends]) + "\n" for d in diagrams)
+    return {"count": len(diagrams), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_sequence_fixture_covers_specs():
+    assert sorted(json.loads((GOLDEN / "enumerate_sequences.json").read_text())) == \
+        sorted(SEQUENCE_SPECS)
+
+
+@pytest.mark.parametrize("spec_str", SEQUENCE_SPECS)
+def test_enumeration_sequence_matches_golden(spec_str):
+    golden = json.loads((GOLDEN / "enumerate_sequences.json").read_text())
+    assert enumeration_sequence(spec_str) == golden[spec_str]
