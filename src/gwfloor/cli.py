@@ -15,11 +15,17 @@ from . import gwring
 from .counting import count, merged_classes, resolve_pairs, verify_merge_invariance, \
     verify_rank_and_signatures, verify_square_substitution
 from .degrees import InvalidDegree, n_delta, parse_degree
+from .diagrams import count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan
 from .tables import FULL_EXTRA_SPECS, KNOWN_COUNTS, QUICK_SPECS
 
 EXIT_PARSE = 2
 EXIT_RESIDUAL = 3
+EXIT_BUDGET = 4
+
+
+class OverBudget(Exception):
+    """The degree has more floor diagrams than --max-diagrams allows."""
 
 
 def render_beta_form(form: BetaForm, ascii_mode: bool = False) -> str:
@@ -102,8 +108,20 @@ def _strip_timing(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "ms"}
 
 
-def _run_count(args) -> int:
+def _parse_within_budget(args):
+    """The degree of args.spec; OverBudget if it has more than
+    --max-diagrams floor diagrams, counted before any is built."""
     spec = parse_degree(args.spec)
+    if args.max_diagrams is not None:
+        total = count_diagrams(spec)
+        if total > args.max_diagrams:
+            raise OverBudget(f"{spec} has {total} floor diagrams, "
+                             f"more than --max-diagrams {args.max_diagrams}")
+    return spec
+
+
+def _run_count(args) -> int:
+    spec = _parse_within_budget(args)
     pairs = _resolve_args_pairs(args, spec)
     t0 = time.monotonic()
     result = count(spec, len(pairs), pairs)
@@ -119,7 +137,7 @@ def _run_count(args) -> int:
 
 
 def _run_table(args) -> int:
-    spec = parse_degree(args.spec)
+    spec = _parse_within_budget(args)
     n = n_delta(spec)
     records, lines = [], []
     for s in range(n // 2 + 1):
@@ -140,7 +158,7 @@ def _run_table(args) -> int:
 
 
 def _run_enumerate(args) -> int:
-    spec = parse_degree(args.spec)
+    spec = _parse_within_budget(args)
     pairs = _resolve_args_pairs(args, spec)
     lines = [json.dumps({
         "positions": list(range(1, m.base.n + 1)),
@@ -218,6 +236,13 @@ def _run_verify(args) -> int:
     return 0 if not failures else 1
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwfloor",
@@ -225,8 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "toric del Pezzo surfaces via floor diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p, with_format=True, with_budget=True):
         p.add_argument("--out", default=None, metavar="FILE")
+        if with_budget:
+            p.add_argument("--max-diagrams", type=_non_negative, default=None, metavar="N",
+                           help="exit 4 if the degree has more than N floor diagrams")
         if with_format:
             p.add_argument("--ascii", action="store_true")
             p.add_argument("--format", choices=["text", "json", "csv"],
@@ -254,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--scope", choices=["quick", "full"], default="quick")
-    common(p, with_format=False)
+    common(p, with_format=False, with_budget=False)
     p.set_defaults(func=_run_verify)
     return parser
 
@@ -270,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResidualNotInSpan as exc:
         print(f"error: count outside table format: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
+    except OverBudget as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -4,10 +4,22 @@ A floor diagram is a linearly ordered bipartite weighted tree: white
 vertices are floors (carrying leaks), black vertices are the marked
 points of elevators, either splicing a bounded elevator between two
 floors (valence 2, equal weights) or carrying one unbounded vertical end
-plus a weight-1 edge.  Enumeration sweeps the positions bottom-to-top,
-maintaining the multiset of elevator strands crossing the current gap;
-which leaks a floor may carry follows from the degree's leak budget and
-floor count alone.
+plus a weight-1 edge.
+
+Enumeration places the positions bottom-to-top, tracking the elevator
+strands that cross the current gap; which leaks a floor may carry
+follows from the degree's leak budget and floor count alone.  What the
+upper positions can still do depends only on a sweep state: the
+position, the counts of floors, leaks and ends placed so far, and the
+ordered strands as (origin, weight, stage, component), where origins and
+components matter only through equality and are numbered by first
+appearance.  `_state_graph` builds the graph of these states once (186
+states for p2:5), lists each state's moves in sweep order and keeps a
+move only if its child has a completion, counting the paths to the top
+per state.  `count_diagrams` reads the root's path count without
+building a diagram; `enumerate_diagrams` walks the graph from the root,
+carrying the concrete origin of each strand, and emits a diagram at the
+top of every path, so no branch is a dead end.
 
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
@@ -158,14 +170,31 @@ def _partitions(rest: int, bound: int, parts_left: int):
                 yield (first,) + tail
 
 
-@lru_cache(maxsize=None)
-def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
-    """All floor diagrams of the degree, duplicate-free, in sweep order."""
+def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
+    """The strands with origins and components numbered by first appearance."""
+    origins: dict = {}
+    comps: dict = {}
+    return tuple((origins.setdefault(o, len(origins)), w, stage, comps.setdefault(c, len(comps)))
+                 for o, w, stage, c in strands)
+
+
+def _state_graph(spec: DegreeSpec):
+    """The root sweep state, and the kept moves and path count of each state.
+
+    A state is (position, whites, -1 leaks, +1 leaks, incoming ends,
+    outgoing ends, strands), a strand being (origin, weight, stage,
+    component) with origins and components numbered by first appearance.
+    A move is (leaks or None for a black, closed strands as (index,
+    weight), layout, end): the new strands are the old ones at the layout
+    indices, -1 standing for a strand that starts at the position.  Moves
+    are listed in sweep order and kept only if their child has a completion.
+    """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
     minus_total, plus_total = leak_budget(spec)
-    in_total, out_total_ends = end_spec(spec)
+    in_total, out_total = end_spec(spec)
     b_total = n - w_total
+    complete = (w_total, minus_total, plus_total, in_total, out_total, ())
 
     def counts(budget):
         # a floor carries a leak only if some floor must, and none only if not all must
@@ -173,156 +202,126 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
 
     leak_options = [(lm, lp) for lm in counts(minus_total) for lp in counts(plus_total)]
 
-    results: list[FloorDiagram] = []
-    colors: list[str] = []
-    leaks: list[tuple[int, ...] | None] = []
-    edges: list[tuple[int, int, int]] = []
-    ends: list[tuple[int, int]] = []
-    # strand: [origin, weight, stage, comp]; every edit is undone in place,
-    # so a strand stays the same list object while it is open
-    strands: list[list[int]] = []
-    seek_black = 0  # the number of strands in stage _SEEK_BLACK
-    comp_counter = itertools.count()
-
-    def feasible(pos, whites, minus, plus, inc, out):
+    def feasible(pos, whites, minus, plus, inc, out, strands):
         whites_left = w_total - whites
         blacks_left = b_total - (pos - whites)
-        in_left, out_left = in_total - inc, out_total_ends - out
-        sw = len(strands) - seek_black
-        if blacks_left < in_left + out_left:
-            return False
-        if seek_black > blacks_left - in_left:
-            return False
-        if whites_left == 0 and (sw > 0 or in_left > 0):
-            return False
-        if minus_total - minus > whites_left or plus_total - plus > whites_left:
-            return False
-        return True
+        in_left, out_left = in_total - inc, out_total - out
+        seek_black = sum(1 for s in strands if s[2] == _SEEK_BLACK)
+        return (blacks_left >= in_left + out_left
+                and seek_black <= blacks_left - in_left
+                and not (whites_left == 0 and (len(strands) > seek_black or in_left > 0))
+                and minus_total - minus <= whites_left and plus_total - plus <= whites_left)
 
-    def finish(whites, minus, plus, inc, out):
-        if strands:
-            return
-        if (whites, minus, plus, inc, out) != (
-                w_total, minus_total, plus_total, in_total, out_total_ends):
-            return
-        results.append(FloorDiagram(
-            tuple(colors), tuple(leaks),
-            tuple(sorted(edges)), tuple(sorted(ends))))
-
-    def place(pos, whites, minus, plus, inc, out):
-        if pos == n:
-            finish(whites, minus, plus, inc, out)
-            return
-        if not feasible(pos, whites, minus, plus, inc, out):
-            return
-        if whites < w_total:
-            place_white(pos, whites, minus, plus, inc, out)
-        if pos - whites < b_total:
-            place_black(pos, whites, minus, plus, inc, out)
-
-    def place_white(pos, whites, minus, plus, inc, out):
+    def white_moves(pos, whites, minus, plus, inc, out, strands):
         open_sw = [i for i, s in enumerate(strands) if s[2] == _SEEK_WHITE]
         blacks_left = b_total - (pos - whites)
         for lm, lp in leak_options:
             if minus + lm > minus_total or plus + lp > plus_total:
                 continue
-            leak_val = lp - lm
+            leak = (-1,) * lm + (1,) * lp
             for k in range(len(open_sw) + 1):
                 for chosen in itertools.combinations(open_sw, k):
-                    comps = [strands[i][3] for i in chosen]
-                    if len(set(comps)) != len(comps):
+                    comps = {strands[i][3] for i in chosen}
+                    if len(comps) != k:
                         continue  # closing two strands of one component: cycle
-                    close_total = sum(strands[i][1] for i in chosen)
-                    out_flow = close_total - leak_val
+                    out_flow = sum(strands[i][1] for i in chosen) - (lp - lm)
                     if out_flow < 0:
                         continue
+                    # the floor joins the closed components; -1 is a new one
+                    comp = min(comps, default=-1)
+                    layout = [i for i in range(len(strands)) if i not in chosen]
+                    rest = [(o, w, stage, comp if c in comps else c)
+                            for o, w, stage, c in (strands[i] for i in layout)]
+                    closed = tuple((i, strands[i][1]) for i in chosen)
+                    sealed = all(s[3] != comp for s in rest)
                     for parts in _partitions(out_flow, out_flow, blacks_left):
-                        apply_white(pos, whites, minus + lm, plus + lp, inc, out,
-                                    chosen, comps, lm, lp, parts)
+                        if sealed and not parts and pos != n - 1:
+                            continue  # a component closed off below the top
+                        yield ((leak, closed, tuple(layout) + (-1,) * len(parts), None),
+                               (pos + 1, whites + 1, minus + lm, plus + lp, inc, out,
+                                _canonical(rest + [(-1, w, _SEEK_BLACK, comp) for w in parts])))
 
-    def apply_white(pos, whites, minus, plus, inc, out, chosen, comps, lm, lp, parts):
-        nonlocal seek_black
-        comp = min(comps) if comps else next(comp_counter)
-        closed = [(i, strands[i]) for i in chosen]  # chosen is ascending
-        new_edges = [(s[0], pos, s[1]) for _, s in closed]
-        for i in reversed(chosen):
-            del strands[i]
-        relabelled = [(s, s[3]) for s in strands if s[3] in comps]
-        for s, _ in relabelled:
-            s[3] = comp
-        strands.extend([pos, w, _SEEK_BLACK, comp] for w in parts)
-        seek_black += len(parts)
-        sealed = not any(s[3] == comp for s in strands)
-        if not sealed or pos == n - 1:
-            colors.append("w")
-            leaks.append((-1,) * lm + (1,) * lp)
-            edges.extend(new_edges)
-            place(pos + 1, whites + 1, minus, plus, inc, out)
-            edges[len(edges) - len(new_edges):] = []
-            leaks.pop()
-            colors.pop()
-        seek_black -= len(parts)
-        del strands[len(strands) - len(parts):]
-        for s, old in relabelled:
-            s[3] = old
-        for i, s in closed:
-            strands.insert(i, s)
-
-    def place_black(pos, whites, minus, plus, inc, out):
-        nonlocal seek_black
-        colors.append("b")
-        leaks.append(None)
-        # (a) splice an open elevator strand (dedupe identical strands)
+    def black_moves(pos, whites, minus, plus, inc, out, strands):
+        everyone = tuple(range(len(strands)))
+        # (a) splice an open elevator strand, one of each (origin, weight)
         seen = set()
-        for i, s in enumerate(strands):
-            if s[2] != _SEEK_BLACK:
-                continue
-            sig = (s[0], s[1])
-            if sig in seen:
-                continue
-            seen.add(sig)
-            origin, weight = sig
-            edges.append((origin, pos, weight))
-            s[0], s[2] = pos, _SEEK_WHITE
-            seek_black -= 1
-            place(pos + 1, whites, minus, plus, inc, out)
-            seek_black += 1
-            s[0], s[2] = origin, _SEEK_BLACK
-            edges.pop()
-        # (b) consume an incoming end
+        for i, (o, w, stage, c) in enumerate(strands):
+            if stage == _SEEK_BLACK and (o, w) not in seen:
+                seen.add((o, w))
+                new = list(strands)
+                new[i] = (-1, w, _SEEK_WHITE, c)
+                yield ((None, ((i, w),), everyone[:i] + (-1,) + everyone[i + 1:], None),
+                       (pos + 1, whites, minus, plus, inc, out, _canonical(new)))
+        # (b) consume an incoming end: a weight-1 strand of a new component
         if inc < in_total:
-            strands.append([pos, 1, _SEEK_WHITE, next(comp_counter)])
-            ends.append((pos, INCOMING))
-            place(pos + 1, whites, minus, plus, inc + 1, out)
-            ends.pop()
-            strands.pop()
-        # (c) close a weight-1 strand with an outgoing end
-        if out < out_total_ends:
+            yield ((None, (), everyone + (-1,), INCOMING),
+                   (pos + 1, whites, minus, plus, inc + 1, out,
+                    _canonical(strands + ((-1, 1, _SEEK_WHITE, -1),))))
+        # (c) close a weight-1 strand with an outgoing end, one per origin
+        if out < out_total:
             seen = set()
-            for i, s in enumerate(strands):
-                if s[2] != _SEEK_BLACK or s[1] != 1:
+            for i, (o, w, stage, c) in enumerate(strands):
+                if stage != _SEEK_BLACK or w != 1 or o in seen:
                     continue
-                sig = s[0]
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                origin, _, _, comp = s
-                alive = any(t[3] == comp for j, t in enumerate(strands) if j != i)
-                if not alive and pos != n - 1:
+                seen.add(o)
+                layout = everyone[:i] + everyone[i + 1:]
+                if pos != n - 1 and all(strands[j][3] != c for j in layout):
                     continue  # sealing the component early
-                edges.append((origin, pos, 1))
-                ends.append((pos, OUTGOING))
-                del strands[i]
-                seek_black -= 1
-                place(pos + 1, whites, minus, plus, inc, out + 1)
-                seek_black += 1
-                strands.insert(i, s)
-                ends.pop()
-                edges.pop()
-        leaks.pop()
-        colors.pop()
+                yield ((None, ((i, 1),), layout, OUTGOING),
+                       (pos + 1, whites, minus, plus, inc, out + 1,
+                        _canonical([strands[j] for j in layout])))
 
-    place(0, 0, 0, 0, 0, 0)
+    moves: dict = {}
+    paths: dict = {}
+
+    def visit(state) -> int:
+        if state in paths:
+            return paths[state]
+        pos, whites = state[0], state[1]
+        kept = []
+        if pos == n:
+            total = int(state[1:] == complete)
+        elif not feasible(*state):
+            total = 0
+        else:
+            if whites < w_total:
+                kept += [(m, c) for m, c in white_moves(*state) if visit(c)]
+            if pos - whites < b_total:
+                kept += [(m, c) for m, c in black_moves(*state) if visit(c)]
+            total = sum(paths[c] for _, c in kept)
+        moves[state], paths[state] = kept, total
+        return total
+
+    root = (0, 0, 0, 0, 0, 0, ())
+    visit(root)
+    return root, moves, paths
+
+
+def count_diagrams(spec: DegreeSpec) -> int:
+    """The number of floor diagrams of the degree, without building any."""
+    root, _, paths = _state_graph(spec)
+    return paths[root]
+
+
+@lru_cache(maxsize=None)
+def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
+    """All floor diagrams of the degree, duplicate-free, in sweep order."""
+    root, moves, _ = _state_graph(spec)
+    n = n_delta(spec)
+    results: list[FloorDiagram] = []
+
+    def walk(state, origins, colors, leaks, edges, ends):
+        pos = state[0]
+        if pos == n:
+            results.append(FloorDiagram(colors, leaks, tuple(sorted(edges)), ends))
+            return
+        for (leak, closed, layout, end), child in moves[state]:
+            walk(child, tuple([pos if j < 0 else origins[j] for j in layout]),
+                 colors + ("b" if leak is None else "w",), leaks + (leak,),
+                 edges + tuple([(origins[i], pos, w) for i, w in closed]),
+                 ends if end is None else ends + ((pos, end),))
+
+    walk(root, (), (), (), (), ())
     return tuple(results)
 
 

@@ -5,7 +5,8 @@ import pytest
 
 import gwfloor.diagrams as diagrams
 import gwfloor.multiplicity as multiplicity
-from gwfloor.cli import EXIT_PARSE, EXIT_RESIDUAL, main, render_beta_form
+import gwfloor.counting as counting
+from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, main, render_beta_form
 from gwfloor.counting import merged_classes
 from gwfloor.gwring import BetaForm, GwElem
 from gwfloor.multiplicity import twin_tree_mult
@@ -110,14 +111,48 @@ class TestEnumerate:
         assert "expected 3 pairs, got 1" in capsys.readouterr().err
 
 
+class TestDiagramBudget:
+    """--max-diagrams N exits 4 before any diagram is built if the degree has
+    more than N floor diagrams (p2:4 has 303), and changes nothing otherwise."""
+
+    @pytest.mark.parametrize("command", ["count", "table", "enumerate"])
+    def test_over_budget_exit_code(self, capsys, command):
+        assert main([command, "p2:4", "--max-diagrams", "302"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p2:4 has 303 floor diagrams" in captured.err
+
+    @pytest.mark.parametrize("command", ["count", "table", "enumerate"])
+    def test_within_budget_output_unchanged(self, capsys, command):
+        assert run(capsys, command, "p2:4", "--max-diagrams", "303") == \
+            run(capsys, command, "p2:4")
+
+    def test_checked_before_enumeration(self, capsys, monkeypatch):
+        def refuse(spec):
+            raise AssertionError(f"{spec} enumerated despite the budget")
+
+        monkeypatch.setattr(diagrams, "enumerate_diagrams", refuse)
+        monkeypatch.setattr(counting, "enumerate_diagrams", refuse)
+        assert main(["count", "p2:7", "--max-diagrams", "1000"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p2:7 has 1413862091 floor diagrams" in captured.err
+
+    def test_negative_budget_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "p2:3", "--max-diagrams", "-1"])
+        assert exc.value.code == EXIT_PARSE
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "p2:3", "--threads", "2"],
     ["table", "p2:3", "--threads", "2"],
     ["enumerate", "p2:3", "--emit"],
     ["enumerate", "p2:3", "--ascii"],
     ["verify", "--ascii"],
+    ["verify", "--max-diagrams", "10"],
 ], ids=["count-threads", "table-threads", "enumerate-emit", "enumerate-ascii",
-        "verify-ascii"])
+        "verify-ascii", "verify-max-diagrams"])
 def test_removed_flags_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -147,6 +147,30 @@ class TestReports:
         assert report["shustin_matches_one_coeff"]
 
 
+class TestIsomorphicSurfaces:
+    """Degrees on isomorphic surfaces count the same curves, so the engine's
+    β-forms agree row by row for s <= min(n)/2, although the floor diagrams
+    of the two families differ (and so does n).  An exceptional class of
+    multiplicity 1 is one more rational point; Bl2(P^2) = Bl1(P^1 x P^1)
+    sends (a + b; a, b) to bidegree (a, b); the quadric's factors swap; the
+    exceptional classes of bl3 permute; and the Cremona map sends (d; a) to
+    (2d - sum a; d - a_j - a_k)."""
+
+    @pytest.mark.parametrize("specs", [
+        ["bl1:3,1", "p2:3"],
+        ["bl1:4,1", "bl2:4,1,1", "bl3:4,1,1,1", "p2:4"],
+        ["bl2:4,2,2", "p1xp1:2,2"],
+        ["bl2:5,3,2", "p1xp1:3,2", "p1xp1:2,3"],
+        ["bl3:4,2,1,1", "bl3:4,1,1,2"],
+        ["bl3:5,2,1,1", "bl3:6,3,2,2"],
+    ], ids=lambda specs: "=".join(specs))
+    def test_beta_forms_agree(self, specs):
+        degrees = [parse_degree(spec) for spec in specs]
+        for s in range(min(n_delta(spec) for spec in degrees) // 2 + 1):
+            forms = [count(spec, s).beta_form for spec in degrees]
+            assert forms == [forms[0]] * len(forms), (specs, s)
+
+
 class TestWittComparison:
     def test_p2_vs_quadric_quartics(self):
         s1, s2 = parse_degree("p2:4"), parse_degree("p1xp1:2,4")

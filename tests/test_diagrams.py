@@ -6,17 +6,21 @@ import pytest
 import gwfloor
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, enumerate_diagrams, merge,
+    INCOMING, OUTGOING, FloorDiagram, count_diagrams, enumerate_diagrams, merge,
 )
 from gwfloor.counting import _diagram_index, _disjoint_adjacent_pairs, _swap_partners, \
     default_pairs, merged_classes
 
 from keying import canonical_key
+from test_degrees import FORCED_BUDGETS
 from twins import swap_fixing_sets
 from wdvv import blowup_count
 
 SMALL_SPECS = ["p2:1", "p2:2", "p2:3", "p1xp1:1,1", "p1xp1:2,2", "p1xp1:2,3",
                "bl1:3,1", "bl2:4,2,2", "bl3:3,1,1,1", "bl3:2,1,1,1"]
+# larger degrees of every family, and those whose leak budget forces each floor's leaks
+ENUMERATED_SPECS = SMALL_SPECS + ["p2:4", "p1xp1:2,4", "bl2:4,1,1", "bl3:4,1,1,2"] + \
+    [spec for spec in FORCED_BUDGETS if spec not in SMALL_SPECS]
 
 
 class TestEnumeration:
@@ -29,16 +33,21 @@ class TestEnumeration:
         assert len(diagrams) == 9
         assert sum(d.complex_mult() for d in diagrams) == 12
 
-    @pytest.mark.parametrize("spec_str", SMALL_SPECS)
+    @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
     def test_invariants_hold(self, spec_str):
         spec = parse_degree(spec_str)
         for diagram in enumerate_diagrams(spec):
             diagram.validate(spec)
 
-    @pytest.mark.parametrize("spec_str", SMALL_SPECS)
+    @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
     def test_duplicate_free(self, spec_str):
         diagrams = enumerate_diagrams(parse_degree(spec_str))
         assert len(set(diagrams)) == len(diagrams)
+
+    @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
+    def test_path_count_is_diagram_count(self, spec_str):
+        spec = parse_degree(spec_str)
+        assert count_diagrams(spec) == len(enumerate_diagrams(spec))
 
     @pytest.mark.parametrize("spec_str,expected", [
         ("p2:3", 12), ("p2:4", 620),
