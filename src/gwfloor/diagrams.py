@@ -178,7 +178,7 @@ def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
                  for o, w, stage, c in strands)
 
 
-def _state_graph(spec: DegreeSpec):
+def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, dict]:
     """The root sweep state, and the kept moves and path count of each state.
 
     A state is (position, whites, -1 leaks, +1 leaks, incoming ends,

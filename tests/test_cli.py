@@ -150,9 +150,8 @@ class TestDiagramBudget:
     ["enumerate", "p2:3", "--emit"],
     ["enumerate", "p2:3", "--ascii"],
     ["verify", "--ascii"],
-    ["verify", "--max-diagrams", "10"],
 ], ids=["count-threads", "table-threads", "enumerate-emit", "enumerate-ascii",
-        "verify-ascii", "verify-max-diagrams"])
+        "verify-ascii"])
 def test_removed_flags_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
