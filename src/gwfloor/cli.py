@@ -12,12 +12,13 @@ import sys
 import time
 
 from . import gwring
-from .counting import count, merged_classes, resolve_pairs, verify_merge_invariance, \
-    verify_rank_and_signatures, verify_square_substitution
+from .counting import count, kontsevich, merged_classes, resolve_pairs, \
+    verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
 from .degrees import InvalidDegree, n_delta, parse_degree
 from .diagrams import count_diagrams
-from .gwring import BetaForm, ResidualNotInSpan
-from .tables import FULL_EXTRA_SPECS, KNOWN_COUNTS, QUICK_SPECS
+from .gwring import BetaForm, ResidualNotInSpan, equals_mod
+from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
+    KNOWN_COUNTS, QUICK_SPECS
 
 EXIT_PARSE = 2
 EXIT_RESIDUAL = 3
@@ -206,6 +207,21 @@ def _verify_merge_invariance(spec_str: str, s: int, failures: list) -> int:
     return 1
 
 
+def _verify_kontsevich_rank(spec_str: str, failures: list) -> int:
+    spec = parse_degree(spec_str)
+    if count(spec, 0).rank != kontsevich(spec.params[0]):
+        failures.append({"spec": spec_str, "check": "rank_matches_kontsevich_s0"})
+    return 1
+
+
+def _verify_placement(spec_str: str, pairs, failures: list) -> int:
+    spec, s = parse_degree(spec_str), len(pairs)
+    if not equals_mod(count(spec, s, list(pairs)).total, count(spec, s).total):
+        named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
+        failures.append({"spec": spec_str, "check": f"merge_invariance_s{s}_pairs_{named}"})
+    return 1
+
+
 def _checked(spec_str: str, failures: list, run, *args) -> int:
     """run(spec_str, *args, failures), with a count outside the table format
     recorded as one failed check so that the remaining checks still run."""
@@ -218,7 +234,8 @@ def _checked(spec_str: str, failures: list, run, *args) -> int:
 
 
 def _run_verify(args) -> int:
-    # quick: every property for n <= 9; full adds the table reproductions.
+    # quick: every property for n <= 9; full adds the table reproductions,
+    # degrees past the tables and a weight-2 twin elevator placement.
     failures: list = []
     checks = 0
     tables = args.scope == "full"
@@ -230,6 +247,10 @@ def _run_verify(args) -> int:
     if args.scope == "full":
         for spec_str in FULL_EXTRA_SPECS:
             checks += _checked(spec_str, failures, _verify_one_spec, True)
+        for spec_str in FULL_KONTSEVICH_SPECS:
+            checks += _checked(spec_str, failures, _verify_kontsevich_rank)
+        for spec_str, pairs in FULL_PLACEMENTS:
+            checks += _checked(spec_str, failures, _verify_placement, pairs)
     report = {"scope": args.scope, "checks": checks,
               "failures": failures, "ok": not failures}
     _emit(json.dumps(report, sort_keys=True) + "\n", args.out)

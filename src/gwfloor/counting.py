@@ -10,6 +10,12 @@ of a degree, evaluating each distinct local-factor signature once
 (`multiplicity.signature`) and weighting it by its number of classes;
 it presents the total in the h / beta^{(l)} / <1> basis, and
 records rank and the constant-sign signature specializations.
+
+The s = 0 row has no pairs, so each class is one diagram, whose
+multiplicity is the product of m_a1 over its edges.  count() sums it as
+a path sum over the sweep-state graph (`diagrams._state_graph`, cached
+per degree; `_edge_product_sum`) and takes the root's path count as the
+class count, building no diagram.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import gwring
+from . import gwring, multiplicity
 from .degrees import DegreeSpec, n_delta
-from .diagrams import FloorDiagram, MergedFloorDiagram, check_pairs, enumerate_diagrams, \
-    merge
-from .gwring import BetaForm, GwElem, beta_decompose, equals_mod
+from .diagrams import FloorDiagram, MergedFloorDiagram, _state_graph, check_pairs, \
+    count_diagrams, enumerate_diagrams, merge
+from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, one
 from .multiplicity import signature, signature_mult
 
 
@@ -112,20 +118,54 @@ def merged_classes(spec: DegreeSpec,
     return tuple(merge(d, pairs) for i, d in enumerate(diagrams) if first[i] == i)
 
 
+def _edge_product_sum(spec: DegreeSpec) -> GwElem:
+    """The sum over the floor diagrams of the product of m_a1 over their edges.
+
+    A diagram is a path of the state graph from the root to the top, and
+    each of its edges closes a strand in exactly one move of the path.  So
+    the sum is total(root), where total(top) = <1> and total(state) is the
+    sum over its kept moves of total(child) times m_a1 of every strand the
+    move closes (Stanley's transfer-matrix method).
+    """
+    root, moves, _ = _state_graph(spec)
+    n = n_delta(spec)
+    m_a1 = multiplicity.m_a1  # read at call time, so a patched factor is used
+    totals: dict = {}
+
+    def total(state) -> GwElem:
+        if state not in totals:
+            acc = one(0) if state[0] == n else GwElem.zero(0)
+            for (_, closed, _, _), child in moves[state]:
+                term = total(child)
+                for _, w in closed:
+                    term = term * m_a1(w, 0)
+                acc = acc + term
+            totals[state] = acc
+        return totals[state]
+
+    return total(root)
+
+
 def count(spec: DegreeSpec, s: int,
           pair_positions: list[tuple[int, int]] | None = None) -> CountResult:
     n = n_delta(spec)
-    reps = merged_classes(spec, resolve_pairs(spec, s, pair_positions))
-    total = GwElem.zero(s)
-    for sig, k in Counter(signature(m) for m in reps).items():
-        total = total + k * signature_mult(sig, s)
+    pairs = resolve_pairs(spec, s, pair_positions)
+    if pairs:
+        reps = merged_classes(spec, pairs)
+        total = GwElem.zero(s)
+        for sig, k in Counter(signature(m) for m in reps).items():
+            total = total + k * signature_mult(sig, s)
+        class_count = len(reps)
+    else:
+        # each class is one diagram, whose multiplicity is m_a1 per edge
+        total, class_count = _edge_product_sum(spec), count_diagrams(spec)
     form = beta_decompose(total)
     return CountResult(
         spec=spec, r=n - 2 * s, s=s, total=total, beta_form=form,
         rank=total.rank(),
         signature_all_positive=total.signature({i: 1 for i in range(1, s + 1)}),
         signature_all_negative=total.signature({i: -1 for i in range(1, s + 1)}),
-        class_count=len(reps),
+        class_count=class_count,
     )
 
 

@@ -16,10 +16,11 @@ components matter only through equality and are numbered by first
 appearance.  `_state_graph` builds the graph of these states once (186
 states for p2:5), lists each state's moves in sweep order and keeps a
 move only if its child has a completion, counting the paths to the top
-per state.  `count_diagrams` reads the root's path count without
-building a diagram; `enumerate_diagrams` walks the graph from the root,
-carrying the concrete origin of each strand, and emits a diagram at the
-top of every path, so no branch is a dead end.
+per state; it is cached per degree.  `count_diagrams` reads the root's
+path count without building a diagram; `enumerate_diagrams` walks the
+graph from the root, carrying the concrete origin of each strand, and
+emits a diagram at the top of every path, so no branch is a dead end;
+`counting.count` sums the s = 0 row over the graph's paths.
 
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
@@ -178,8 +179,12 @@ def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
                  for o, w, stage, c in strands)
 
 
-def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, dict]:
-    """The root sweep state, and the kept moves and path count of each state.
+@lru_cache(maxsize=None)
+def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
+    """The root sweep state, the kept moves of each state, and the path count.
+
+    The moves are given for the root and every state with a completion,
+    and the path count is the number of paths from the root to the top.
 
     A state is (position, whites, -1 leaks, +1 leaks, incoming ends,
     outgoing ends, strands), a strand being (origin, weight, stage,
@@ -188,6 +193,7 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, dict]:
     weight), layout, end): the new strands are the old ones at the layout
     indices, -1 standing for a strand that starts at the position.  Moves
     are listed in sweep order and kept only if their child has a completion.
+    Built once per degree; the dict is shared, so callers must not mutate it.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
@@ -293,14 +299,14 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, dict]:
         return total
 
     root = (0, 0, 0, 0, 0, 0, ())
-    visit(root)
-    return root, moves, paths
+    total = visit(root)
+    # the states without a completion served only the memo; the cache drops them
+    return root, {st: kept for st, kept in moves.items() if paths[st] or st == root}, total
 
 
 def count_diagrams(spec: DegreeSpec) -> int:
     """The number of floor diagrams of the degree, without building any."""
-    root, _, paths = _state_graph(spec)
-    return paths[root]
+    return _state_graph(spec)[2]
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,8 @@ it depends only on its local-factor signature: the twin-tree summaries,
 the pair labels, and the sorted weights of the edges that no label
 absorbs (`signature`).  `signature_mult` evaluates a signature, and
 `diagram_mult` is `signature_mult` of a diagram's signature;
-`counting.count` evaluates each distinct signature of a row once.
+`counting.count` evaluates each distinct signature of a row with pairs
+once, and sums the row without pairs from m_a1 over the state graph.
 
 The local factors are cached by (weight, index, s) and the twin-tree
 factor by (tree, s), safe as GwElem is immutable.

@@ -118,3 +118,10 @@ QUICK_SPECS = [
     "bl2:4,2,2", "bl2:4,2,1", "bl2:4,1,1", "bl3:3,1,1,1", "bl3:4,1,1,2",
 ]
 FULL_EXTRA_SPECS = ["p2:4", "p1xp1:2,4", "p1xp1:2,5"]
+# Further checks of verify --scope full: plane degrees past the tables,
+# whose s = 0 rank must be Kontsevich's N_d, and placements of 0-based
+# pairs whose count must equal the default placement's.  The bl2:5,1,1
+# placement merges a diagram that has a weight-2 twin elevator, which the
+# default rows of the specs above almost never reach.
+FULL_KONTSEVICH_SPECS = ["p2:6", "p2:7"]
+FULL_PLACEMENTS = [("bl2:5,1,1", ((4, 5), (6, 7), (8, 9), (10, 11)))]

@@ -215,13 +215,36 @@ LOCAL_FACTOR_MUTANTS = {
 }
 
 
-def _verify_quick_under(module, attr, make, monkeypatch, capsys):
+def _twin_edge_sign_flipped(twin_edge_mult):
+    # <1> + <d_i> in place of the anisotropic <1> + <-d_i>
+    def mutant(m, i, num_params):
+        wrong = GwElem.symbol(1, (i,), num_params) - GwElem.symbol(-1, (i,), num_params)
+        return twin_edge_mult(m, i, num_params) + (m * m // 2) * wrong
+    return mutant
+
+
+def _m_a1_four_off_by_one(m_a1):
+    def mutant(m, num_params=0):
+        real = m_a1(m, num_params)
+        return real + GwElem.symbol(1, (), num_params) if m == 4 else real
+    return mutant
+
+
+# Planted bugs in local factors that only the full scope reaches: a weight-2
+# twin elevator, and an edge of weight 4, which no quick-scope degree has.
+FULL_SCOPE_MUTANTS = {
+    "twin_edge_sign_flipped": ("twin_edge_mult", _twin_edge_sign_flipped),
+    "m_a1_four_off_by_one": ("m_a1", _m_a1_four_off_by_one),
+}
+
+
+def _verify_under(module, attr, make, monkeypatch, capsys, scope="quick"):
     # classes or twin-tree factors cached before the patch would hide it
     monkeypatch.setattr(module, attr, make(getattr(module, attr)))
     twin_tree_mult.cache_clear()
     merged_classes.cache_clear()
     try:
-        code = main(["verify", "--scope", "quick"])
+        code = main(["verify", "--scope", scope])
     finally:
         twin_tree_mult.cache_clear()
         merged_classes.cache_clear()
@@ -232,14 +255,22 @@ class TestVerify:
     @pytest.mark.parametrize("name", sorted(CLASSIFY_MUTANTS))
     def test_classify_mutant_fails_quick(self, name, capsys, monkeypatch):
         attr, make = CLASSIFY_MUTANTS[name]
-        code, _ = _verify_quick_under(diagrams, attr, make, monkeypatch, capsys)
+        code, _ = _verify_under(diagrams, attr, make, monkeypatch, capsys)
         assert code != 0
 
     @pytest.mark.parametrize("name", sorted(LOCAL_FACTOR_MUTANTS))
     def test_local_factor_mutant_fails_quick(self, name, capsys, monkeypatch):
         attr, make = LOCAL_FACTOR_MUTANTS[name]
-        code, out = _verify_quick_under(multiplicity, attr, make, monkeypatch, capsys)
+        code, out = _verify_under(multiplicity, attr, make, monkeypatch, capsys)
         assert code == 1  # a report, not a crash
+        assert json.loads(out)["failures"]
+
+    @pytest.mark.parametrize("name", sorted(FULL_SCOPE_MUTANTS))
+    def test_full_scope_mutant_fails_full(self, name, capsys, monkeypatch):
+        attr, make = FULL_SCOPE_MUTANTS[name]
+        code, out = _verify_under(multiplicity, attr, make, monkeypatch, capsys,
+                                  scope="full")
+        assert code == 1
         assert json.loads(out)["failures"]
 
     def test_residual_is_a_failure_for_verify_only(self, capsys, monkeypatch):

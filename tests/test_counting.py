@@ -1,15 +1,20 @@
+from collections import Counter
+
 import pytest
 
+import gwfloor.counting as counting
 from gwfloor.counting import (
     _reindex_drop_last, count, default_pairs, kontsevich, merged_classes,
     verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution,
     witt_compare,
 )
 from gwfloor.degrees import n_delta, parse_degree
+from gwfloor.diagrams import enumerate_diagrams
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
-from gwfloor.multiplicity import diagram_mult, signature
+from gwfloor.multiplicity import diagram_mult, m_a1, signature
 from gwfloor.tables import KNOWN_COMPLEX, KNOWN_COUNTS
 
+from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
 
 
@@ -71,6 +76,45 @@ class TestCount:
         # count() evaluates 58 products for this row, not 98
         reps = merged_classes(parse_degree("p2:4"), default_pairs(5))
         assert (len(reps), len({signature(m) for m in reps})) == (98, 58)
+
+
+class TestRowWithoutPairs:
+    """The s = 0 row is a path sum over the sweep-state graph; here it is
+    summed diagram by diagram instead, each diagram weighted by m_a1 of
+    each of its edges."""
+
+    @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS + ["p2:5"])
+    def test_sum_over_diagrams(self, spec_str):
+        spec = parse_degree(spec_str)
+        diagrams = enumerate_diagrams(spec)
+        expected = GwElem.zero(0)
+        for weights, k in Counter(tuple(sorted(w for _, _, w in d.edges))
+                                  for d in diagrams).items():
+            product = one(0)
+            for w in weights:
+                product = product * m_a1(w, 0)
+            expected = expected + k * product
+        res = count(spec, 0)
+        assert res.total == expected
+        assert res.class_count == len(diagrams)
+
+    def test_septics_without_diagrams(self, monkeypatch):
+        # p2:7 has 1413862091 floor diagrams: no enumeration could finish
+        def refuse(*args):
+            raise AssertionError("diagrams built for an s = 0 row")
+
+        monkeypatch.setattr(counting, "enumerate_diagrams", refuse)
+        monkeypatch.setattr(counting, "merged_classes", refuse)
+        res = count(parse_degree("p2:7"), 0)
+        assert res.rank == kontsevich(7) == 14616808192
+        assert res.class_count == 1413862091
+
+    @pytest.mark.parametrize("spec_str,expected", [
+        ("bl1:6,2", 6506400), ("bl2:6,2,1", 6506400), ("bl3:6,2,2,1", 1558272),
+    ])
+    def test_blowup_ranks_past_the_tables(self, spec_str, expected):
+        spec = parse_degree(spec_str)
+        assert count(spec, 0).rank == blowup_count(spec.family, spec.params) == expected
 
 
 class TestRankOracles:
