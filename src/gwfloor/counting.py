@@ -9,7 +9,10 @@ count() folds the quadratic multiplicities of all merged-diagram classes
 of a degree, evaluating each distinct local-factor signature once
 (`multiplicity.signature`) and weighting it by its number of classes;
 it presents the total in the h / beta^{(l)} / <1> basis, and
-records rank and the constant-sign signature specializations.
+records rank and the constant-sign signature specializations.  The
+number of classes per signature is cached per row (`_signature_tally`),
+as verify repeats rows; merged_classes() is not, so no merged-diagram
+record outlives the tally it was built for.
 
 The s = 0 row has no pairs, so each class is one diagram, whose
 multiplicity is the product of m_a1 over its edges.  count() sums it as
@@ -95,7 +98,6 @@ def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
                  else index[d.swapped(a)] for d in enumerate_diagrams(spec))
 
 
-@lru_cache(maxsize=256)
 def merged_classes(spec: DegreeSpec,
                    pairs: tuple[tuple[int, int], ...]) -> tuple[MergedFloorDiagram, ...]:
     """One classified representative per merged-diagram class, first-seen order.
@@ -116,6 +118,12 @@ def merged_classes(spec: DegreeSpec,
         first = [f if j is None else min(f, first[j])
                  for f, j in zip(first, _swap_partners(spec, a))]
     return tuple(merge(d, pairs) for i, d in enumerate(diagrams) if first[i] == i)
+
+
+@lru_cache(maxsize=256)
+def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tuple:
+    """(signature, number of classes) per distinct signature of the row."""
+    return tuple(Counter(signature(m) for m in merged_classes(spec, pairs)).items())
 
 
 def _edge_product_sum(spec: DegreeSpec) -> GwElem:
@@ -151,11 +159,11 @@ def count(spec: DegreeSpec, s: int,
     n = n_delta(spec)
     pairs = resolve_pairs(spec, s, pair_positions)
     if pairs:
-        reps = merged_classes(spec, pairs)
+        tally = _signature_tally(spec, pairs)
         total = GwElem.zero(s)
-        for sig, k in Counter(signature(m) for m in reps).items():
+        for sig, k in tally:
             total = total + k * signature_mult(sig, s)
-        class_count = len(reps)
+        class_count = sum(k for _, k in tally)
     else:
         # each class is one diagram, whose multiplicity is m_a1 per edge
         total, class_count = _edge_product_sum(spec), count_diagrams(spec)

@@ -17,8 +17,9 @@ absorbs (`signature`).  `signature_mult` evaluates a signature, and
 `counting.count` evaluates each distinct signature of a row with pairs
 once, and sums the row without pairs from m_a1 over the state graph.
 
-The local factors are cached by (weight, index, s) and the twin-tree
-factor by (tree, s), safe as GwElem is immutable.
+The factors that `signature_mult` multiplies are cached by (weight,
+index, s) and the twin-tree factor by (tree, s), safe as GwElem is
+immutable.  edge_mult is not: no count calls it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ def m_a1(m: int, num_params: int = 0) -> GwElem:
     return (m // 2) * h(num_params)
 
 
-@lru_cache(maxsize=None)
 def edge_mult(m: int, num_params: int = 0) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from gwfloor.counting import (
     witt_compare,
 )
 from gwfloor.degrees import n_delta, parse_degree
-from gwfloor.diagrams import enumerate_diagrams
+from gwfloor.diagrams import MergedFloorDiagram, enumerate_diagrams, merge
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
 from gwfloor.multiplicity import diagram_mult, m_a1, signature
 from gwfloor.tables import KNOWN_COMPLEX, KNOWN_COUNTS
@@ -76,6 +77,60 @@ class TestCount:
         # count() evaluates 58 products for this row, not 98
         reps = merged_classes(parse_degree("p2:4"), default_pairs(5))
         assert (len(reps), len({signature(m) for m in reps})) == (98, 58)
+
+
+class TestOrbitWeights:
+    """Each row summed over all diagrams, not over class representatives.
+
+    The swaps of the v(D) pairs of D that no edge joins form a group
+    (Z/2)^v acting on the diagrams, and the swap sets that fix D are the
+    unions of its T(D) twin trees, so D's class has 2^(v - T) diagrams.
+    Weighting each diagram by 2^(s - v + T) therefore counts every class
+    2^s times.  No swap partner, first-seen label or row cache is used.
+    """
+
+    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:2,4", "bl3:4,1,1,2"])
+    def test_rows(self, spec_str):
+        spec = parse_degree(spec_str)
+        diagrams = enumerate_diagrams(spec)
+        for s in range(1, n_delta(spec) // 2 + 1):
+            pairs = default_pairs(s)
+            total, weight_sum = GwElem.zero(s), 0
+            for d in diagrams:
+                joined = {(u, v) for u, v, _ in d.edges}
+                merged = merge(d, pairs)
+                v = sum(pair not in joined for pair in pairs)
+                w = 2 ** (s - v + len(merged.twin_trees))
+                total = total + w * diagram_mult(merged, s)
+                weight_sum += w
+            res = count(spec, s)
+            assert total == 2 ** s * res.total, s
+            assert weight_sum == 2 ** s * res.class_count, s
+
+
+class TestRowCache:
+    """count() caches each row's signature tally, never its records."""
+
+    def test_no_merged_records_outlive_count(self):
+        def live_records():
+            gc.collect()
+            return sum(isinstance(o, MergedFloorDiagram) for o in gc.get_objects())
+
+        spec = parse_degree("p2:4")
+        counting._signature_tally.cache_clear()
+        before = live_records()
+        for s in range(n_delta(spec) // 2 + 1):
+            count(spec, s)
+        assert live_records() <= before
+
+    def test_repeated_row_hits_the_tally(self):
+        # verify repeats rows, with default and with explicit pairs
+        spec = parse_degree("p2:4")
+        count(spec, 2)
+        info = counting._signature_tally.cache_info()
+        count(spec, 2, [(2, 3), (0, 1)])
+        again = counting._signature_tally.cache_info()
+        assert (again.hits, again.misses) == (info.hits + 1, info.misses)
 
 
 class TestRowWithoutPairs:
