@@ -15,7 +15,13 @@ The sequence fixture, `enumerate_sequences.json`, holds the number of
 diagrams and the SHA-256 of the JSON lines of the whole
 `enumerate_diagrams` sequence per degree, so it pins every diagram and
 its place in the order; it was written while the diagrams were still
-enumerated by a recursive sweep with undo.
+enumerated by a recursive sweep with undo.  The verify fixture,
+`verify_quick.json`, holds the `verify --scope quick` report of the clean
+engine and of each classification and local-factor mutant of test_cli,
+one stdout line per entry; it pins the check counts, the failure records
+and the residual rule (a count outside the table format ends its group
+as one failed check), and was written while each check family of verify
+had its own CLI helper.
 """
 
 import hashlib
@@ -24,10 +30,13 @@ from pathlib import Path
 
 import pytest
 
+import gwfloor.diagrams as diagrams
+import gwfloor.multiplicity as multiplicity
 from gwfloor.cli import main
 from gwfloor.degrees import parse_degree
 from gwfloor.diagrams import enumerate_diagrams
 
+from test_cli import CLASSIFY_MUTANTS, LOCAL_FACTOR_MUTANTS, _verify_under
 from test_degrees import FORCED_BUDGETS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,3 +82,23 @@ def enumeration_sequence(spec_str: str) -> dict:
 def test_enumeration_sequence_matches_golden(spec_str):
     golden = json.loads((GOLDEN / "enumerate_sequences.json").read_text())
     assert enumeration_sequence(spec_str) == golden[spec_str]
+
+
+def verify_quick_fixture(capsys, monkeypatch) -> str:
+    """The verify --scope quick stdout line of the clean engine and of each
+    mutant, as one JSON object keyed by "clean" and "<layer>:<mutant>"."""
+    assert main(["verify", "--scope", "quick"]) == 0
+    entries = [("clean", capsys.readouterr().out)]
+    for layer, module, mutants in (("classify", diagrams, CLASSIFY_MUTANTS),
+                                   ("local_factor", multiplicity, LOCAL_FACTOR_MUTANTS)):
+        for name, (attr, make) in mutants.items():
+            with monkeypatch.context() as patch:
+                _, out = _verify_under(module, attr, make, patch, capsys)
+            entries.append((f"{layer}:{name}", out))
+    return "{\n" + ",\n".join(f"{json.dumps(key)}: {out.rstrip()}"
+                               for key, out in entries) + "\n}\n"
+
+
+def test_verify_quick_matches_golden(capsys, monkeypatch):
+    fixture = verify_quick_fixture(capsys, monkeypatch)
+    assert fixture.encode() == (GOLDEN / "verify_quick.json").read_bytes()
