@@ -2,6 +2,15 @@
 
 Text output mirrors the h / beta / <1> notation of the result tables;
 --format json and csv give stable machine-readable records.
+
+verify runs groups of checks through one loop: per spec, its report keys,
+d_s := 1 per s and (full scope) its published rows; per spec and s, merge
+invariance; per plane degree past the tables, the s = 0 Kontsevich rank;
+per placement, its count against the default one.  Each group is a
+generator of (check, passed, extra failure fields).  A count outside the
+table format (ResidualNotInSpan) ends its group: the group then counts as
+one check, a failed "residual_not_in_span" carrying the error text, after
+the failures it already found, and the remaining groups still run.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from .degrees import InvalidDegree, n_delta, parse_degree
 from .diagrams import count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan, equals_mod
 from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
-    KNOWN_COUNTS, QUICK_SPECS
+    KNOWN_COUNTS, MERGE_INVARIANCE_SPECS, QUICK_SPECS
 
 EXIT_PARSE = 2
 EXIT_RESIDUAL = 3
@@ -174,83 +183,61 @@ def _run_enumerate(args) -> int:
     return 0
 
 
-def _verify_one_spec(spec_str: str, check_table: bool, failures: list) -> int:
-    spec = parse_degree(spec_str)
-    checks = 0
+def _spec_checks(spec, check_table: bool):
+    """The report keys, d_s := 1 per s, then the published rows if asked."""
     report = verify_rank_and_signatures(spec)
-    for key in ("rank_constant", "signature_constant", "shustin_matches_one_coeff"):
-        checks += 1
-        if not report[key]:
-            failures.append({"spec": spec_str, "check": key})
-    if "rank_matches_kontsevich" in report:
-        checks += 1
-        if not report["rank_matches_kontsevich"]:
-            failures.append({"spec": spec_str, "check": "rank_matches_kontsevich"})
+    for key in ("rank_constant", "signature_constant", "shustin_matches_one_coeff",
+                "rank_matches_kontsevich"):
+        if key in report:
+            yield key, report[key], {}
     for s in range(1, n_delta(spec) // 2 + 1):
-        checks += 1
-        if not verify_square_substitution(spec, s):
-            failures.append({"spec": spec_str, "check": f"square_substitution_s{s}"})
-    if check_table and spec_str in KNOWN_COUNTS:
-        for s, (hc, betas, c0) in KNOWN_COUNTS[spec_str].items():
-            checks += 1
+        yield f"square_substitution_s{s}", verify_square_substitution(spec, s), {}
+    if check_table:
+        for s, row in KNOWN_COUNTS.get(str(spec), {}).items():
             form = count(spec, s).beta_form
-            if (form.h_coeff, form.beta_coeffs, form.one_coeff) != (hc, betas, c0):
-                failures.append({"spec": spec_str, "check": f"table_row_s{s}",
-                                 "got": [form.h_coeff, list(form.beta_coeffs),
-                                         form.one_coeff]})
-    return checks
+            yield f"table_row_s{s}", (form.h_coeff, form.beta_coeffs, form.one_coeff) == row, \
+                {"got": [form.h_coeff, list(form.beta_coeffs), form.one_coeff]}
 
 
-def _verify_merge_invariance(spec_str: str, s: int, failures: list) -> int:
-    if not verify_merge_invariance(parse_degree(spec_str), s):
-        failures.append({"spec": spec_str, "check": f"merge_invariance_s{s}"})
-    return 1
+def _merge_invariance_checks(spec, s: int):
+    yield f"merge_invariance_s{s}", verify_merge_invariance(spec, s), {}
 
 
-def _verify_kontsevich_rank(spec_str: str, failures: list) -> int:
-    spec = parse_degree(spec_str)
-    if count(spec, 0).rank != kontsevich(spec.params[0]):
-        failures.append({"spec": spec_str, "check": "rank_matches_kontsevich_s0"})
-    return 1
+def _kontsevich_checks(spec, _):
+    yield "rank_matches_kontsevich_s0", count(spec, 0).rank == kontsevich(spec.params[0]), {}
 
 
-def _verify_placement(spec_str: str, pairs, failures: list) -> int:
-    spec, s = parse_degree(spec_str), len(pairs)
-    if not equals_mod(count(spec, s, list(pairs)).total, count(spec, s).total):
-        named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
-        failures.append({"spec": spec_str, "check": f"merge_invariance_s{s}_pairs_{named}"})
-    return 1
-
-
-def _checked(spec_str: str, failures: list, run, *args) -> int:
-    """run(spec_str, *args, failures), with a count outside the table format
-    recorded as one failed check so that the remaining checks still run."""
-    try:
-        return run(spec_str, *args, failures)
-    except ResidualNotInSpan as exc:
-        failures.append({"spec": spec_str, "check": "residual_not_in_span",
-                         "error": str(exc)})
-        return 1
+def _placement_checks(spec, pairs):
+    s, named = len(pairs), ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
+    yield f"merge_invariance_s{s}_pairs_{named}", \
+        equals_mod(count(spec, s, list(pairs)).total, count(spec, s).total), {}
 
 
 def _run_verify(args) -> int:
     # quick: every property for n <= 9; full adds the table reproductions,
     # degrees past the tables and a weight-2 twin elevator placement.
+    full = args.scope == "full"
+    groups = [(_spec_checks, spec_str, full) for spec_str in QUICK_SPECS]
+    # one group per s, so that a residual at one s leaves the others checked
+    groups += [(_merge_invariance_checks, spec_str, s)
+               for spec_str, s_max in MERGE_INVARIANCE_SPECS for s in range(1, s_max + 1)]
+    if full:
+        groups += [(_spec_checks, spec_str, True) for spec_str in FULL_EXTRA_SPECS]
+        groups += [(_kontsevich_checks, spec_str, None) for spec_str in FULL_KONTSEVICH_SPECS]
+        groups += [(_placement_checks, spec_str, pairs) for spec_str, pairs in FULL_PLACEMENTS]
     failures: list = []
     checks = 0
-    tables = args.scope == "full"
-    for spec_str in QUICK_SPECS:
-        checks += _checked(spec_str, failures, _verify_one_spec, tables)
-    for spec_str, s_max in (("p2:3", 2), ("p1xp1:2,2", 2)):
-        for s in range(1, s_max + 1):
-            checks += _checked(spec_str, failures, _verify_merge_invariance, s)
-    if args.scope == "full":
-        for spec_str in FULL_EXTRA_SPECS:
-            checks += _checked(spec_str, failures, _verify_one_spec, True)
-        for spec_str in FULL_KONTSEVICH_SPECS:
-            checks += _checked(spec_str, failures, _verify_kontsevich_rank)
-        for spec_str, pairs in FULL_PLACEMENTS:
-            checks += _checked(spec_str, failures, _verify_placement, pairs)
+    for family, spec_str, arg in groups:
+        start = checks
+        try:
+            for check, passed, extra in family(parse_degree(spec_str), arg):
+                checks += 1
+                if not passed:
+                    failures.append({"spec": spec_str, "check": check, **extra})
+        except ResidualNotInSpan as exc:
+            checks = start + 1
+            failures.append({"spec": spec_str, "check": "residual_not_in_span",
+                             "error": str(exc)})
     report = {"scope": args.scope, "checks": checks,
               "failures": failures, "ok": not failures}
     _emit(json.dumps(report, sort_keys=True) + "\n", args.out)

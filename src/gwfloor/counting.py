@@ -3,7 +3,9 @@
 merged_classes() finds the classes of the enumerated diagrams under the
 within-pair swaps by first-seen labels: per pair, each diagram takes the
 lesser label of itself and of its swap partner (`_swap_partners`), and
-the diagrams that keep their own index represent the classes.
+the diagrams that keep their own index represent the classes.  The pairs
+are checked once per row, and each representative is classified under
+them (`diagrams.classify`).
 
 count() folds the quadratic multiplicities of all merged-diagram classes
 of a degree, evaluating each distinct local-factor signature once
@@ -23,15 +25,16 @@ class count, building no diagram.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import gwring, multiplicity
+from . import diagrams, gwring, multiplicity
 from .degrees import DegreeSpec, n_delta
 from .diagrams import FloorDiagram, MergedFloorDiagram, _state_graph, check_pairs, \
-    count_diagrams, enumerate_diagrams, merge
+    count_diagrams, enumerate_diagrams
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, one
 from .multiplicity import signature, signature_mult
 
@@ -112,12 +115,14 @@ def merged_classes(spec: DegreeSpec,
     (the least index in its orbit) is the lesser of theirs.
     """
     pairs = check_pairs(pairs, n_delta(spec))
-    diagrams = enumerate_diagrams(spec)
-    first = range(len(diagrams))
+    enumerated = enumerate_diagrams(spec)
+    first = range(len(enumerated))
     for a, _ in pairs:
         first = [f if j is None else min(f, first[j])
                  for f, j in zip(first, _swap_partners(spec, a))]
-    return tuple(merge(d, pairs) for i, d in enumerate(diagrams) if first[i] == i)
+    # through the module, so that a patched or traced classify is the one used
+    return tuple(diagrams.classify(d, pairs)
+                 for i, d in enumerate(enumerated) if first[i] == i)
 
 
 @lru_cache(maxsize=256)
@@ -223,13 +228,12 @@ def verify_merge_invariance(spec: DegreeSpec, s: int) -> bool:
     return True
 
 
-def _disjoint_adjacent_pairs(n: int, s: int, start: int = 0):
-    if s == 0:
-        yield ()
-        return
-    for a in range(start, n - 1):
-        for rest in _disjoint_adjacent_pairs(n, s - 1, a + 2):
-            yield ((a, a + 1),) + rest
+def _disjoint_adjacent_pairs(n: int, s: int):
+    """Every placement of s disjoint adjacent pairs in n positions, in
+    lexicographic order: pair i starts c_i + i for slots c_0 < ... < c_{s-1}
+    chosen from the n - s positions left once each pair is one slot."""
+    for slots in itertools.combinations(range(n - s), s):
+        yield tuple((c + i, c + i + 1) for i, c in enumerate(slots))
 
 
 def verify_rank_and_signatures(spec: DegreeSpec) -> dict:

@@ -419,7 +419,8 @@ def classify(diagram: FloorDiagram,
              pairs: tuple[tuple[int, int], ...]) -> MergedFloorDiagram:
     """The merged diagram, each pair labelled twin tree member, type A, or free.
 
-    pairs must be check_pairs output for the diagram; merge() checks them.
+    pairs must be check_pairs output for the diagram, as in merge() and
+    counting.merged_classes(), which check them.
     Without pairs there is nothing to label, and no work is done.
     """
     if not pairs:

@@ -117,6 +117,8 @@ QUICK_SPECS = [
     "p2:2", "p2:3", "p1xp1:2,2", "p1xp1:2,3", "bl1:3,1", "bl1:4,2",
     "bl2:4,2,2", "bl2:4,2,1", "bl2:4,1,1", "bl3:3,1,1,1", "bl3:4,1,1,2",
 ]
+# (spec, s_max): verify checks merge invariance for each s = 1..s_max.
+MERGE_INVARIANCE_SPECS = [("p2:3", 2), ("p1xp1:2,2", 2)]
 FULL_EXTRA_SPECS = ["p2:4", "p1xp1:2,4", "p1xp1:2,5"]
 # Further checks of verify --scope full: plane degrees past the tables,
 # whose s = 0 rank must be Kontsevich's N_d, and placements of 0-based

@@ -1,16 +1,17 @@
 import gc
+import math
 from collections import Counter
 
 import pytest
 
 import gwfloor.counting as counting
 from gwfloor.counting import (
-    _reindex_drop_last, count, default_pairs, kontsevich, merged_classes,
+    _disjoint_adjacent_pairs, _reindex_drop_last, count, default_pairs, kontsevich, merged_classes,
     verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution,
     witt_compare,
 )
 from gwfloor.degrees import n_delta, parse_degree
-from gwfloor.diagrams import MergedFloorDiagram, enumerate_diagrams, merge
+from gwfloor.diagrams import MergedFloorDiagram, check_pairs, enumerate_diagrams, merge
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
 from gwfloor.multiplicity import diagram_mult, m_a1, signature
 from gwfloor.tables import KNOWN_COMPLEX, KNOWN_COUNTS
@@ -132,6 +133,27 @@ class TestRowCache:
         again = counting._signature_tally.cache_info()
         assert (again.hits, again.misses) == (info.hits + 1, info.misses)
 
+    def test_pairs_checked_per_row_not_per_class(self, monkeypatch):
+        # the representatives are classified under the row's checked pairs;
+        # merge() would check them again for every class
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_pairs(*args)
+
+        monkeypatch.setattr(counting, "check_pairs", counted)
+        monkeypatch.setattr("gwfloor.diagrams.check_pairs", counted)
+        spec = parse_degree("p2:4")
+        per_row, classes = [], []
+        for s in range(1, n_delta(spec) // 2 + 1):
+            counting._signature_tally.cache_clear()
+            calls.clear()
+            classes.append(count(spec, s).class_count)
+            per_row.append(len(calls))
+        assert len(set(classes)) == len(classes)
+        assert set(per_row) == {1}  # the one in merged_classes
+
 
 class TestRowWithoutPairs:
     """The s = 0 row is a path sum over the sweep-state graph; here it is
@@ -226,6 +248,16 @@ class TestMergeInvariance:
     def test_quadric(self):
         for s in range(n_delta(parse_degree("p1xp1:2,2")) // 2 + 1):
             assert verify_merge_invariance(parse_degree("p1xp1:2,2"), s)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_placement_once_in_order(self, n):
+        # valid, distinct, sorted and C(n - s, s) of them: all of them
+        for s in range(n // 2 + 1):
+            placements = list(_disjoint_adjacent_pairs(n, s))
+            assert placements == sorted(set(placements))
+            assert len(placements) == math.comb(n - s, s)
+            assert all(check_pairs(pairs, n) == pairs and len(pairs) == s
+                       for pairs in placements)
 
 
 class TestReports:
