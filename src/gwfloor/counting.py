@@ -2,10 +2,10 @@
 
 merged_classes() finds the classes of the enumerated diagrams under the
 within-pair swaps by first-seen labels: per pair, each diagram takes the
-lesser label of itself and of its swap partner (`_swap_partners`), and
-the diagrams that keep their own index represent the classes.  The pairs
-are checked once per row, and each representative is classified under
-them (`diagrams.classify`).
+lesser label of itself and of its swap partner (`_swap_partners`, found
+by packed key in a per-degree index), and the diagrams that keep their
+own index represent the classes.  The pairs are checked once per row,
+and each representative is classified under them (`diagrams.classify`).
 
 count() folds the quadratic multiplicities of all merged-diagram classes
 of a degree, evaluating each distinct local-factor signature once
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from . import diagrams, gwring, multiplicity
 from .degrees import DegreeSpec, n_delta
-from .diagrams import FloorDiagram, MergedFloorDiagram, _state_graph, check_pairs, \
+from .diagrams import MergedFloorDiagram, _state_graph, check_pairs, \
     count_diagrams, enumerate_diagrams
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, one
 from .multiplicity import signature, signature_mult
@@ -79,8 +79,15 @@ def resolve_pairs(spec: DegreeSpec, s: int | None,
 
 
 @lru_cache(maxsize=None)
-def _diagram_index(spec: DegreeSpec) -> dict[FloorDiagram, int]:
-    return {d: i for i, d in enumerate(enumerate_diagrams(spec))}
+def _packed_index(spec: DegreeSpec) -> dict[tuple, int]:
+    """Per enumerated diagram, its index, keyed by its packed key (leaks, edges).
+
+    The key is complete: leaks fixes the colours (None at a black), and
+    a black with one edge carries the one end, incoming if the edge goes
+    up and outgoing if it goes down.  The dict iterates in enumeration
+    order.
+    """
+    return {(d.leaks, d.edges): i for i, d in enumerate(enumerate_diagrams(spec))}
 
 
 @lru_cache(maxsize=None)
@@ -94,11 +101,19 @@ def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
     other one, so every neighbour stays on the same side of each black,
     and every edge, end and leak moves with its vertex, keeping every
     divergence.  The swapped diagram is then a floor diagram of the degree
-    and was enumerated; a missing one raises KeyError.
+    and was enumerated.  Its packed key is the leaks with a and a + 1
+    exchanged and the edges with a and a + 1 relabelled, re-sorted; each
+    edge stays ascending.  A joining edge (a, a + 1, w) would relabel to
+    the descending (a + 1, a, w), which no diagram has, so the partner is
+    None exactly when the relabelled key is not in the index.
     """
-    index = _diagram_index(spec)
-    return tuple(None if any(u == a and v == a + 1 for u, v, _ in d.edges)
-                 else index[d.swapped(a)] for d in enumerate_diagrams(spec))
+    b = a + 1
+    relabel = tuple(range(a)) + (b, a) + tuple(range(b + 1, n_delta(spec)))
+    index = _packed_index(spec)
+    get = index.get
+    return tuple([get((leaks[:a] + (leaks[b], leaks[a]) + leaks[b + 1:],
+                       tuple(sorted([(relabel[u], relabel[v], w) for u, v, w in edges]))))
+                  for leaks, edges in index])
 
 
 def merged_classes(spec: DegreeSpec,

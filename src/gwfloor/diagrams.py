@@ -24,9 +24,11 @@ emits a diagram at the top of every path, so no branch is a dead end;
 
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
-the same merged diagram; `FloorDiagram.swapped` exchanges one pair, and
+the same merged diagram.  `counting._swap_partners` finds the diagram
+that exchanges one pair by its packed key (leaks, edges), and
 `counting.merged_classes` labels each enumerated diagram with the first
-diagram of its class, one pair at a time.
+diagram of its class, one pair at a time; `FloorDiagram.swapped` builds
+the exchanged diagram itself, for tests and oracles.
 
 `merge` checks a pair list and hands it to `classify`, which builds the
 one record of a merged diagram, `MergedFloorDiagram`, always fully
@@ -37,10 +39,11 @@ of equal weight, `_twin_trees` walks the branches at x and at y in step
 and keeps them as a twin tree when the pairs map one onto the other.
 Equivalently, the twin trees are the minimal non-empty sets of pairs
 whose simultaneous swap leaves the diagram unchanged (`tests/twins.py`
-checks this).  Pairs on a twin tree are labelled "twin".  Every other
-pair is "type_a" if it merges a floor with the adjacent elevator point,
-and "free" otherwise.  The labels alone say which edges a local factor
-absorbs, so the record stores nothing else about them.
+checks this); each distinct summary is built, and checked, once.  Pairs
+on a twin tree are labelled "twin".  Every other pair is "type_a" if it
+merges a floor with the adjacent elevator point, and "free" otherwise.
+The labels alone say which edges a local factor absorbs, so the record
+stores nothing else about them.
 """
 
 from __future__ import annotations
@@ -370,6 +373,11 @@ def merge(diagram: FloorDiagram,
     return classify(diagram, check_pairs(pair_positions, diagram.n))
 
 
+# A row has thousands of twin trees but few distinct summaries (6 on the
+# p1xp1:2,5 table): each is built, and checked, once.
+_twin_tree_summary = lru_cache(maxsize=None)(TwinTreeSummary)
+
+
 def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
     """The twin trees of the merged pairs, by the point of their first elevator mark.
 
@@ -390,7 +398,9 @@ def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
     for x, y in pairs:
         if diagram.colors[x] != "b" or diagram.colors[y] != "b":
             continue
-        for r, m_root in set(nbrs[x]) & set(nbrs[y]):
+        for r, m_root in nbrs[x]:
+            if (r, m_root) not in nbrs[y]:
+                continue  # at most one floor passes: a second would close a cycle
             points, marks, unbounded = [], [], 0
             stack = [(x, y, r, r, m_root)]
             while stack:
@@ -410,7 +420,7 @@ def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
                 floors = len(points) - len(marks)
                 _require(len(marks) == floors + unbounded,
                          f"twin tree on points {sorted(points)} miscounts its elevator pairs")
-                trees.append(TwinTreeSummary(tuple(sorted(points)), tuple(sorted(
+                trees.append(_twin_tree_summary(tuple(sorted(points)), tuple(sorted(
                     marks, key=lambda mark: mark[1])), m_root, unbounded))
     return sorted(trees, key=lambda tree: tree.elevator_marks[0][1])
 

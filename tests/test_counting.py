@@ -14,7 +14,7 @@ from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import MergedFloorDiagram, check_pairs, enumerate_diagrams, merge
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
 from gwfloor.multiplicity import diagram_mult, m_a1, signature
-from gwfloor.tables import KNOWN_COMPLEX, KNOWN_COUNTS
+from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, QUICK_SPECS
 
 from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
@@ -153,6 +153,34 @@ class TestRowCache:
             per_row.append(len(calls))
         assert len(set(classes)) == len(classes)
         assert set(per_row) == {1}  # the one in merged_classes
+
+
+class TestBranchCensus:
+    """Every branch of the local factors is reached by the classes verify counts."""
+
+    def test_quick_rows(self):
+        labels, m_circ, heavy = Counter(), Counter(), 0
+        for spec_str in QUICK_SPECS:
+            spec = parse_degree(spec_str)
+            for s in range(1, n_delta(spec) // 2 + 1):
+                for m in merged_classes(spec, default_pairs(s)):
+                    for label in m.classification:
+                        labels[label[0]] += 1
+                        if label[0] == "type_a":
+                            labels["type_a_" + ("odd" if label[1] % 2 else "even")] += 1
+                    for tree in m.twin_trees:
+                        m_circ["odd" if tree.m_circ % 2 else "even"] += 1
+                        heavy += any(w >= 2 for w, _ in tree.elevator_marks)
+        assert labels == {"type_a": 1748, "type_a_odd": 1575, "type_a_even": 173,
+                          "free": 684, "twin": 657}
+        assert m_circ == {"even": 637, "odd": 8}
+        assert heavy == 0  # hence the placement below
+
+    def test_full_placement_reaches_a_heavy_twin_elevator(self):
+        (spec_str, pairs), = FULL_PLACEMENTS
+        weights = {w for m in merged_classes(parse_degree(spec_str), pairs)
+                   for tree in m.twin_trees for w, _ in tree.elevator_marks}
+        assert max(weights) >= 2
 
 
 class TestRowWithoutPairs:

@@ -1,15 +1,20 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import gwfloor
+import gwfloor.counting as counting
+from gwfloor.cli import main
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, count_diagrams, enumerate_diagrams, merge,
+    INCOMING, OUTGOING, FloorDiagram, _twin_tree_summary, count_diagrams, enumerate_diagrams,
+    merge,
 )
-from gwfloor.counting import _diagram_index, _disjoint_adjacent_pairs, _swap_partners, \
-    default_pairs, merged_classes
+from gwfloor.counting import _disjoint_adjacent_pairs, _swap_partners, default_pairs, \
+    merged_classes
 
 from keying import canonical_key
 from test_degrees import FORCED_BUDGETS
@@ -178,6 +183,40 @@ class TestMerge:
         assert m.classification == (("twin", 0),) * 4
 
 
+class TestTwinTreeSummaries:
+    def test_repeated_summary_is_one_object(self):
+        first = merge(cubic_t2_diagram(), [(4, 5), (6, 7)]).twin_trees[0]
+        assert merge(cubic_t2_diagram(), [(4, 5), (6, 7)]).twin_trees[0] is first
+        trees = [tree for m in merged_classes(parse_degree("p2:4"), default_pairs(3))
+                 for tree in m.twin_trees]
+        assert len({id(tree) for tree in trees}) == len(set(trees)) < len(trees)
+
+    @pytest.mark.parametrize("points,marks,m_root", [
+        ((2, 1), ((1, 1),), 1),   # unsorted points
+        ((1, 2), ((1, 1),), 2),   # the root weight is no elevator weight
+    ])
+    def test_invalid_summary_raises(self, points, marks, m_root):
+        with pytest.raises(ValueError):
+            _twin_tree_summary(points, marks, m_root, 0)
+
+    def test_invalid_summary_raises_under_optimize(self):
+        src = str(Path(gwfloor.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "from gwfloor.diagrams import _twin_tree_summary\n"
+            "assert False, 'asserts are on'\n"
+            "for args in [((2, 1), ((1, 1),), 1, 0), ((1, 2), ((1, 1),), 2, 0)]:\n"
+            "    try:\n"
+            "        _twin_tree_summary(*args)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    sys.exit(1)\n"
+        ) % src
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestClassify:
     def test_weight_three_elevator_type_a(self):
         d = FloorDiagram(
@@ -283,13 +322,36 @@ class TestMergedClasses:
         # skipping diagrams with an edge joining a and a + 1 loses no partner,
         # and every diagram without such an edge has one
         spec = parse_degree(spec_str)
-        index = _diagram_index(spec)
+        index = {d: i for i, d in enumerate(enumerate_diagrams(spec))}
         for a in range(n_delta(spec) - 1):
             plain = tuple(index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
             assert _swap_partners(spec, a) == plain, a
             joined = tuple(any((u, v) == (a, a + 1) for u, v, _ in d.edges)
                            for d in enumerate_diagrams(spec))
             assert tuple(j is None for j in plain) == joined, a
+
+    @pytest.mark.parametrize("spec_str", ["p2:5", "p1xp1:2,5", "bl2:5,1,1"])
+    def test_packed_keys_distinct(self, spec_str):
+        # (leaks, edges) determines the colours and the ends too
+        diagrams = enumerate_diagrams(parse_degree(spec_str))
+        assert len({(d.leaks, d.edges) for d in diagrams}) == len(diagrams)
+
+    def test_rows_count_without_building_swaps(self, monkeypatch, capsys):
+        specs = [parse_degree(spec_str) for spec_str in ["p2:4", "p1xp1:2,4"]]
+        rows = [(spec, s) for spec in specs for s in range(n_delta(spec) // 2 + 1)]
+        expected = [counting.count(spec, s) for spec, s in rows]
+        assert main(["enumerate", "p2:4", "--pairs-count", "3"]) == 0
+        listing = capsys.readouterr().out
+
+        def unused(self, a):
+            raise AssertionError("FloorDiagram.swapped called")
+        monkeypatch.setattr(FloorDiagram, "swapped", unused)
+        counting._swap_partners.cache_clear()
+        counting._signature_tally.cache_clear()
+        assert [counting.count(spec, s) for spec, s in rows] == expected
+        assert main(["enumerate", "p2:4", "--pairs-count", "3"]) == 0
+        assert capsys.readouterr().out == listing
+        assert counting._swap_partners.cache_info().misses > 0
 
     def test_swap_is_an_involution(self):
         d = cubic_t2_diagram()
