@@ -4,8 +4,14 @@ merged_classes() finds the classes of the enumerated diagrams under the
 within-pair swaps by first-seen labels: per pair, each diagram takes the
 lesser label of itself and of its swap partner (`_swap_partners`, found
 by packed key in a per-degree index), and the diagrams that keep their
-own index represent the classes.  The pairs are checked once per row,
-and each representative is classified under them (`diagrams.classify`).
+own index represent the classes.  The pairs are checked once per row.
+Each representative is classified (`diagrams.classify`) once per degree
+under the row's cover, and every row restricts that labelling to its
+own pairs (`_restrict`): the cover of a default row is the full default
+placement default_pairs(n // 2), whose first s pairs are the row's, and
+the cover of any other placement is its pairs, restricted identically.
+The labels per diagram are memoised per (degree, cover) as interned
+tuples (`_cover_labels`), filled on demand.
 
 count() folds the quadratic multiplicities of all merged-diagram classes
 of a degree, evaluating each distinct local-factor signature once
@@ -13,8 +19,9 @@ of a degree, evaluating each distinct local-factor signature once
 it presents the total in the h / beta^{(l)} / <1> basis, and
 records rank and the constant-sign signature specializations.  The
 number of classes per signature is cached per row (`_signature_tally`),
-as verify repeats rows; merged_classes() is not, so no merged-diagram
-record outlives the tally it was built for.
+as verify repeats rows; merged_classes() is not, and the cover memo
+holds no records, so no merged-diagram record outlives the tally it was
+built for.
 
 The s = 0 row has no pairs, so each class is one diagram, whose
 multiplicity is the product of m_a1 over its edges.  count() sums it as
@@ -116,6 +123,32 @@ def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
                   for leaks, edges in index])
 
 
+@lru_cache(maxsize=256)
+def _cover_labels(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tuple[list, dict]:
+    """The (classification, twin_trees) of each enumerated diagram under the cover.
+
+    A list by diagram index, None until merged_classes classifies that
+    diagram, and the table that interns the entries, so that the many
+    representatives with one labelling share one entry.
+    """
+    return [None] * len(enumerate_diagrams(spec)), {}
+
+
+def _restrict(entry: tuple, s: int) -> tuple:
+    """The labels of the cover's first s pairs, from the cover's entry.
+
+    The row's twin trees are the cover's trees on points <= s, in order
+    and renumbered; a pair of a dropped tree is free.
+    """
+    classification, trees = entry
+    kept = {t: k for k, t in enumerate(
+        t for t, tree in enumerate(trees) if tree.point_indices[-1] <= s)}
+    labels = tuple(label if label[0] != "twin" else
+                   ("twin", kept[label[1]]) if label[1] in kept else ("free",)
+                   for label in classification[:s])
+    return labels, tuple(trees[t] for t in kept)
+
+
 def merged_classes(spec: DegreeSpec,
                    pairs: tuple[tuple[int, int], ...]) -> tuple[MergedFloorDiagram, ...]:
     """One classified representative per merged-diagram class, first-seen order.
@@ -128,16 +161,44 @@ def merged_classes(spec: DegreeSpec,
     first k pairs is the union of the orbits, under the first k - 1 pairs,
     of the diagram and of its k-th swap partner, and its first-seen label
     (the least index in its orbit) is the lesser of theirs.
+
+    Each representative is classified once under the row's cover, and its
+    labels are restricted to the row (`_restrict`).  The cover of a
+    default row with s >= 1 is default_pairs(n // 2), whose first s pairs
+    the row's are; the cover of any other placement, and of s = 0 with
+    nothing to label, is its own pairs, and the restriction is the
+    identity.  This is exact: the twin trees are the minimal non-empty
+    sets of pairs whose swap fixes the diagram, and for pairs P within F
+    the sets within P that fix it are those of F, so the minimal ones are
+    F's trees within P.  A pair of a dropped tree joins two vertices of
+    one colour, which no edge joins, so it is free; type-A and free labels
+    depend on their pair alone.
     """
-    pairs = check_pairs(pairs, n_delta(spec))
+    n = n_delta(spec)
+    pairs = check_pairs(pairs, n)
+    s = len(pairs)
+    cover = default_pairs(n // 2) if s and pairs == default_pairs(s) else pairs
     enumerated = enumerate_diagrams(spec)
     first = range(len(enumerated))
     for a, _ in pairs:
         first = [f if j is None else min(f, first[j])
                  for f, j in zip(first, _swap_partners(spec, a))]
-    # through the module, so that a patched or traced classify is the one used
-    return tuple(diagrams.classify(d, pairs)
-                 for i, d in enumerate(enumerated) if first[i] == i)
+    labels, interned = _cover_labels(spec, cover)
+    restricted = {}  # per interned entry, by id: its restriction to the row
+    classes = []
+    for i, d in enumerate(enumerated):
+        if first[i] != i:
+            continue
+        entry = labels[i]
+        if entry is None:
+            # through the module, so that a patched or traced classify is the one used
+            merged = diagrams.classify(d, cover)
+            entry = (merged.classification, merged.twin_trees)
+            entry = labels[i] = interned.setdefault(entry, entry)
+        if id(entry) not in restricted:
+            restricted[id(entry)] = _restrict(entry, s)
+        classes.append(MergedFloorDiagram(d, pairs, *restricted[id(entry)]))
+    return tuple(classes)
 
 
 @lru_cache(maxsize=256)

@@ -44,6 +44,14 @@ on a twin tree are labelled "twin".  Every other pair is "type_a" if it
 merges a floor with the adjacent elevator point, and "free" otherwise.
 The labels alone say which edges a local factor absorbs, so the record
 stores nothing else about them.
+
+So the labels under pairs P follow from those under any pairs F
+containing P, which `counting.merged_classes` uses to classify each
+representative once per degree: for P within F, the sets of pairs within
+P whose swap fixes the diagram are those of F that lie in P, so P's twin
+trees are F's trees within P.  A pair of one of F's other trees joins
+two vertices of one colour, and every edge joins a floor to a black, so
+under P it is free; type-A and free labels depend on their pair alone.
 """
 
 from __future__ import annotations
@@ -378,6 +386,20 @@ def merge(diagram: FloorDiagram,
 _twin_tree_summary = lru_cache(maxsize=None)(TwinTreeSummary)
 
 
+@lru_cache(maxsize=256)
+def _pair_maps(pairs: tuple[tuple[int, int], ...]) -> tuple[dict[int, int], dict[int, int]]:
+    """Per paired position, its partner and the 1-based index of its pair.
+
+    Built once per pairs tuple; the dicts are shared, so callers must not
+    mutate them.
+    """
+    partner, index = {}, {}
+    for k, (a, b) in enumerate(pairs):
+        partner[a], partner[b] = b, a
+        index[a] = index[b] = k + 1
+    return partner, index
+
+
 def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
     """The twin trees of the merged pairs, by the point of their first elevator mark.
 
@@ -387,12 +409,11 @@ def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
     are walked in step; the walk fails at the first (u, v) whose leaks
     (None at a black, so colours too), ends or children do not correspond
     under the pairs.  A black's elevator weight is that of any of its
-    edges, here the one the walk came in by.
+    edges, here the one the walk came in by.  The walk never passes an
+    unpaired vertex, so nbrs need only list the neighbours of the paired
+    positions.
     """
-    partner, index = {}, {}
-    for k, (a, b) in enumerate(pairs):
-        partner[a], partner[b] = b, a
-        index[a] = index[b] = k + 1
+    partner, index = _pair_maps(pairs)
     ends = dict(diagram.ends)
     trees = []
     for x, y in pairs:
@@ -435,8 +456,14 @@ def classify(diagram: FloorDiagram,
     """
     if not pairs:
         return MergedFloorDiagram(diagram, pairs, (), ())
-    edge_set = {(u, v): w for u, v, w in diagram.edges}
-    trees = _twin_trees(diagram, pairs, diagram.neighbors())
+    edge_set, nbrs = {}, {u: [] for u in _pair_maps(pairs)[0]}
+    for u, v, w in diagram.edges:
+        edge_set[u, v] = w
+        if u in nbrs:
+            nbrs[u].append((v, w))
+        if v in nbrs:
+            nbrs[v].append((u, w))
+    trees = _twin_trees(diagram, pairs, nbrs)
     tree_of_pair = {i - 1: t for t, tree in enumerate(trees) for i in tree.point_indices}
     labels = []
     for k, pair in enumerate(pairs):

@@ -7,7 +7,7 @@ import gwfloor.diagrams as diagrams
 import gwfloor.multiplicity as multiplicity
 import gwfloor.counting as counting
 from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, main, render_beta_form
-from gwfloor.counting import _signature_tally
+from gwfloor.counting import _cover_labels, _signature_tally
 from gwfloor.gwring import BetaForm, GwElem
 from gwfloor.multiplicity import twin_tree_mult
 
@@ -240,15 +240,17 @@ FULL_SCOPE_MUTANTS = {
 
 def _verify_under(module, attr, make, monkeypatch, capsys, scope="quick"):
     # a signature tally or twin-tree factor cached before the patch would
-    # hide it; a tally built by the real classify hides a classify mutant
+    # hide it; a tally or cover labelling built by the real classify hides
+    # a classify mutant
     monkeypatch.setattr(module, attr, make(getattr(module, attr)))
-    twin_tree_mult.cache_clear()
-    _signature_tally.cache_clear()
+    caches = (twin_tree_mult, _signature_tally, _cover_labels)
+    for cache in caches:
+        cache.cache_clear()
     try:
         code = main(["verify", "--scope", scope])
     finally:
-        twin_tree_mult.cache_clear()
-        _signature_tally.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     return code, capsys.readouterr().out
 
 

@@ -5,13 +5,16 @@ from collections import Counter
 import pytest
 
 import gwfloor.counting as counting
+from gwfloor.cli import main
 from gwfloor.counting import (
     _disjoint_adjacent_pairs, _reindex_drop_last, count, default_pairs, kontsevich, merged_classes,
     verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution,
     witt_compare,
 )
 from gwfloor.degrees import n_delta, parse_degree
-from gwfloor.diagrams import MergedFloorDiagram, check_pairs, enumerate_diagrams, merge
+from gwfloor.diagrams import (
+    INCOMING, FloorDiagram, MergedFloorDiagram, check_pairs, classify, enumerate_diagrams, merge,
+)
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
 from gwfloor.multiplicity import diagram_mult, m_a1, signature
 from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, QUICK_SPECS
@@ -119,10 +122,33 @@ class TestRowCache:
 
         spec = parse_degree("p2:4")
         counting._signature_tally.cache_clear()
+        counting._cover_labels.cache_clear()
         before = live_records()
         for s in range(n_delta(spec) // 2 + 1):
             count(spec, s)
         assert live_records() <= before
+        # the cover memo holds interned (classification, twin_trees) tuples
+        labels, interned = counting._cover_labels(spec, default_pairs(n_delta(spec) // 2))
+        entries = [entry for entry in labels if entry is not None]
+        assert entries and all(type(entry) is tuple for entry in entries)
+        assert len({id(entry) for entry in entries}) == len(set(entries)) == len(interned)
+
+    def test_table_classifies_each_representative_once(self, monkeypatch, capsys):
+        # each representative is classified under the full default placement
+        # once per degree, not once per row: 1361 calls, not 4888
+        spec = parse_degree("p1xp1:2,5")
+        classified = Counter()
+
+        def counted(diagram, pairs):
+            classified[pairs] += 1
+            return classify(diagram, pairs)
+
+        monkeypatch.setattr("gwfloor.diagrams.classify", counted)
+        counting._signature_tally.cache_clear()
+        counting._cover_labels.cache_clear()
+        assert main(["table", "p1xp1:2,5", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert classified == {default_pairs(n_delta(spec) // 2): 1361}
 
     def test_repeated_row_hits_the_tally(self):
         # verify repeats rows, with default and with explicit pairs
@@ -153,6 +179,59 @@ class TestRowCache:
             per_row.append(len(calls))
         assert len(set(classes)) == len(classes)
         assert set(per_row) == {1}  # the one in merged_classes
+
+
+class TestCoverRestriction:
+    """A row's labels, restricted from its cover's, are those that
+    classifying each representative under the row's own pairs gives."""
+
+    @staticmethod
+    def assert_classified_directly(spec, pairs):
+        merged = merged_classes(spec, pairs)
+        assert merged == tuple(classify(m.base, pairs) for m in merged)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:2,5", "bl2:4,1,1", "bl3:5,2,1,1"])
+    def test_default_rows(self, spec_str, descending):
+        # descending, each row classifies the representatives that the
+        # rows with more pairs did not
+        spec = parse_degree(spec_str)
+        rows = range(1, n_delta(spec) // 2 + 1)
+        counting._cover_labels.cache_clear()
+        for s in reversed(rows) if descending else rows:
+            self.assert_classified_directly(spec, default_pairs(s))
+
+    def test_every_placement(self):
+        spec = parse_degree("p2:3")
+        counting._cover_labels.cache_clear()
+        for s in range(1, n_delta(spec) // 2 + 1):
+            for pairs in _disjoint_adjacent_pairs(n_delta(spec), s):
+                self.assert_classified_directly(spec, pairs)
+
+    def test_kept_trees_are_renumbered(self):
+        # tree 0 reaches pair 7 and tree 1 is pair 2 alone, so at s = 2 only
+        # tree 1 is kept, as tree 0, and pair 1 of the dropped tree is free
+        d = FloorDiagram(
+            ("b",) * 5 + ("w", "b", "b", "w", "w", "b", "b", "w", "w"),
+            (None,) * 5 + ((1,), None, None, (1,), (1,), None, None, (1,), (1,)),
+            ((0, 8, 1), (1, 9, 1), (2, 5, 1), (3, 5, 1), (4, 5, 1), (5, 6, 1), (5, 7, 1),
+             (6, 8, 1), (7, 9, 1), (8, 10, 1), (9, 11, 1), (10, 12, 1), (11, 13, 1)),
+            tuple((i, INCOMING) for i in range(5)))
+        d.validate(parse_degree("p2:5"))
+        cover = classify(d, default_pairs(7))
+        assert [tree.point_indices for tree in cover.twin_trees] == [(1, 4, 5, 6, 7), (2,)]
+        for s in range(1, 8):
+            row = classify(d, default_pairs(s))
+            assert counting._restrict((cover.classification, cover.twin_trees), s) == \
+                (row.classification, row.twin_trees)
+        assert classify(d, default_pairs(2)).classification == (("free",), ("twin", 0))
+
+    def test_placement_after_default_rows_has_its_own_cover(self):
+        spec = parse_degree("p2:4")
+        counting._cover_labels.cache_clear()
+        for s in range(1, n_delta(spec) // 2 + 1):
+            merged_classes(spec, default_pairs(s))
+        self.assert_classified_directly(spec, ((1, 2), (3, 4)))
 
 
 class TestBranchCensus:
