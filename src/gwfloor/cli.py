@@ -8,9 +8,11 @@ d_s := 1 per s and (full scope) its published rows; per spec and s, merge
 invariance; per plane degree past the tables, the s = 0 Kontsevich rank;
 per placement, its count against the default one.  Each group is a
 generator of (check, passed, extra failure fields).  A count outside the
-table format (ResidualNotInSpan) ends its group: the group then counts as
-one check, a failed "residual_not_in_span" carrying the error text, after
-the failures it already found, and the remaining groups still run.
+table format (ResidualNotInSpan) or a row whose orbit weights are not
+whole classes (OrbitWeightError) ends its group: the group then counts as
+one check, a failed "residual_not_in_span" resp. "orbit_weights_not_whole"
+carrying the error text, after the failures it already found, and the
+remaining groups still run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 import time
 
 from . import gwring
-from .counting import count, kontsevich, merged_classes, resolve_pairs, \
+from .counting import OrbitWeightError, count, kontsevich, merged_classes, resolve_pairs, \
     verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
 from .degrees import InvalidDegree, n_delta, parse_degree
 from .diagrams import count_diagrams
@@ -32,6 +34,10 @@ from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
 EXIT_PARSE = 2
 EXIT_RESIDUAL = 3
 EXIT_BUDGET = 4
+
+# the errors that end a verify group, by the failed check they count as
+GROUP_ENDING = {ResidualNotInSpan: "residual_not_in_span",
+                OrbitWeightError: "orbit_weights_not_whole"}
 
 
 class OverBudget(Exception):
@@ -234,9 +240,9 @@ def _run_verify(args) -> int:
                 checks += 1
                 if not passed:
                     failures.append({"spec": spec_str, "check": check, **extra})
-        except ResidualNotInSpan as exc:
+        except tuple(GROUP_ENDING) as exc:
             checks = start + 1
-            failures.append({"spec": spec_str, "check": "residual_not_in_span",
+            failures.append({"spec": spec_str, "check": GROUP_ENDING[type(exc)],
                              "error": str(exc)})
     report = {"scope": args.scope, "checks": checks,
               "failures": failures, "ok": not failures}
@@ -305,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except ResidualNotInSpan as exc:
         print(f"error: count outside table format: {exc}", file=sys.stderr)
+        return EXIT_RESIDUAL
+    except OrbitWeightError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
     except OverBudget as exc:
         print(f"error: {exc}", file=sys.stderr)

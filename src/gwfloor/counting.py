@@ -1,27 +1,30 @@
 """Orchestration: full quadratically enriched counts and verification.
 
-merged_classes() finds the classes of the enumerated diagrams under the
-within-pair swaps by first-seen labels: per pair, each diagram takes the
-lesser label of itself and of its swap partner (`_swap_partners`, found
-by packed key in a per-degree index), and the diagrams that keep their
-own index represent the classes.  The pairs are checked once per row.
-Each representative is classified (`diagrams.classify`) once per degree
-under the row's cover, and every row restricts that labelling to its
-own pairs (`_restrict`): the cover of a default row is the full default
-placement default_pairs(n // 2), whose first s pairs are the row's, and
-the cover of any other placement is its pairs, restricted identically.
-The labels per diagram are memoised per (degree, cover) as interned
-tuples (`_cover_labels`), filled on demand.
-
 count() folds the quadratic multiplicities of all merged-diagram classes
 of a degree, evaluating each distinct local-factor signature once
-(`multiplicity.signature`) and weighting it by its number of classes;
-it presents the total in the h / beta^{(l)} / <1> basis, and
-records rank and the constant-sign signature specializations.  The
-number of classes per signature is cached per row (`_signature_tally`),
-as verify repeats rows; merged_classes() is not, and the cover memo
-holds no records, so no merged-diagram record outlives the tally it was
-built for.
+(`multiplicity.signature_mult`) and weighting it by its number of
+classes; it presents the total in the h / beta^{(l)} / <1> basis, and
+records rank and the constant-sign signature specializations.
+
+A row with pairs finds no class.  `_signature_tally` sums orbit weights
+over every enumerated diagram: a diagram with T twin trees and j pairs
+joined by an edge adds 2^(T + j) to its signature, and each sum divided
+by 2^s is that signature's number of classes (OrbitWeightError unless
+every division is exact).  The labels are classified
+(`diagrams.classify`) once per degree and cover, an interned entry per
+diagram (`_cover_labels`), and every row restricts them to its own pairs
+(`_restrict`), which is exact by the argument at the end of the
+`diagrams` docstring: the cover of a default row is the full default
+placement default_pairs(n // 2), whose first s pairs are the row's, and
+the cover of any other placement is its pairs, restricted identically.
+The tally is cached per row, as verify repeats rows; it holds no
+merged-diagram record.
+
+merged_classes() lists the classes themselves, for `enumerate`: per
+pair, each diagram takes the lesser first-seen label of itself and of its
+swap partner (`_swap_partners`, found by packed key in a per-degree
+index), and each diagram that keeps its own index represents its class
+and is classified under the row's pairs.
 
 The s = 0 row has no pairs, so each class is one diagram, whose
 multiplicity is the product of m_a1 over its edges.  count() sums it as
@@ -124,14 +127,20 @@ def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
 
 
 @lru_cache(maxsize=256)
-def _cover_labels(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tuple[list, dict]:
+def _cover_labels(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tuple[tuple, ...]:
     """The (classification, twin_trees) of each enumerated diagram under the cover.
 
-    A list by diagram index, None until merged_classes classifies that
-    diagram, and the table that interns the entries, so that the many
-    representatives with one labelling share one entry.
+    The entries are interned, so that the many diagrams with one
+    labelling share one entry.
     """
-    return [None] * len(enumerate_diagrams(spec)), {}
+    interned: dict = {}
+    labels = []
+    for d in enumerate_diagrams(spec):
+        # through the module, so that a patched or traced classify is the one used
+        merged = diagrams.classify(d, cover)
+        entry = (merged.classification, merged.twin_trees)
+        labels.append(interned.setdefault(entry, entry))
+    return tuple(labels)
 
 
 def _restrict(entry: tuple, s: int) -> tuple:
@@ -161,50 +170,62 @@ def merged_classes(spec: DegreeSpec,
     first k pairs is the union of the orbits, under the first k - 1 pairs,
     of the diagram and of its k-th swap partner, and its first-seen label
     (the least index in its orbit) is the lesser of theirs.
-
-    Each representative is classified once under the row's cover, and its
-    labels are restricted to the row (`_restrict`).  The cover of a
-    default row with s >= 1 is default_pairs(n // 2), whose first s pairs
-    the row's are; the cover of any other placement, and of s = 0 with
-    nothing to label, is its own pairs, and the restriction is the
-    identity.  This is exact: the twin trees are the minimal non-empty
-    sets of pairs whose swap fixes the diagram, and for pairs P within F
-    the sets within P that fix it are those of F, so the minimal ones are
-    F's trees within P.  A pair of a dropped tree joins two vertices of
-    one colour, which no edge joins, so it is free; type-A and free labels
-    depend on their pair alone.
     """
-    n = n_delta(spec)
-    pairs = check_pairs(pairs, n)
-    s = len(pairs)
-    cover = default_pairs(n // 2) if s and pairs == default_pairs(s) else pairs
+    pairs = check_pairs(pairs, n_delta(spec))
     enumerated = enumerate_diagrams(spec)
     first = range(len(enumerated))
     for a, _ in pairs:
         first = [f if j is None else min(f, first[j])
                  for f, j in zip(first, _swap_partners(spec, a))]
-    labels, interned = _cover_labels(spec, cover)
-    restricted = {}  # per interned entry, by id: its restriction to the row
-    classes = []
-    for i, d in enumerate(enumerated):
-        if first[i] != i:
-            continue
-        entry = labels[i]
-        if entry is None:
-            # through the module, so that a patched or traced classify is the one used
-            merged = diagrams.classify(d, cover)
-            entry = (merged.classification, merged.twin_trees)
-            entry = labels[i] = interned.setdefault(entry, entry)
-        if id(entry) not in restricted:
-            restricted[id(entry)] = _restrict(entry, s)
-        classes.append(MergedFloorDiagram(d, pairs, *restricted[id(entry)]))
-    return tuple(classes)
+    # through the module, so that a patched or traced classify is the one used
+    return tuple(diagrams.classify(d, pairs) for i, d in enumerate(enumerated) if first[i] == i)
+
+
+@lru_cache(maxsize=None)
+def _joined_masks(spec: DegreeSpec) -> tuple[int, ...]:
+    """Per enumerated diagram, the bitmask of the positions a joined to a + 1 by an edge."""
+    return tuple([sum(1 << u for u, v, _ in d.edges if v == u + 1)
+                  for d in enumerate_diagrams(spec)])
+
+
+class OrbitWeightError(Exception):
+    """The orbit weights of a signature do not sum to whole classes, which
+    no correct labelling allows."""
 
 
 @lru_cache(maxsize=256)
 def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tuple:
-    """(signature, number of classes) per distinct signature of the row."""
-    return tuple(Counter(signature(m) for m in merged_classes(spec, pairs)).items())
+    """(signature, number of classes) per distinct signature of the row.
+
+    Summed over all diagrams by orbit weights, finding no class.  The
+    swaps of the v pairs of a diagram D that no edge joins form a group
+    (Z/2)^v acting on the diagrams, and the swap sets that fix D are the
+    unions of its T twin trees, so D's class has 2^(v - T) diagrams, all
+    of one signature.  Weighting D by 2^(T + j), with j = s - v the
+    number of pairs that an edge joins, counts every class 2^s times;
+    OrbitWeightError unless every sum is a multiple of 2^s.  The labels
+    are the cover's, restricted to the row (see the module docstring).
+    """
+    s = len(pairs)
+    cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
+    starts = sum(1 << a for a, _ in pairs)
+    restricted = {}  # per interned cover entry, by id: its restriction to the row
+    sums: Counter = Counter()
+    for d, entry, joined in zip(enumerate_diagrams(spec), _cover_labels(spec, cover),
+                                _joined_masks(spec)):
+        row = restricted.get(id(entry))
+        if row is None:
+            row = restricted[id(entry)] = _restrict(entry, s)
+        sums[signature(d, pairs, *row)] += 1 << (len(row[1]) + (joined & starts).bit_count())
+    tally = []
+    for sig, weight in sums.items():
+        k, rest = divmod(weight, 1 << s)
+        if rest:
+            named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
+            raise OrbitWeightError(f"{spec} with pairs {named}: the orbit weights of a "
+                                   f"signature sum to {weight}, not a multiple of 2^{s}")
+        tally.append((sig, k))
+    return tuple(tally)
 
 
 def _edge_product_sum(spec: DegreeSpec) -> GwElem:

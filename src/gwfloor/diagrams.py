@@ -24,11 +24,13 @@ emits a diagram at the top of every path, so no branch is a dead end;
 
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
-the same merged diagram.  `counting._swap_partners` finds the diagram
-that exchanges one pair by its packed key (leaks, edges), and
-`counting.merged_classes` labels each enumerated diagram with the first
-diagram of its class, one pair at a time; `FloorDiagram.swapped` builds
-the exchanged diagram itself, for tests and oracles.
+the same merged diagram.  A count needs no class: it weights each
+diagram by the size of its orbit (`counting._signature_tally`).  To list
+the classes, `counting._swap_partners` finds the diagram that exchanges
+one pair by its packed key (leaks, edges), and `counting.merged_classes`
+labels each enumerated diagram with the first diagram of its class, one
+pair at a time; `FloorDiagram.swapped` builds the exchanged diagram
+itself, for tests and oracles.
 
 `merge` checks a pair list and hands it to `classify`, which builds the
 one record of a merged diagram, `MergedFloorDiagram`, always fully
@@ -46,8 +48,8 @@ The labels alone say which edges a local factor absorbs, so the record
 stores nothing else about them.
 
 So the labels under pairs P follow from those under any pairs F
-containing P, which `counting.merged_classes` uses to classify each
-representative once per degree: for P within F, the sets of pairs within
+containing P, which `counting._signature_tally` uses to classify each
+diagram once per degree: for P within F, the sets of pairs within
 P whose swap fixes the diagram are those of F that lie in P, so P's twin
 trees are F's trees within P.  A pair of one of F's other trees joins
 two vertices of one colour, and every edge joins a floor to a black, so
@@ -450,8 +452,8 @@ def classify(diagram: FloorDiagram,
              pairs: tuple[tuple[int, int], ...]) -> MergedFloorDiagram:
     """The merged diagram, each pair labelled twin tree member, type A, or free.
 
-    pairs must be check_pairs output for the diagram, as in merge() and
-    counting.merged_classes(), which check them.
+    pairs must be check_pairs output for the diagram, as in merge(),
+    counting.merged_classes() and counting.resolve_pairs(), which check them.
     Without pairs there is nothing to label, and no work is done.
     """
     if not pairs:

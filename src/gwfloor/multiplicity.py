@@ -12,10 +12,12 @@ Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 The multiplicity of a merged diagram is the product of these factors, so
 it depends only on its local-factor signature: the twin-tree summaries,
 the pair labels, and the sorted weights of the edges that no label
-absorbs (`signature`).  `signature_mult` evaluates a signature, and
-`diagram_mult` is `signature_mult` of a diagram's signature;
-`counting.count` evaluates each distinct signature of a row with pairs
-once, and sums the row without pairs from m_a1 over the state graph.
+absorbs (`signature`, of a diagram, its pairs and their labels, so that
+a count builds no merged-diagram record).  `signature_mult` evaluates a
+signature, and `diagram_mult` is `signature_mult` of a merged diagram's
+signature; `counting.count` evaluates each distinct signature of a row
+with pairs once, and sums the row without pairs from m_a1 over the state
+graph.
 
 The factors that `signature_mult` multiplies are cached by (weight,
 index, s) and the twin-tree factor by (tree, s), safe as GwElem is
@@ -123,8 +125,8 @@ def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     return total * subset_sum
 
 
-def signature(merged) -> tuple:
-    """The local-factor signature of a merged floor diagram.
+def signature(diagram, pairs, classification, twin_trees) -> tuple:
+    """The local-factor signature of a floor diagram with labelled pairs.
 
     (twin_trees, classification, sorted weights of the remaining edges):
     all that its multiplicity depends on.  The pair labels say which
@@ -133,14 +135,14 @@ def signature(merged) -> tuple:
     pair is absorbed into its gamma factor.
     """
     absorbed = set()
-    for pair, label in zip(merged.pairs, merged.classification):
+    for pair, label in zip(pairs, classification):
         if label[0] == "twin":
             absorbed.update(pair)
         elif label[0] == "type_a":
-            absorbed.add(pair[0] if merged.base.colors[pair[0]] == "b" else pair[1])
-    weights = sorted(w for u, v, w in merged.base.edges
+            absorbed.add(pair[0] if diagram.colors[pair[0]] == "b" else pair[1])
+    weights = sorted(w for u, v, w in diagram.edges
                      if u not in absorbed and v not in absorbed)
-    return merged.twin_trees, merged.classification, tuple(weights)
+    return twin_trees, classification, tuple(weights)
 
 
 def signature_mult(sig: tuple, num_params: int) -> GwElem:
@@ -167,4 +169,5 @@ def signature_mult(sig: tuple, num_params: int) -> GwElem:
 def diagram_mult(merged, num_params: int | None = None) -> GwElem:
     """Total quadratic multiplicity of a merged floor diagram (see signature_mult)."""
     s = len(merged.pairs) if num_params is None else num_params
-    return signature_mult(signature(merged), s)
+    return signature_mult(signature(merged.base, merged.pairs, merged.classification,
+                                    merged.twin_trees), s)

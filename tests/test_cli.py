@@ -258,8 +258,9 @@ class TestVerify:
     @pytest.mark.parametrize("name", sorted(CLASSIFY_MUTANTS))
     def test_classify_mutant_fails_quick(self, name, capsys, monkeypatch):
         attr, make = CLASSIFY_MUTANTS[name]
-        code, _ = _verify_under(diagrams, attr, make, monkeypatch, capsys)
-        assert code != 0
+        code, out = _verify_under(diagrams, attr, make, monkeypatch, capsys)
+        assert code == 1  # a report, not a crash
+        assert json.loads(out)["failures"]
 
     @pytest.mark.parametrize("name", sorted(LOCAL_FACTOR_MUTANTS))
     def test_local_factor_mutant_fails_quick(self, name, capsys, monkeypatch):
@@ -284,6 +285,27 @@ class TestVerify:
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert any(f["spec"] == "p1xp1:2,3" and f["check"] == "residual_not_in_span"
                    and f["error"] for f in failures)
+
+    def test_orbit_weights_not_whole_exit_code(self, capsys, monkeypatch):
+        # without twin trees, a row's orbit weights are not whole classes
+        attr, make = CLASSIFY_MUTANTS["no_twin_trees"]
+        monkeypatch.setattr(diagrams, attr, make(getattr(diagrams, attr)))
+        caches = (_signature_tally, _cover_labels)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            assert main(["table", "p2:3"]) == EXIT_RESIDUAL
+            assert main(["count", "p2:3", "--pairs", "5,6;7,8"]) == EXIT_RESIDUAL
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: p2:3 with pairs 1,2: the orbit weights of a signature sum to 1, "
+            "not a multiple of 2^1",
+            "error: p2:3 with pairs 5,6;7,8: the orbit weights of a signature sum to 2, "
+            "not a multiple of 2^2"]
 
     def test_quick_passes(self, capsys):
         code, out = run(capsys, "verify", "--scope", "quick")

@@ -80,7 +80,8 @@ class TestCount:
     def test_signatures_fewer_than_classes(self):
         # count() evaluates 58 products for this row, not 98
         reps = merged_classes(parse_degree("p2:4"), default_pairs(5))
-        assert (len(reps), len({signature(m) for m in reps})) == (98, 58)
+        sigs = {signature(m.base, m.pairs, m.classification, m.twin_trees) for m in reps}
+        assert (len(reps), len(sigs)) == (98, 58)
 
 
 class TestOrbitWeights:
@@ -127,15 +128,16 @@ class TestRowCache:
         for s in range(n_delta(spec) // 2 + 1):
             count(spec, s)
         assert live_records() <= before
-        # the cover memo holds interned (classification, twin_trees) tuples
-        labels, interned = counting._cover_labels(spec, default_pairs(n_delta(spec) // 2))
-        entries = [entry for entry in labels if entry is not None]
-        assert entries and all(type(entry) is tuple for entry in entries)
-        assert len({id(entry) for entry in entries}) == len(set(entries)) == len(interned)
+        # the cover memo is a tuple of interned (classification, twin_trees)
+        # tuples, one per diagram
+        labels = counting._cover_labels(spec, default_pairs(n_delta(spec) // 2))
+        assert type(labels) is tuple and len(labels) == len(enumerate_diagrams(spec))
+        assert all(type(entry) is tuple and len(entry) == 2 for entry in labels)
+        assert len({id(entry) for entry in labels}) == len(set(labels)) < len(labels)
 
-    def test_table_classifies_each_representative_once(self, monkeypatch, capsys):
-        # each representative is classified under the full default placement
-        # once per degree, not once per row: 1361 calls, not 4888
+    def test_table_classifies_each_diagram_once(self, monkeypatch, capsys):
+        # each diagram is classified under the full default placement once
+        # per degree, not once per row: 1686 calls, not 7 * 1686
         spec = parse_degree("p1xp1:2,5")
         classified = Counter()
 
@@ -148,7 +150,8 @@ class TestRowCache:
         counting._cover_labels.cache_clear()
         assert main(["table", "p1xp1:2,5", "--format", "json"]) == 0
         capsys.readouterr()
-        assert classified == {default_pairs(n_delta(spec) // 2): 1361}
+        assert classified == {default_pairs(n_delta(spec) // 2): 1686}
+        assert len(enumerate_diagrams(spec)) == 1686
 
     def test_repeated_row_hits_the_tally(self):
         # verify repeats rows, with default and with explicit pairs
@@ -160,8 +163,8 @@ class TestRowCache:
         assert (again.hits, again.misses) == (info.hits + 1, info.misses)
 
     def test_pairs_checked_per_row_not_per_class(self, monkeypatch):
-        # the representatives are classified under the row's checked pairs;
-        # merge() would check them again for every class
+        # the diagrams are classified under the row's checked cover;
+        # merge() would check it again for every diagram
         calls = []
 
         def counted(*args):
@@ -178,23 +181,29 @@ class TestRowCache:
             classes.append(count(spec, s).class_count)
             per_row.append(len(calls))
         assert len(set(classes)) == len(classes)
-        assert set(per_row) == {1}  # the one in merged_classes
+        assert set(per_row) == {0}  # resolve_pairs builds the default rows
+        counting._signature_tally.cache_clear()
+        calls.clear()
+        count(spec, 2, [(2, 3), (5, 6)])
+        assert len(calls) == 1  # the one in resolve_pairs
 
 
 class TestCoverRestriction:
     """A row's labels, restricted from its cover's, are those that
-    classifying each representative under the row's own pairs gives."""
+    classifying each diagram under the row's own pairs gives."""
 
     @staticmethod
     def assert_classified_directly(spec, pairs):
-        merged = merged_classes(spec, pairs)
-        assert merged == tuple(classify(m.base, pairs) for m in merged)
+        # the cover that _signature_tally restricts
+        s = len(pairs)
+        cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
+        for d, entry in zip(enumerate_diagrams(spec), counting._cover_labels(spec, cover)):
+            row = classify(d, pairs)
+            assert counting._restrict(entry, s) == (row.classification, row.twin_trees)
 
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:2,5", "bl2:4,1,1", "bl3:5,2,1,1"])
     def test_default_rows(self, spec_str, descending):
-        # descending, each row classifies the representatives that the
-        # rows with more pairs did not
         spec = parse_degree(spec_str)
         rows = range(1, n_delta(spec) // 2 + 1)
         counting._cover_labels.cache_clear()
@@ -230,8 +239,50 @@ class TestCoverRestriction:
         spec = parse_degree("p2:4")
         counting._cover_labels.cache_clear()
         for s in range(1, n_delta(spec) // 2 + 1):
-            merged_classes(spec, default_pairs(s))
+            count(spec, s)
         self.assert_classified_directly(spec, ((1, 2), (3, 4)))
+
+
+class TestCrossPath:
+    """Each row's orbit-weight tally against the classes that first-seen
+    labels find: each path is the other's oracle."""
+
+    @staticmethod
+    def assert_tallies_agree(spec, pairs):
+        classes = Counter(signature(m.base, m.pairs, m.classification, m.twin_trees)
+                          for m in merged_classes(spec, pairs))
+        assert counting._signature_tally(spec, pairs) == tuple(classes.items()), pairs
+
+    @pytest.mark.parametrize("spec_str", QUICK_SPECS)
+    def test_default_rows(self, spec_str):
+        spec = parse_degree(spec_str)
+        for s in range(1, n_delta(spec) // 2 + 1):
+            self.assert_tallies_agree(spec, default_pairs(s))
+
+    def test_every_placement(self):
+        spec = parse_degree("p2:3")
+        for s in range(1, n_delta(spec) // 2 + 1):
+            for pairs in _disjoint_adjacent_pairs(n_delta(spec), s):
+                self.assert_tallies_agree(spec, pairs)
+
+    def test_full_placement(self):
+        (spec_str, pairs), = FULL_PLACEMENTS
+        self.assert_tallies_agree(parse_degree(spec_str), pairs)
+
+    def test_rows_with_pairs_find_no_class(self, monkeypatch):
+        spec = parse_degree("p1xp1:2,4")
+        rows = [(s, None) for s in range(1, n_delta(spec) // 2 + 1)] + [(2, [(1, 2), (4, 5)])]
+        counting._signature_tally.cache_clear()
+        expected = [count(spec, s, pairs) for s, pairs in rows]
+
+        def refuse(*args):
+            raise AssertionError("a class found for a count")
+
+        for name in ("merged_classes", "_swap_partners", "_packed_index"):
+            monkeypatch.setattr(counting, name, refuse)
+        counting._signature_tally.cache_clear()
+        counting._cover_labels.cache_clear()
+        assert [count(spec, s, pairs) for s, pairs in rows] == expected
 
 
 class TestBranchCensus:

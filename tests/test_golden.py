@@ -21,7 +21,10 @@ engine and of each classification and local-factor mutant of test_cli,
 one stdout line per entry; it pins the check counts, the failure records
 and the residual rule (a count outside the table format ends its group
 as one failed check), and was written while each check family of verify
-had its own CLI helper.
+had its own CLI helper.  Its "classify:no_twin_trees" entry was rewritten
+when rows with pairs came to be summed by orbit weights: without twin
+trees, the weights of a signature are no longer whole classes, and each
+group ends as one failed "orbit_weights_not_whole" check.
 """
 
 import hashlib
