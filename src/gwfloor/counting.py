@@ -6,19 +6,19 @@ of a degree, evaluating each distinct local-factor signature once
 classes; it presents the total in the h / beta^{(l)} / <1> basis, and
 records rank and the constant-sign signature specializations.
 
-A row with pairs finds no class.  `_signature_tally` sums orbit weights
-over every enumerated diagram: a diagram with T twin trees and j pairs
-joined by an edge adds 2^(T + j) to its signature, and each sum divided
-by 2^s is that signature's number of classes (OrbitWeightError unless
-every division is exact).  The labels are classified
-(`diagrams.classify`) once per degree and cover, an interned entry per
-diagram (`_cover_labels`), and every row restricts them to its own pairs
-(`_restrict`), which is exact by the argument at the end of the
+A row with pairs finds no class.  It sums orbit weights over every
+enumerated diagram: a diagram with T twin trees and j pairs joined by an
+edge adds 2^(T + j) to its signature, and each sum divided by 2^s is
+that signature's number of classes (OrbitWeightError unless every
+division is exact).  All rows of a cover are tallied in one pass
+(`_cover_tallies`) that classifies (`diagrams.classify`) each diagram
+once, under the cover, and sums each row over the distinct diagram
+profiles (1320 of 25871 diagrams on p2:5), restricting the labels to the
+row (`_restrict`), which is exact by the argument at the end of the
 `diagrams` docstring: the cover of a default row is the full default
 placement default_pairs(n // 2), whose first s pairs are the row's, and
-the cover of any other placement is its pairs, restricted identically.
-The tally is cached per row, as verify repeats rows; it holds no
-merged-diagram record.
+the cover of any other placement is its pairs.  Only the tallies are
+cached, as verify repeats rows; they hold no merged-diagram record.
 
 merged_classes() lists the classes themselves, for `enumerate`: per
 pair, each diagram takes the lesser first-seen label of itself and of its
@@ -46,7 +46,7 @@ from .degrees import DegreeSpec, n_delta
 from .diagrams import MergedFloorDiagram, _state_graph, check_pairs, \
     count_diagrams, enumerate_diagrams
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, one
-from .multiplicity import signature, signature_mult
+from .multiplicity import absorbed_since, row_signature, signature_mult
 
 
 @dataclass(frozen=True)
@@ -126,23 +126,6 @@ def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
                   for leaks, edges in index])
 
 
-@lru_cache(maxsize=256)
-def _cover_labels(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tuple[tuple, ...]:
-    """The (classification, twin_trees) of each enumerated diagram under the cover.
-
-    The entries are interned, so that the many diagrams with one
-    labelling share one entry.
-    """
-    interned: dict = {}
-    labels = []
-    for d in enumerate_diagrams(spec):
-        # through the module, so that a patched or traced classify is the one used
-        merged = diagrams.classify(d, cover)
-        entry = (merged.classification, merged.twin_trees)
-        labels.append(interned.setdefault(entry, entry))
-    return tuple(labels)
-
-
 def _restrict(entry: tuple, s: int) -> tuple:
     """The labels of the cover's first s pairs, from the cover's entry.
 
@@ -194,38 +177,68 @@ class OrbitWeightError(Exception):
 
 
 @lru_cache(maxsize=256)
-def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tuple:
-    """(signature, number of classes) per distinct signature of the row.
+def _cover_tallies(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> dict:
+    """Per row of the cover, its (signature, number of classes) per
+    distinct signature, or the text of its OrbitWeightError.
 
-    Summed over all diagrams by orbit weights, finding no class.  The
-    swaps of the v pairs of a diagram D that no edge joins form a group
-    (Z/2)^v acting on the diagrams, and the swap sets that fix D are the
-    unions of its T twin trees, so D's class has 2^(v - T) diagrams, all
-    of one signature.  Weighting D by 2^(T + j), with j = s - v the
-    number of pairs that an edge joins, counts every class 2^s times;
-    OrbitWeightError unless every sum is a multiple of 2^s.  The labels
-    are the cover's, restricted to the row (see the module docstring).
+    The rows of the default cover are its prefixes cover[:s]; any other
+    cover has one row, itself.  Each diagram is classified once, under
+    the cover, and reduced to a profile: its interned labels, its
+    `multiplicity.absorbed_since` and the cover's pairs that an edge
+    joins.  Each row is summed over the distinct profiles, weighted by
+    their numbers of diagrams.  The swaps of the v pairs of a diagram D
+    that no edge joins form a group (Z/2)^v, and the swap sets that fix
+    D are the unions of its T twin trees, so D's class has 2^(v - T)
+    diagrams, all of one signature; weighting D by 2^(T + j), with
+    j = s - v, counts every class 2^s times.
     """
+    entries: dict = {}  # per distinct cover labelling, its index
+    profiles: Counter = Counter()
+    cover_starts = sum(1 << a for a, _ in cover)
+    for d, joined in zip(enumerate_diagrams(spec), _joined_masks(spec)):
+        # through the module, so that a patched or traced classify is the one used
+        merged = diagrams.classify(d, cover)
+        entry = (merged.classification, merged.twin_trees)
+        profiles[entries.setdefault(entry, len(entries)), absorbed_since(d, cover, *entry),
+                 joined & cover_starts] += 1
+    size = len(cover)
+    tallies = {}
+    for s in range(1, size + 1) if cover == default_pairs(size) else (size,):
+        restricted = [_restrict(entry, s) for entry in entries]
+        starts = sum(1 << a for a, _ in cover[:s])
+        sums: Counter = Counter()
+        for (e, absorbed, joined), k in profiles.items():
+            classification, trees = restricted[e]
+            sums[row_signature(classification, trees, absorbed, s)] += \
+                k << (len(trees) + (joined & starts).bit_count())
+        tallies[s] = _whole_classes(spec, cover[:s], sums)
+    return tallies
+
+
+def _whole_classes(spec: DegreeSpec, pairs, sums: Counter) -> tuple | str:
+    """Each signature's orbit-weight sum divided by 2^s, or the text of
+    the OrbitWeightError of the first sum that is no multiple of it."""
     s = len(pairs)
-    cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
-    starts = sum(1 << a for a, _ in pairs)
-    restricted = {}  # per interned cover entry, by id: its restriction to the row
-    sums: Counter = Counter()
-    for d, entry, joined in zip(enumerate_diagrams(spec), _cover_labels(spec, cover),
-                                _joined_masks(spec)):
-        row = restricted.get(id(entry))
-        if row is None:
-            row = restricted[id(entry)] = _restrict(entry, s)
-        sums[signature(d, pairs, *row)] += 1 << (len(row[1]) + (joined & starts).bit_count())
     tally = []
     for sig, weight in sums.items():
         k, rest = divmod(weight, 1 << s)
         if rest:
             named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
-            raise OrbitWeightError(f"{spec} with pairs {named}: the orbit weights of a "
-                                   f"signature sum to {weight}, not a multiple of 2^{s}")
+            return (f"{spec} with pairs {named}: the orbit weights of a "
+                    f"signature sum to {weight}, not a multiple of 2^{s}")
         tally.append((sig, k))
     return tuple(tally)
+
+
+def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tuple:
+    """(signature, number of classes) per distinct signature of the row,
+    from its cover's tallies; OrbitWeightError if they are not whole."""
+    s = len(pairs)
+    cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
+    tally = _cover_tallies(spec, cover)[s]
+    if isinstance(tally, str):
+        raise OrbitWeightError(tally)
+    return tally
 
 
 def _edge_product_sum(spec: DegreeSpec) -> GwElem:

@@ -25,7 +25,7 @@ emits a diagram at the top of every path, so no branch is a dead end;
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
 the same merged diagram.  A count needs no class: it weights each
-diagram by the size of its orbit (`counting._signature_tally`).  To list
+diagram by the size of its orbit (`counting._cover_tallies`).  To list
 the classes, `counting._swap_partners` finds the diagram that exchanges
 one pair by its packed key (leaks, edges), and `counting.merged_classes`
 labels each enumerated diagram with the first diagram of its class, one
@@ -48,12 +48,16 @@ The labels alone say which edges a local factor absorbs, so the record
 stores nothing else about them.
 
 So the labels under pairs P follow from those under any pairs F
-containing P, which `counting._signature_tally` uses to classify each
-diagram once per degree: for P within F, the sets of pairs within
+containing P, which `counting._cover_tallies` uses to classify each
+diagram once per degree and to tally every row of F from the same
+labels: for P within F, the sets of pairs within
 P whose swap fixes the diagram are those of F that lie in P, so P's twin
 trees are F's trees within P.  A pair of one of F's other trees joins
 two vertices of one colour, and every edge joins a floor to a black, so
 under P it is free; type-A and free labels depend on their pair alone.
+Hence an edge that P's labels absorb is absorbed under every P' within
+F that contains P, and the first prefix of F whose labels absorb it is
+one number per edge (`multiplicity.absorbed_since`).
 """
 
 from __future__ import annotations

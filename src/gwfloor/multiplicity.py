@@ -13,7 +13,8 @@ The multiplicity of a merged diagram is the product of these factors, so
 it depends only on its local-factor signature: the twin-tree summaries,
 the pair labels, and the sorted weights of the edges that no label
 absorbs (`signature`, of a diagram, its pairs and their labels, so that
-a count builds no merged-diagram record).  `signature_mult` evaluates a
+a count builds no merged-diagram record; which edges a label absorbs is
+said once, in `absorbed_since`).  `signature_mult` evaluates a
 signature, and `diagram_mult` is `signature_mult` of a merged diagram's
 signature; `counting.count` evaluates each distinct signature of a row
 with pairs once, and sums the row without pairs from m_a1 over the state
@@ -34,7 +35,7 @@ from .gwring import GwElem, beta_elem, h, one
 
 
 @lru_cache(maxsize=None)
-def m_a1(m: int, num_params: int = 0) -> GwElem:
+def m_a1(m: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
     if m % 2 == 1:
@@ -125,24 +126,41 @@ def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     return total * subset_sum
 
 
+def absorbed_since(diagram, pairs, classification, twin_trees) -> tuple:
+    """(weights, sinces) of a diagram's edges, sorted by (weight, since).
+
+    An edge's since is the least s whose labels, those of pairs[:s],
+    absorb it, len(pairs) + 1 if none: a "twin" pair absorbs the edges at
+    both its vertices once its whole tree is in, a "type_a" pair those at
+    its black, whose elevator enters its gamma factor.
+    """
+    since = [len(pairs) + 1] * len(diagram.colors)  # per vertex
+    for k, ((a, b), label) in enumerate(zip(pairs, classification)):
+        if label[0] == "twin":
+            since[a] = since[b] = twin_trees[label[1]].point_indices[-1]
+        elif label[0] == "type_a":
+            since[a if diagram.colors[a] == "b" else b] = k + 1
+    edges = [(w, since[u] if since[u] < since[v] else since[v]) for u, v, w in diagram.edges]
+    edges.sort()
+    return tuple([w for w, _ in edges]), tuple([x for _, x in edges])
+
+
 def signature(diagram, pairs, classification, twin_trees) -> tuple:
     """The local-factor signature of a floor diagram with labelled pairs.
 
     (twin_trees, classification, sorted weights of the remaining edges):
-    all that its multiplicity depends on.  The pair labels say which
-    edges are not remaining: every edge at a vertex of a "twin" pair lies
-    inside a twin tree, and the elevator through the black of a "type_a"
-    pair is absorbed into its gamma factor.
+    all that its multiplicity depends on.  The remaining edges are those
+    that no label absorbs (`absorbed_since`).
     """
-    absorbed = set()
-    for pair, label in zip(pairs, classification):
-        if label[0] == "twin":
-            absorbed.update(pair)
-        elif label[0] == "type_a":
-            absorbed.add(pair[0] if diagram.colors[pair[0]] == "b" else pair[1])
-    weights = sorted(w for u, v, w in diagram.edges
-                     if u not in absorbed and v not in absorbed)
-    return twin_trees, classification, tuple(weights)
+    return row_signature(classification, twin_trees,
+                         absorbed_since(diagram, pairs, classification, twin_trees), len(pairs))
+
+
+def row_signature(classification, twin_trees, absorbed, s: int) -> tuple:
+    """The signature of a row of s pairs, from its labels and the
+    `absorbed_since` of any pairs that begin with its own."""
+    weights, sinces = absorbed
+    return twin_trees, classification, tuple([w for w, since in zip(weights, sinces) if since > s])
 
 
 def signature_mult(sig: tuple, num_params: int) -> GwElem:

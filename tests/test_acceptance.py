@@ -182,7 +182,7 @@ def test_criterion_10_witt_comparison():
 def test_criterion_11_formula_layer_properties():
     with criterion(11, 5.0, "local multiplicity identities"):
         for m in range(1, 13):
-            assert m_a1(m) * m_a1(m) == edge_mult(m)
+            assert m_a1(m, 0) * m_a1(m, 0) == edge_mult(m)
             assert edge_mult(m).rank() == m * m
             assert gamma(m, 1, 1).rank() == m * m
             assert twin_edge_mult(m, 1, 1).rank() == m ** 4

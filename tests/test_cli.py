@@ -7,11 +7,10 @@ import gwfloor.diagrams as diagrams
 import gwfloor.multiplicity as multiplicity
 import gwfloor.counting as counting
 from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, main, render_beta_form
-from gwfloor.counting import _cover_labels, _signature_tally
 from gwfloor.gwring import BetaForm, GwElem
-from gwfloor.multiplicity import twin_tree_mult
 
 from betatext import parse_beta_text
+from conftest import clear_count_caches
 
 
 def run(capsys, *argv):
@@ -224,7 +223,7 @@ def _twin_edge_sign_flipped(twin_edge_mult):
 
 
 def _m_a1_four_off_by_one(m_a1):
-    def mutant(m, num_params=0):
+    def mutant(m, num_params):
         real = m_a1(m, num_params)
         return real + GwElem.symbol(1, (), num_params) if m == 4 else real
     return mutant
@@ -239,18 +238,14 @@ FULL_SCOPE_MUTANTS = {
 
 
 def _verify_under(module, attr, make, monkeypatch, capsys, scope="quick"):
-    # a signature tally or twin-tree factor cached before the patch would
-    # hide it; a tally or cover labelling built by the real classify hides
-    # a classify mutant
+    # a count cached before the patch would hide the mutant, and one
+    # cached under it would outlive it
     monkeypatch.setattr(module, attr, make(getattr(module, attr)))
-    caches = (twin_tree_mult, _signature_tally, _cover_labels)
-    for cache in caches:
-        cache.cache_clear()
+    clear_count_caches()
     try:
         code = main(["verify", "--scope", scope])
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        clear_count_caches()
     return code, capsys.readouterr().out
 
 
@@ -290,15 +285,12 @@ class TestVerify:
         # without twin trees, a row's orbit weights are not whole classes
         attr, make = CLASSIFY_MUTANTS["no_twin_trees"]
         monkeypatch.setattr(diagrams, attr, make(getattr(diagrams, attr)))
-        caches = (_signature_tally, _cover_labels)
-        for cache in caches:
-            cache.cache_clear()
+        clear_count_caches()
         try:
             assert main(["table", "p2:3"]) == EXIT_RESIDUAL
             assert main(["count", "p2:3", "--pairs", "5,6;7,8"]) == EXIT_RESIDUAL
         finally:
-            for cache in caches:
-                cache.cache_clear()
+            clear_count_caches()
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [

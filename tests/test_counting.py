@@ -5,20 +5,23 @@ from collections import Counter
 import pytest
 
 import gwfloor.counting as counting
+import gwfloor.diagrams as diagrams_module
 from gwfloor.cli import main
 from gwfloor.counting import (
-    _disjoint_adjacent_pairs, _reindex_drop_last, count, default_pairs, kontsevich, merged_classes,
-    verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution,
-    witt_compare,
+    OrbitWeightError, _disjoint_adjacent_pairs, _reindex_drop_last, count, default_pairs,
+    kontsevich, merged_classes, verify_merge_invariance, verify_rank_and_signatures,
+    verify_square_substitution, witt_compare,
 )
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
     INCOMING, FloorDiagram, MergedFloorDiagram, check_pairs, classify, enumerate_diagrams, merge,
 )
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
-from gwfloor.multiplicity import diagram_mult, m_a1, signature
+from gwfloor.multiplicity import absorbed_since, diagram_mult, m_a1, signature
 from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, QUICK_SPECS
 
+from conftest import clear_count_caches
+from test_cli import CLASSIFY_MUTANTS
 from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
 
@@ -114,7 +117,7 @@ class TestOrbitWeights:
 
 
 class TestRowCache:
-    """count() caches each row's signature tally, never its records."""
+    """count() caches each cover's row tallies, never its records."""
 
     def test_no_merged_records_outlive_count(self):
         def live_records():
@@ -122,18 +125,21 @@ class TestRowCache:
             return sum(isinstance(o, MergedFloorDiagram) for o in gc.get_objects())
 
         spec = parse_degree("p2:4")
-        counting._signature_tally.cache_clear()
-        counting._cover_labels.cache_clear()
+        clear_count_caches()
         before = live_records()
         for s in range(n_delta(spec) // 2 + 1):
             count(spec, s)
         assert live_records() <= before
-        # the cover memo is a tuple of interned (classification, twin_trees)
-        # tuples, one per diagram
-        labels = counting._cover_labels(spec, default_pairs(n_delta(spec) // 2))
-        assert type(labels) is tuple and len(labels) == len(enumerate_diagrams(spec))
-        assert all(type(entry) is tuple and len(entry) == 2 for entry in labels)
-        assert len({id(entry) for entry in labels}) == len(set(labels)) < len(labels)
+        # the cover's memo holds a tally per row and no profile: per row, a
+        # (signature, number of classes) per distinct signature
+        rows = range(1, n_delta(spec) // 2 + 1)
+        tallies = counting._cover_tallies(spec, default_pairs(rows[-1]))
+        assert list(tallies) == list(rows)
+        for s, tally in tallies.items():
+            assert type(tally) is tuple
+            assert tally == counting._signature_tally(spec, default_pairs(s))
+            assert all(len(sig) == 3 and type(k) is int and k > 0 for sig, k in tally)
+            assert sum(k for _, k in tally) == count(spec, s).class_count
 
     def test_table_classifies_each_diagram_once(self, monkeypatch, capsys):
         # each diagram is classified under the full default placement once
@@ -146,21 +152,22 @@ class TestRowCache:
             return classify(diagram, pairs)
 
         monkeypatch.setattr("gwfloor.diagrams.classify", counted)
-        counting._signature_tally.cache_clear()
-        counting._cover_labels.cache_clear()
+        clear_count_caches()
         assert main(["table", "p1xp1:2,5", "--format", "json"]) == 0
         capsys.readouterr()
         assert classified == {default_pairs(n_delta(spec) // 2): 1686}
         assert len(enumerate_diagrams(spec)) == 1686
 
     def test_repeated_row_hits_the_tally(self):
-        # verify repeats rows, with default and with explicit pairs
+        # verify repeats rows, with default and with explicit pairs, and
+        # every default row of a degree reads the one default cover
         spec = parse_degree("p2:4")
         count(spec, 2)
-        info = counting._signature_tally.cache_info()
+        info = counting._cover_tallies.cache_info()
         count(spec, 2, [(2, 3), (0, 1)])
-        again = counting._signature_tally.cache_info()
-        assert (again.hits, again.misses) == (info.hits + 1, info.misses)
+        count(spec, 4)
+        again = counting._cover_tallies.cache_info()
+        assert (again.hits, again.misses) == (info.hits + 2, info.misses)
 
     def test_pairs_checked_per_row_not_per_class(self, monkeypatch):
         # the diagrams are classified under the row's checked cover;
@@ -176,46 +183,54 @@ class TestRowCache:
         spec = parse_degree("p2:4")
         per_row, classes = [], []
         for s in range(1, n_delta(spec) // 2 + 1):
-            counting._signature_tally.cache_clear()
+            clear_count_caches()
             calls.clear()
             classes.append(count(spec, s).class_count)
             per_row.append(len(calls))
         assert len(set(classes)) == len(classes)
         assert set(per_row) == {0}  # resolve_pairs builds the default rows
-        counting._signature_tally.cache_clear()
+        clear_count_caches()
         calls.clear()
         count(spec, 2, [(2, 3), (5, 6)])
         assert len(calls) == 1  # the one in resolve_pairs
 
 
 class TestCoverRestriction:
-    """A row's labels, restricted from its cover's, are those that
+    """A row's tally, taken from its cover's profiles, is the tally that
     classifying each diagram under the row's own pairs gives."""
 
     @staticmethod
-    def assert_classified_directly(spec, pairs):
-        # the cover that _signature_tally restricts
-        s = len(pairs)
-        cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
-        for d, entry in zip(enumerate_diagrams(spec), counting._cover_labels(spec, cover)):
+    def direct_tally(spec, pairs):
+        # each diagram classified under the row's pairs, weighted 2^(T + j)
+        # with j read from the edges, and each sum divided by 2^s
+        s, sums = len(pairs), Counter()
+        for d in enumerate_diagrams(spec):
             row = classify(d, pairs)
-            assert counting._restrict(entry, s) == (row.classification, row.twin_trees)
+            j = sum((u, v) in pairs for u, v, _ in d.edges)
+            sums[signature(d, pairs, row.classification, row.twin_trees)] += \
+                2 ** (len(row.twin_trees) + j)
+        assert all(weight % 2 ** s == 0 for weight in sums.values()), pairs
+        return tuple((sig, weight // 2 ** s) for sig, weight in sums.items())
+
+    def assert_tallied_directly(self, spec, pairs):
+        assert counting._signature_tally(spec, pairs) == self.direct_tally(spec, pairs), pairs
 
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:2,5", "bl2:4,1,1", "bl3:5,2,1,1"])
     def test_default_rows(self, spec_str, descending):
+        # the first row counted builds every row of the default cover
         spec = parse_degree(spec_str)
         rows = range(1, n_delta(spec) // 2 + 1)
-        counting._cover_labels.cache_clear()
+        clear_count_caches()
         for s in reversed(rows) if descending else rows:
-            self.assert_classified_directly(spec, default_pairs(s))
+            self.assert_tallied_directly(spec, default_pairs(s))
 
     def test_every_placement(self):
         spec = parse_degree("p2:3")
-        counting._cover_labels.cache_clear()
+        clear_count_caches()
         for s in range(1, n_delta(spec) // 2 + 1):
             for pairs in _disjoint_adjacent_pairs(n_delta(spec), s):
-                self.assert_classified_directly(spec, pairs)
+                self.assert_tallied_directly(spec, pairs)
 
     def test_kept_trees_are_renumbered(self):
         # tree 0 reaches pair 7 and tree 1 is pair 2 alone, so at s = 2 only
@@ -229,18 +244,52 @@ class TestCoverRestriction:
         d.validate(parse_degree("p2:5"))
         cover = classify(d, default_pairs(7))
         assert [tree.point_indices for tree in cover.twin_trees] == [(1, 4, 5, 6, 7), (2,)]
+        weights, sinces = absorbed_since(d, default_pairs(7), cover.classification,
+                                         cover.twin_trees)
+        assert weights == tuple(sorted(w for _, _, w in d.edges))
         for s in range(1, 8):
             row = classify(d, default_pairs(s))
             assert counting._restrict((cover.classification, cover.twin_trees), s) == \
                 (row.classification, row.twin_trees)
+            # the edges a row keeps are those its cover absorbs only later
+            assert signature(d, default_pairs(s), row.classification, row.twin_trees)[2] == \
+                tuple(w for w, since in zip(weights, sinces) if since > s)
         assert classify(d, default_pairs(2)).classification == (("free",), ("twin", 0))
 
     def test_placement_after_default_rows_has_its_own_cover(self):
         spec = parse_degree("p2:4")
-        counting._cover_labels.cache_clear()
+        clear_count_caches()
         for s in range(1, n_delta(spec) // 2 + 1):
             count(spec, s)
-        self.assert_classified_directly(spec, ((1, 2), (3, 4)))
+        self.assert_tallied_directly(spec, ((1, 2), (3, 4)))
+
+
+class TestRowErrors:
+    """A row whose orbit weights are not whole classes raises its own
+    error, whichever row of its cover was counted first."""
+
+    @pytest.mark.parametrize("first", [1, 4])
+    def test_error_names_its_row(self, monkeypatch, first):
+        attr, make = CLASSIFY_MUTANTS["no_twin_trees"]
+        monkeypatch.setattr(diagrams_module, attr, make(getattr(diagrams_module, attr)))
+        spec = parse_degree("p2:3")
+        clear_count_caches()
+        try:
+            with pytest.raises(OrbitWeightError):
+                count(spec, first)
+            errors = {}
+            for s in (1, 2, 1):
+                with pytest.raises(OrbitWeightError) as raised:
+                    count(spec, s)
+                errors.setdefault(s, str(raised.value))
+                assert str(raised.value) == errors[s]
+        finally:
+            clear_count_caches()
+        assert errors == {
+            1: "p2:3 with pairs 1,2: the orbit weights of a signature sum to 1, "
+               "not a multiple of 2^1",
+            2: "p2:3 with pairs 1,2;3,4: the orbit weights of a signature sum to 2, "
+               "not a multiple of 2^2"}
 
 
 class TestCrossPath:
@@ -272,7 +321,7 @@ class TestCrossPath:
     def test_rows_with_pairs_find_no_class(self, monkeypatch):
         spec = parse_degree("p1xp1:2,4")
         rows = [(s, None) for s in range(1, n_delta(spec) // 2 + 1)] + [(2, [(1, 2), (4, 5)])]
-        counting._signature_tally.cache_clear()
+        clear_count_caches()
         expected = [count(spec, s, pairs) for s, pairs in rows]
 
         def refuse(*args):
@@ -280,8 +329,7 @@ class TestCrossPath:
 
         for name in ("merged_classes", "_swap_partners", "_packed_index"):
             monkeypatch.setattr(counting, name, refuse)
-        counting._signature_tally.cache_clear()
-        counting._cover_labels.cache_clear()
+        clear_count_caches()
         assert [count(spec, s, pairs) for s, pairs in rows] == expected
 
 

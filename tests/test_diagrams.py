@@ -16,6 +16,7 @@ from gwfloor.diagrams import (
 from gwfloor.counting import _disjoint_adjacent_pairs, _swap_partners, default_pairs, \
     merged_classes
 
+from conftest import clear_count_caches
 from keying import canonical_key
 from test_degrees import FORCED_BUDGETS
 from twins import swap_fixing_sets
@@ -347,7 +348,7 @@ class TestMergedClasses:
             raise AssertionError("FloorDiagram.swapped called")
         monkeypatch.setattr(FloorDiagram, "swapped", unused)
         counting._swap_partners.cache_clear()
-        counting._signature_tally.cache_clear()
+        clear_count_caches()
         assert [counting.count(spec, s) for spec, s in rows] == expected
         assert main(["enumerate", "p2:4", "--pairs-count", "3"]) == 0
         assert capsys.readouterr().out == listing

@@ -18,9 +18,9 @@ S = 6  # ambient parameter count used throughout
 
 
 def test_m_a1_examples():
-    assert m_a1(1) == one()
-    assert m_a1(2) == h()
-    assert m_a1(3) == GwElem.symbol(3) + h()
+    assert m_a1(1, 0) == one()
+    assert m_a1(2, 0) == h()
+    assert m_a1(3, 0) == GwElem.symbol(3) + h()
 
 
 def test_edge_mult_examples():
@@ -57,7 +57,7 @@ def test_m_a1_is_kummer_trace(m, s):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_edge_mult_is_m_a1_squared(m):
-    assert m_a1(m) * m_a1(m) == edge_mult(m)
+    assert m_a1(m, 0) * m_a1(m, 0) == edge_mult(m)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -151,7 +151,7 @@ def test_twin_tree_signature_rule(weights, m_root, unbounded, floors):
 
 def test_invalid_weight_rejected():
     with pytest.raises(ValueError):
-        m_a1(0)
+        m_a1(0, 0)
     with pytest.raises(ValueError):
         edge_mult(0)
     with pytest.raises(IndexError):
