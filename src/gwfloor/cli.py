@@ -5,14 +5,15 @@ Text output mirrors the h / beta / <1> notation of the result tables;
 
 verify runs groups of checks through one loop: per spec, its report keys,
 d_s := 1 per s and (full scope) its published rows; per spec and s, merge
-invariance; per plane degree past the tables, the s = 0 Kontsevich rank;
-per placement, its count against the default one.  Each group is a
-generator of (check, passed, extra failure fields).  A count outside the
-table format (ResidualNotInSpan) or a row whose orbit weights are not
-whole classes (OrbitWeightError) ends its group: the group then counts as
-one check, a failed "residual_not_in_span" resp. "orbit_weights_not_whole"
-carrying the error text, after the failures it already found, and the
-remaining groups still run.
+invariance; per plane degree past the tables, the s = 0 Kontsevich rank
+and Welschinger invariant; per placement, its count against the default
+one.  Each group is a generator of (check, passed, extra failure
+fields).  A count outside the table format (ResidualNotInSpan) or a row
+whose orbit weights are not whole classes (OrbitWeightError) ends its
+group: the group then counts as one check, a failed
+"residual_not_in_span" resp. "orbit_weights_not_whole" carrying the
+error text, after the failures it already found, and the remaining
+groups still run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .degrees import InvalidDegree, n_delta, parse_degree
 from .diagrams import count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan, equals_mod
 from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
-    KNOWN_COUNTS, MERGE_INVARIANCE_SPECS, QUICK_SPECS
+    KNOWN_COUNTS, KNOWN_WELSCHINGER, MERGE_INVARIANCE_SPECS, QUICK_SPECS
 
 EXIT_PARSE = 2
 EXIT_RESIDUAL = 3
@@ -97,10 +98,14 @@ def _csv_rows(records: list[dict]) -> str:
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    """Parse 1-based "1,2;3,4" into 0-based position pairs."""
+    """Parse 1-based "1,2;3,4" into 0-based position pairs; ValueError,
+    naming the chunk as typed, unless each chunk is two integers >= 1."""
     pairs = []
     for chunk in text.split(";"):
-        a, b = (int(x) for x in chunk.split(","))
+        parts = [x.strip() for x in chunk.split(",")]
+        if len(parts) != 2 or not all(x.isdecimal() and int(x) >= 1 for x in parts):
+            raise ValueError(f"--pairs chunk {chunk!r} is not two positions >= 1")
+        a, b = map(int, parts)
         pairs.append((a - 1, b - 1))
     return pairs
 
@@ -177,14 +182,14 @@ def _run_enumerate(args) -> int:
     spec = _parse_within_budget(args)
     pairs = _resolve_args_pairs(args, spec)
     lines = [json.dumps({
-        "positions": list(range(1, m.base.n + 1)),
-        "colors": list(m.base.colors),
-        "leaks": [list(v) if v is not None else None for v in m.base.leaks],
-        "edges": [[u + 1, v + 1, w] for u, v, w in m.base.edges],
-        "ends": [[p + 1, ("in" if d < 0 else "out")] for p, d in m.base.ends],
-        "pairs": [[a + 1, b + 1] for a, b in m.pairs],
-        "classification": [list(c) for c in m.classification],
-    }, sort_keys=True) for m in merged_classes(spec, pairs)]
+        "positions": list(range(1, d.n + 1)),
+        "colors": list(d.colors),
+        "leaks": [list(v) if v is not None else None for v in d.leaks],
+        "edges": [[u + 1, v + 1, w] for u, v, w in d.edges],
+        "ends": [[p + 1, ("in" if end < 0 else "out")] for p, end in d.ends],
+        "pairs": [[a + 1, b + 1] for a, b in pairs],
+        "classification": [list(c) for c in labels.classification],
+    }, sort_keys=True) for d, labels in merged_classes(spec, pairs)]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 
@@ -210,7 +215,11 @@ def _merge_invariance_checks(spec, s: int):
 
 
 def _kontsevich_checks(spec, _):
-    yield "rank_matches_kontsevich_s0", count(spec, 0).rank == kontsevich(spec.params[0]), {}
+    """The s = 0 rank against Kontsevich's N_d, its signature against W_d."""
+    res = count(spec, 0)
+    yield "rank_matches_kontsevich_s0", res.rank == kontsevich(spec.params[0]), {}
+    yield "welschinger_s0", res.signature_all_positive == KNOWN_WELSCHINGER[str(spec)], \
+        {"got": res.signature_all_positive}
 
 
 def _placement_checks(spec, pairs):

@@ -18,13 +18,13 @@ row (`_restrict`), which is exact by the argument at the end of the
 `diagrams` docstring: the cover of a default row is the full default
 placement default_pairs(n // 2), whose first s pairs are the row's, and
 the cover of any other placement is its pairs.  Only the tallies are
-cached, as verify repeats rows; they hold no merged-diagram record.
+cached, as verify repeats rows; no labels or profile outlive the pass.
 
 merged_classes() lists the classes themselves, for `enumerate`: per
 pair, each diagram takes the lesser first-seen label of itself and of its
 swap partner (`_swap_partners`, found by packed key in a per-degree
 index), and each diagram that keeps its own index represents its class
-and is classified under the row's pairs.
+and is listed with its labels under the row's pairs.
 
 The s = 0 row has no pairs, so each class is one diagram, whose
 multiplicity is the product of m_a1 over its edges.  count() sums it as
@@ -41,9 +41,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import diagrams, gwring, multiplicity
+from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
-from .diagrams import MergedFloorDiagram, _state_graph, check_pairs, \
+from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, \
     count_diagrams, enumerate_diagrams
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, one
 from .multiplicity import absorbed_since, row_signature, signature_mult
@@ -126,24 +126,24 @@ def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
                   for leaks, edges in index])
 
 
-def _restrict(entry: tuple, s: int) -> tuple:
-    """The labels of the cover's first s pairs, from the cover's entry.
+def _restrict(labels: PairLabels, s: int) -> PairLabels:
+    """The labels of the cover's first s pairs, from the cover's labels.
 
     The row's twin trees are the cover's trees on points <= s, in order
     and renumbered; a pair of a dropped tree is free.
     """
-    classification, trees = entry
+    classification, trees = labels
     kept = {t: k for k, t in enumerate(
         t for t, tree in enumerate(trees) if tree.point_indices[-1] <= s)}
-    labels = tuple(label if label[0] != "twin" else
-                   ("twin", kept[label[1]]) if label[1] in kept else ("free",)
-                   for label in classification[:s])
-    return labels, tuple(trees[t] for t in kept)
+    return PairLabels(tuple(label if label[0] != "twin" else
+                            ("twin", kept[label[1]]) if label[1] in kept else ("free",)
+                            for label in classification[:s]),
+                      tuple(trees[t] for t in kept))
 
 
-def merged_classes(spec: DegreeSpec,
-                   pairs: tuple[tuple[int, int], ...]) -> tuple[MergedFloorDiagram, ...]:
-    """One classified representative per merged-diagram class, first-seen order.
+def merged_classes(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]
+                   ) -> tuple[tuple[FloorDiagram, PairLabels], ...]:
+    """(representative, its labels) per merged-diagram class, first-seen order.
 
     A class is an orbit of the enumerated diagrams under exchanging the two
     positions of any subset of the pairs; its representative is its first
@@ -161,7 +161,8 @@ def merged_classes(spec: DegreeSpec,
         first = [f if j is None else min(f, first[j])
                  for f, j in zip(first, _swap_partners(spec, a))]
     # through the module, so that a patched or traced classify is the one used
-    return tuple(diagrams.classify(d, pairs) for i, d in enumerate(enumerated) if first[i] == i)
+    return tuple((d, diagrams.classify(d, pairs))
+                 for i, d in enumerate(enumerated) if first[i] == i)
 
 
 @lru_cache(maxsize=None)
@@ -192,19 +193,18 @@ def _cover_tallies(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> dict
     diagrams, all of one signature; weighting D by 2^(T + j), with
     j = s - v, counts every class 2^s times.
     """
-    entries: dict = {}  # per distinct cover labelling, its index
+    entries: dict = {}  # per distinct cover `PairLabels`, its index
     profiles: Counter = Counter()
     cover_starts = sum(1 << a for a, _ in cover)
     for d, joined in zip(enumerate_diagrams(spec), _joined_masks(spec)):
         # through the module, so that a patched or traced classify is the one used
-        merged = diagrams.classify(d, cover)
-        entry = (merged.classification, merged.twin_trees)
-        profiles[entries.setdefault(entry, len(entries)), absorbed_since(d, cover, *entry),
+        labels = diagrams.classify(d, cover)
+        profiles[entries.setdefault(labels, len(entries)), absorbed_since(d, cover, *labels),
                  joined & cover_starts] += 1
     size = len(cover)
     tallies = {}
     for s in range(1, size + 1) if cover == default_pairs(size) else (size,):
-        restricted = [_restrict(entry, s) for entry in entries]
+        restricted = [_restrict(labels, s) for labels in entries]
         starts = sum(1 << a for a, _ in cover[:s])
         sums: Counter = Counter()
         for (e, absorbed, joined), k in profiles.items():
@@ -378,14 +378,3 @@ def verify_rank_and_signatures(spec: DegreeSpec) -> dict:
         report["kontsevich"] = kontsevich(spec.params[0])
         report["rank_matches_kontsevich"] = report["kontsevich"] == rank0
     return report
-
-
-def witt_compare(spec1: DegreeSpec, spec2: DegreeSpec, s: int) -> GwElem:
-    """Difference of the two counts reduced modulo the hyperbolic form.
-
-    The returned element represents the Witt-ring class; compare it with
-    equals_mod against a multiple of <1>.
-    """
-    diff = count(spec1, s).total - count(spec2, s).total
-    n = diff.coeff(gwring.GwMonomial(1, (), -1))
-    return diff - n * gwring.h(s)

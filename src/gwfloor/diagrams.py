@@ -29,23 +29,22 @@ diagram by the size of its orbit (`counting._cover_tallies`).  To list
 the classes, `counting._swap_partners` finds the diagram that exchanges
 one pair by its packed key (leaks, edges), and `counting.merged_classes`
 labels each enumerated diagram with the first diagram of its class, one
-pair at a time; `FloorDiagram.swapped` builds the exchanged diagram
-itself, for tests and oracles.
+pair at a time.
 
-`merge` checks a pair list and hands it to `classify`, which builds the
-one record of a merged diagram, `MergedFloorDiagram`, always fully
-labelled.  A twin tree is two isomorphic strands of merged pairs hanging
-from one root elevator pair.  As the diagram is a tree, removing a floor
-r splits it into branches; for a black pair (x, y) joined to r by edges
-of equal weight, `_twin_trees` walks the branches at x and at y in step
-and keeps them as a twin tree when the pairs map one onto the other.
-Equivalently, the twin trees are the minimal non-empty sets of pairs
-whose simultaneous swap leaves the diagram unchanged (`tests/twins.py`
-checks this); each distinct summary is built, and checked, once.  Pairs
-on a twin tree are labelled "twin".  Every other pair is "type_a" if it
-merges a floor with the adjacent elevator point, and "free" otherwise.
-The labels alone say which edges a local factor absorbs, so the record
-stores nothing else about them.
+`check_pairs` checks a pair list, and `classify` labels the pairs of a
+diagram: it returns `PairLabels`, one label per pair and the twin-tree
+summaries, always both.  A twin tree is two isomorphic strands of merged
+pairs hanging from one root elevator pair.  As the diagram is a tree,
+removing a floor r splits it into branches; for a black pair (x, y)
+joined to r by edges of equal weight, `_twin_trees` walks the branches
+at x and at y in step and keeps them as a twin tree when the pairs map
+one onto the other.  Equivalently, the twin trees are the minimal
+non-empty sets of pairs whose simultaneous swap leaves the diagram
+unchanged (`tests/twins.py` checks this); each distinct summary is
+built, and checked, once.  Pairs on a twin tree are labelled "twin".
+Every other pair is "type_a" if it merges a floor with the adjacent
+elevator point, and "free" otherwise.  The labels alone say which edges
+a local factor absorbs, so nothing else about them is kept.
 
 So the labels under pairs P follow from those under any pairs F
 containing P, which `counting._cover_tallies` uses to classify each
@@ -66,6 +65,7 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .degrees import DegreeSpec, end_spec, leak_budget, n_delta, white_spec
 from .multiplicity import TwinTreeSummary
@@ -88,94 +88,6 @@ class FloorDiagram:
     @property
     def n(self) -> int:
         return len(self.colors)
-
-    def neighbors(self) -> dict[int, list[tuple[int, int]]]:
-        nbrs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(self.n)}
-        for u, v, w in self.edges:
-            nbrs[u].append((v, w))
-            nbrs[v].append((u, w))
-        return nbrs
-
-    def divergence(self, pos: int) -> int:
-        d = 0
-        for u, v, w in self.edges:
-            if v == pos:
-                d += w
-            elif u == pos:
-                d -= w
-        for p, direction in self.ends:
-            if p == pos:
-                d += 1 if direction == INCOMING else -1
-        return d
-
-    def complex_mult(self) -> int:
-        out = 1
-        for _, _, w in self.edges:
-            out *= w
-        return out
-
-    def validate(self, spec: DegreeSpec) -> None:
-        """Raise ValueError unless this is a floor diagram of the degree."""
-        n = n_delta(spec)
-        _require(self.n == n, f"{self.n} positions, expected {n}")
-        w_count, _ = white_spec(spec)
-        minus, plus = leak_budget(spec)
-        inc, out = end_spec(spec)
-        _require(self.colors.count("w") == w_count, f"expected {w_count} floors")
-        _require(len(self.edges) == n - 1, f"expected {n - 1} edges")
-        nbrs = self.neighbors()
-        # bipartite, connected (tree follows from edge count + connectivity)
-        for u, v, w in self.edges:
-            _require(u < v and w >= 1 and {self.colors[u], self.colors[v]} == {"w", "b"},
-                     f"edge {(u, v, w)} is not an ascending weighted white-black edge")
-        seen, stack = {0}, [0]
-        while stack:
-            x = stack.pop()
-            for y, _ in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        _require(len(seen) == n, "diagram is not connected")
-        got_minus = got_plus = 0
-        for i, c in enumerate(self.colors):
-            if c == "w":
-                leak = self.leaks[i]
-                _require(leak is not None and set(leak) <= {-1, 1}, f"leaks {leak} at {i}")
-                got_minus += leak.count(-1)
-                got_plus += leak.count(1)
-                _require(self.divergence(i) == sum(leak), f"floor {i} is unbalanced")
-                continue
-            _require(self.leaks[i] is None, f"black {i} carries leaks")
-            _require(self.divergence(i) == 0, f"black {i} is unbalanced")
-            deg_edges = nbrs[i]
-            deg_ends = [e for e in self.ends if e[0] == i]
-            if deg_ends:
-                _require(len(deg_ends) == 1 and len(deg_edges) == 1, f"black {i} valence")
-                _require(deg_edges[0][1] == 1, f"end at black {i} has weight > 1")
-                (other, _), (_, direction) = deg_edges[0], deg_ends[0]
-                _require((other > i) if direction == INCOMING else (other < i),
-                         f"end at black {i} points the wrong way")
-            else:
-                _require(len(deg_edges) == 2, f"black {i} is not bivalent")
-                (a, wa), (b, wb) = deg_edges
-                _require(wa == wb and min(a, b) < i < max(a, b), f"black {i} is no splice")
-        _require((got_minus, got_plus) == (minus, plus), "wrong leak counts")
-        _require(sum(1 for _, d in self.ends if d == INCOMING) == inc, "incoming ends")
-        _require(sum(1 for _, d in self.ends if d == OUTGOING) == out, "outgoing ends")
-
-    def swapped(self, a: int) -> FloorDiagram:
-        """The diagram with the vertices at positions a and a + 1 exchanged."""
-        p = list(range(self.n))
-        p[a], p[a + 1] = a + 1, a  # an involution: old <-> new position
-        edges = [(p[u], p[v], w) if p[u] < p[v] else (p[v], p[u], w) for u, v, w in self.edges]
-        return FloorDiagram(
-            tuple([self.colors[i] for i in p]), tuple([self.leaks[i] for i in p]),
-            tuple(sorted(edges)), tuple(sorted([(p[i], d) for i, d in self.ends])))
-
-
-def _require(ok: bool, what: str) -> None:
-    if not ok:
-        raise ValueError(f"invalid floor diagram: {what}")
 
 
 def _partitions(rest: int, bound: int, parts_left: int):
@@ -348,16 +260,13 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class MergedFloorDiagram:
-    """A floor diagram with merged pairs, each pair labelled by `classify`.
+class PairLabels(NamedTuple):
+    """The labels of a diagram's merged pairs, as `classify` finds them.
 
     classification[k] is ("twin", tree index), ("type_a", elevator weight)
     or ("free",) for pairs[k]; twin_trees[t] summarises twin tree t.
     """
 
-    base: FloorDiagram
-    pairs: tuple[tuple[int, int], ...]
     classification: tuple[tuple, ...]
     twin_trees: tuple[TwinTreeSummary, ...]
 
@@ -374,17 +283,6 @@ def check_pairs(pair_positions: Iterable[tuple[int, int]],
             raise ValueError("merge pairs must be disjoint")
         used.update((a, b))
     return pairs
-
-
-def merge(diagram: FloorDiagram,
-          pair_positions: Iterable[tuple[int, int]]) -> MergedFloorDiagram:
-    """Merge the given disjoint adjacent position pairs into double points.
-
-    Positions are 0-based; a malformed pair list raises ValueError.  Two
-    blacks at adjacent positions p, p + 1 of a valid diagram always carry
-    overlapping elevators, as each elevator spans both p and p + 1.
-    """
-    return classify(diagram, check_pairs(pair_positions, diagram.n))
 
 
 # A row has thousands of twin trees but few distinct summaries (6 on the
@@ -445,26 +343,27 @@ def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
                 stack.extend((c, partner[c], u, v, wc) for c, wc in kids)
             else:
                 floors = len(points) - len(marks)
-                _require(len(marks) == floors + unbounded,
-                         f"twin tree on points {sorted(points)} miscounts its elevator pairs")
+                if len(marks) != floors + unbounded:
+                    raise ValueError(f"invalid floor diagram: twin tree on points "
+                                     f"{sorted(points)} miscounts its elevator pairs")
                 trees.append(_twin_tree_summary(tuple(sorted(points)), tuple(sorted(
                     marks, key=lambda mark: mark[1])), m_root, unbounded))
     return sorted(trees, key=lambda tree: tree.elevator_marks[0][1])
 
 
-def classify(diagram: FloorDiagram,
-             pairs: tuple[tuple[int, int], ...]) -> MergedFloorDiagram:
-    """The merged diagram, each pair labelled twin tree member, type A, or free.
+def classify(diagram: FloorDiagram, pairs: tuple[tuple[int, int], ...]) -> PairLabels:
+    """Each merged pair labelled twin tree member, type A, or free.
 
-    pairs must be check_pairs output for the diagram, as in merge(),
-    counting.merged_classes() and counting.resolve_pairs(), which check them.
-    Without pairs there is nothing to label, and no work is done.
+    pairs must be check_pairs output for the diagram, as in
+    counting.merged_classes() and counting.resolve_pairs(), which check
+    them.  Without pairs there is nothing to label, and no work is done.
+    A pair (a, a + 1) off the twin trees is type A when an edge joins its
+    two positions, read from the neighbours of a.
     """
     if not pairs:
-        return MergedFloorDiagram(diagram, pairs, (), ())
-    edge_set, nbrs = {}, {u: [] for u in _pair_maps(pairs)[0]}
+        return PairLabels((), ())
+    nbrs = {u: [] for u in _pair_maps(pairs)[0]}
     for u, v, w in diagram.edges:
-        edge_set[u, v] = w
         if u in nbrs:
             nbrs[u].append((v, w))
         if v in nbrs:
@@ -472,11 +371,11 @@ def classify(diagram: FloorDiagram,
     trees = _twin_trees(diagram, pairs, nbrs)
     tree_of_pair = {i - 1: t for t, tree in enumerate(trees) for i in tree.point_indices}
     labels = []
-    for k, pair in enumerate(pairs):
+    for k, (a, b) in enumerate(pairs):
         if k in tree_of_pair:
             labels.append(("twin", tree_of_pair[k]))
-        elif pair in edge_set:
-            labels.append(("type_a", edge_set[pair]))
+        elif joined := [w for c, w in nbrs[a] if c == b]:
+            labels.append(("type_a", joined[0]))
         else:
             labels.append(("free",))
-    return MergedFloorDiagram(diagram, pairs, tuple(labels), tuple(trees))
+    return PairLabels(tuple(labels), tuple(trees))

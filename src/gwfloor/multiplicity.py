@@ -3,7 +3,6 @@
 Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 
 * m_a1(m)            -- a bounded edge of weight m (one factor per edge),
-* edge_mult(m)       -- a whole non-twin bounded elevator, = m_a1(m)^2,
 * twin_edge_mult     -- a twin elevator pair carrying the point q_i,
 * gamma(m, i)        -- a floor merged with the adjacent elevator point,
 * gwring.beta_elem   -- a free double point,
@@ -12,17 +11,16 @@ Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 The multiplicity of a merged diagram is the product of these factors, so
 it depends only on its local-factor signature: the twin-tree summaries,
 the pair labels, and the sorted weights of the edges that no label
-absorbs (`signature`, of a diagram, its pairs and their labels, so that
-a count builds no merged-diagram record; which edges a label absorbs is
-said once, in `absorbed_since`).  `signature_mult` evaluates a
-signature, and `diagram_mult` is `signature_mult` of a merged diagram's
-signature; `counting.count` evaluates each distinct signature of a row
-with pairs once, and sums the row without pairs from m_a1 over the state
-graph.
+absorbs.  Which edges a label absorbs is said once, in `absorbed_since`,
+per edge as the first prefix of the pairs whose labels absorb it, so
+that `row_signature` reads the signature of every row of a cover from
+one diagram's labels.  `signature_mult` evaluates a signature;
+`counting.count` evaluates each distinct signature of a row with pairs
+once, and sums the row without pairs from m_a1 over the state graph.
 
 The factors that `signature_mult` multiplies are cached by (weight,
 index, s) and the twin-tree factor by (tree, s), safe as GwElem is
-immutable.  edge_mult is not: no count calls it.
+immutable.
 """
 
 from __future__ import annotations
@@ -41,14 +39,6 @@ def m_a1(m: int, num_params: int) -> GwElem:
     if m % 2 == 1:
         return GwElem.symbol(m, (), num_params) + ((m - 1) // 2) * h(num_params)
     return (m // 2) * h(num_params)
-
-
-def edge_mult(m: int, num_params: int = 0) -> GwElem:
-    if m < 1:
-        raise ValueError("edge weight must be positive")
-    if m % 2 == 1:
-        return one(num_params) + ((m * m - 1) // 2) * h(num_params)
-    return (m * m // 2) * h(num_params)
 
 
 @lru_cache(maxsize=None)
@@ -145,20 +135,13 @@ def absorbed_since(diagram, pairs, classification, twin_trees) -> tuple:
     return tuple([w for w, _ in edges]), tuple([x for _, x in edges])
 
 
-def signature(diagram, pairs, classification, twin_trees) -> tuple:
-    """The local-factor signature of a floor diagram with labelled pairs.
-
-    (twin_trees, classification, sorted weights of the remaining edges):
-    all that its multiplicity depends on.  The remaining edges are those
-    that no label absorbs (`absorbed_since`).
-    """
-    return row_signature(classification, twin_trees,
-                         absorbed_since(diagram, pairs, classification, twin_trees), len(pairs))
-
-
 def row_signature(classification, twin_trees, absorbed, s: int) -> tuple:
-    """The signature of a row of s pairs, from its labels and the
-    `absorbed_since` of any pairs that begin with its own."""
+    """The local-factor signature of a row of s pairs, from its labels
+    and the `absorbed_since` of any pairs that begin with its own.
+
+    (twin_trees, classification, sorted weights of the edges that the
+    row's labels do not absorb): all that its multiplicity depends on.
+    """
     weights, sinces = absorbed
     return twin_trees, classification, tuple([w for w, since in zip(weights, sinces) if since > s])
 
@@ -182,10 +165,3 @@ def signature_mult(sig: tuple, num_params: int) -> GwElem:
     for w in weights:
         total = total * m_a1(w, num_params)
     return total
-
-
-def diagram_mult(merged, num_params: int | None = None) -> GwElem:
-    """Total quadratic multiplicity of a merged floor diagram (see signature_mult)."""
-    s = len(merged.pairs) if num_params is None else num_params
-    return signature_mult(signature(merged.base, merged.pairs, merged.classification,
-                                    merged.twin_trees), s)

@@ -113,6 +113,12 @@ KNOWN_COMPLEX = {
     "p1xp1:2,5": 3840,
 }
 
+# Welschinger invariants W_d of the plane degrees past the tables: real
+# rational curves of degree d through 3d - 1 real points, counted with
+# signs, as listed by Itenberg, Kharlamov and Shustin, "Welschinger
+# invariant and enumeration of real rational curves", IMRN 2003.
+KNOWN_WELSCHINGER = {"p2:6": 2845440, "p2:7": 792731520}
+
 QUICK_SPECS = [
     "p2:2", "p2:3", "p1xp1:2,2", "p1xp1:2,3", "bl1:3,1", "bl1:4,2",
     "bl2:4,2,2", "bl2:4,2,1", "bl2:4,1,1", "bl3:3,1,1,1", "bl3:4,1,1,2",
@@ -121,9 +127,10 @@ QUICK_SPECS = [
 MERGE_INVARIANCE_SPECS = [("p2:3", 2), ("p1xp1:2,2", 2)]
 FULL_EXTRA_SPECS = ["p2:4", "p1xp1:2,4", "p1xp1:2,5"]
 # Further checks of verify --scope full: plane degrees past the tables,
-# whose s = 0 rank must be Kontsevich's N_d, and placements of 0-based
-# pairs whose count must equal the default placement's.  The bl2:5,1,1
-# placement merges a diagram that has a weight-2 twin elevator, which the
-# default rows of the specs above almost never reach.
+# whose s = 0 rank must be Kontsevich's N_d and whose s = 0 signature
+# Welschinger's W_d, and placements of 0-based pairs whose count must
+# equal the default placement's.  The bl2:5,1,1 placement merges a
+# diagram that has a weight-2 twin elevator, which the default rows of
+# the specs above almost never reach.
 FULL_KONTSEVICH_SPECS = ["p2:6", "p2:7"]
 FULL_PLACEMENTS = [("bl2:5,1,1", ((4, 5), (6, 7), (8, 9), (10, 11)))]

@@ -1,0 +1,129 @@
+"""Oracles that only tests use: checks and quantities that no command needs.
+
+validate checks a diagram against the definition of a floor diagram,
+swapped exchanges two adjacent positions, complex_mult and edge_mult are
+the complex multiplicities a quadratic one must reduce to, signature is
+the local-factor signature of one row, and witt_compare compares two
+counts in the Witt ring.
+"""
+
+import math
+
+from gwfloor.counting import count
+from gwfloor.degrees import DegreeSpec, end_spec, leak_budget, n_delta, white_spec
+from gwfloor.diagrams import INCOMING, OUTGOING, FloorDiagram
+from gwfloor.gwring import GwElem, GwMonomial, h, one
+from gwfloor.multiplicity import absorbed_since, row_signature
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"invalid floor diagram: {what}")
+
+
+def divergence(d: FloorDiagram, pos: int) -> int:
+    """Weight flowing into the vertex at pos minus weight flowing out."""
+    total = 0
+    for u, v, w in d.edges:
+        if v == pos:
+            total += w
+        elif u == pos:
+            total -= w
+    for p, direction in d.ends:
+        if p == pos:
+            total += 1 if direction == INCOMING else -1
+    return total
+
+
+def validate(d: FloorDiagram, spec: DegreeSpec) -> None:
+    """Raise ValueError unless d is a floor diagram of the degree."""
+    n = n_delta(spec)
+    _require(d.n == n, f"{d.n} positions, expected {n}")
+    w_count, _ = white_spec(spec)
+    minus, plus = leak_budget(spec)
+    inc, out = end_spec(spec)
+    _require(d.colors.count("w") == w_count, f"expected {w_count} floors")
+    _require(len(d.edges) == n - 1, f"expected {n - 1} edges")
+    nbrs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+    for u, v, w in d.edges:
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    # bipartite, connected (tree follows from edge count + connectivity)
+    for u, v, w in d.edges:
+        _require(u < v and w >= 1 and {d.colors[u], d.colors[v]} == {"w", "b"},
+                 f"edge {(u, v, w)} is not an ascending weighted white-black edge")
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for y, _ in nbrs[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    _require(len(seen) == n, "diagram is not connected")
+    got_minus = got_plus = 0
+    for i, c in enumerate(d.colors):
+        if c == "w":
+            leak = d.leaks[i]
+            _require(leak is not None and set(leak) <= {-1, 1}, f"leaks {leak} at {i}")
+            got_minus += leak.count(-1)
+            got_plus += leak.count(1)
+            _require(divergence(d, i) == sum(leak), f"floor {i} is unbalanced")
+            continue
+        _require(d.leaks[i] is None, f"black {i} carries leaks")
+        _require(divergence(d, i) == 0, f"black {i} is unbalanced")
+        deg_edges = nbrs[i]
+        deg_ends = [e for e in d.ends if e[0] == i]
+        if deg_ends:
+            _require(len(deg_ends) == 1 and len(deg_edges) == 1, f"black {i} valence")
+            _require(deg_edges[0][1] == 1, f"end at black {i} has weight > 1")
+            (other, _), (_, direction) = deg_edges[0], deg_ends[0]
+            _require((other > i) if direction == INCOMING else (other < i),
+                     f"end at black {i} points the wrong way")
+        else:
+            _require(len(deg_edges) == 2, f"black {i} is not bivalent")
+            (a, wa), (b, wb) = deg_edges
+            _require(wa == wb and min(a, b) < i < max(a, b), f"black {i} is no splice")
+    _require((got_minus, got_plus) == (minus, plus), "wrong leak counts")
+    _require(sum(1 for _, end in d.ends if end == INCOMING) == inc, "incoming ends")
+    _require(sum(1 for _, end in d.ends if end == OUTGOING) == out, "outgoing ends")
+
+
+def swapped(d: FloorDiagram, a: int) -> FloorDiagram:
+    """The diagram with the vertices at positions a and a + 1 exchanged."""
+    p = list(range(d.n))
+    p[a], p[a + 1] = a + 1, a  # an involution: old <-> new position
+    edges = [(p[u], p[v], w) if p[u] < p[v] else (p[v], p[u], w) for u, v, w in d.edges]
+    return FloorDiagram(
+        tuple([d.colors[i] for i in p]), tuple([d.leaks[i] for i in p]),
+        tuple(sorted(edges)), tuple(sorted([(p[i], end) for i, end in d.ends])))
+
+
+def complex_mult(d: FloorDiagram) -> int:
+    """The complex multiplicity: the product of the edge weights."""
+    return math.prod(w for _, _, w in d.edges)
+
+
+def edge_mult(m: int, num_params: int = 0) -> GwElem:
+    """A whole non-twin bounded elevator of weight m, = m_a1(m)^2."""
+    if m < 1:
+        raise ValueError("edge weight must be positive")
+    if m % 2 == 1:
+        return one(num_params) + ((m * m - 1) // 2) * h(num_params)
+    return (m * m // 2) * h(num_params)
+
+
+def signature(d: FloorDiagram, pairs, classification, twin_trees) -> tuple:
+    """The local-factor signature of d with its pairs labelled, as one row."""
+    return row_signature(classification, twin_trees,
+                         absorbed_since(d, pairs, classification, twin_trees), len(pairs))
+
+
+def witt_compare(spec1: DegreeSpec, spec2: DegreeSpec, s: int) -> GwElem:
+    """Difference of the two counts reduced modulo the hyperbolic form.
+
+    The returned element represents the Witt-ring class; compare it with
+    equals_mod against a multiple of <1>.
+    """
+    diff = count(spec1, s).total - count(spec2, s).total
+    n = diff.coeff(GwMonomial(1, (), -1))
+    return diff - n * h(s)

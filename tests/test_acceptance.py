@@ -19,18 +19,18 @@ import pytest
 
 from gwfloor.counting import (
     count, default_pairs, kontsevich, merged_classes, verify_merge_invariance,
-    verify_square_substitution, witt_compare,
+    verify_square_substitution,
 )
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.gwring import (
     BetaForm, GwElem, GwMonomial, beta_decompose, beta_elem, equals_mod, h, one,
 )
 from gwfloor.multiplicity import (
-    TwinTreeSummary, diagram_mult, edge_mult, gamma, m_a1,
-    twin_edge_mult, twin_tree_mult,
+    TwinTreeSummary, gamma, m_a1, signature_mult, twin_edge_mult, twin_tree_mult,
 )
 from gwfloor.tables import KNOWN_COUNTS, PUBLISHED_ERRATA
 
+from oracles import edge_mult, signature, witt_compare
 from wdvv import blowup_count
 
 
@@ -74,7 +74,8 @@ def test_criterion_01_table1_cubic_classes():
         spec = parse_degree("p2:3")
         reps = merged_classes(spec, default_pairs(3))
         assert len(reps) == 6
-        mults = [diagram_mult(m, 3) for m in reps]
+        mults = [signature_mult(signature(d, default_pairs(3), *labels), 3)
+                 for d, labels in reps]
         expected = [beta_elem(1, 3), beta_elem(2, 3), beta_elem(3, 3),
                     one(3), one(3), 2 * h(3)]
         remaining = list(mults)

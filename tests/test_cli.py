@@ -60,6 +60,16 @@ class TestCount:
         assert main(["count", "bad:spec"]) == EXIT_PARSE
         assert main(["count", "p2:3", "--pairs-count", "9"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("text,chunk", [
+        ("1,2,3", "1,2,3"), ("0,1", "0,1"), ("3,4;7", "7"), ("1,x", "1,x"),
+        ("1,2;", ""), ("2,-1", "2,-1"),
+    ])
+    def test_malformed_pairs_exit_code(self, capsys, text, chunk):
+        # the chunk is named as typed, not as a 0-based pair
+        assert main(["count", "p2:3", "--pairs", text]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            f"error: --pairs chunk {chunk!r} is not two positions >= 1\n"
+
 
 class TestTable:
     def test_cubic_block(self, capsys):
@@ -177,7 +187,7 @@ def _without_type_a(classify):
         merged = classify(diagram, pairs)
         labels = tuple(("free",) if label[0] == "type_a" else label
                        for label in merged.classification)
-        return dataclasses.replace(merged, classification=labels)
+        return merged._replace(classification=labels)
     return mutant
 
 

@@ -10,17 +10,19 @@ from gwfloor.cli import main
 from gwfloor.counting import (
     OrbitWeightError, _disjoint_adjacent_pairs, _reindex_drop_last, count, default_pairs,
     kontsevich, merged_classes, verify_merge_invariance, verify_rank_and_signatures,
-    verify_square_substitution, witt_compare,
+    verify_square_substitution,
 )
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, FloorDiagram, MergedFloorDiagram, check_pairs, classify, enumerate_diagrams, merge,
+    INCOMING, FloorDiagram, PairLabels, check_pairs, classify, enumerate_diagrams,
 )
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
-from gwfloor.multiplicity import absorbed_since, diagram_mult, m_a1, signature
-from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, QUICK_SPECS
+from gwfloor.multiplicity import absorbed_since, m_a1, signature_mult
+from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, KNOWN_WELSCHINGER, \
+    QUICK_SPECS
 
 from conftest import clear_count_caches
+from oracles import signature, validate, witt_compare
 from test_cli import CLASSIFY_MUTANTS
 from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
@@ -74,16 +76,16 @@ class TestCount:
     def test_per_signature_sum_is_per_class_sum(self, spec_str):
         spec = parse_degree(spec_str)
         for s in range(n_delta(spec) // 2 + 1):
-            reps = merged_classes(spec, default_pairs(s))
+            pairs = default_pairs(s)
             per_class = GwElem.zero(s)
-            for m in reps:
-                per_class = per_class + diagram_mult(m, s)
+            for d, labels in merged_classes(spec, pairs):
+                per_class = per_class + signature_mult(signature(d, pairs, *labels), s)
             assert count(spec, s).total == per_class, s
 
     def test_signatures_fewer_than_classes(self):
         # count() evaluates 58 products for this row, not 98
         reps = merged_classes(parse_degree("p2:4"), default_pairs(5))
-        sigs = {signature(m.base, m.pairs, m.classification, m.twin_trees) for m in reps}
+        sigs = {signature(d, default_pairs(5), *labels) for d, labels in reps}
         assert (len(reps), len(sigs)) == (98, 58)
 
 
@@ -106,10 +108,10 @@ class TestOrbitWeights:
             total, weight_sum = GwElem.zero(s), 0
             for d in diagrams:
                 joined = {(u, v) for u, v, _ in d.edges}
-                merged = merge(d, pairs)
+                labels = classify(d, pairs)
                 v = sum(pair not in joined for pair in pairs)
-                w = 2 ** (s - v + len(merged.twin_trees))
-                total = total + w * diagram_mult(merged, s)
+                w = 2 ** (s - v + len(labels.twin_trees))
+                total = total + w * signature_mult(signature(d, pairs, *labels), s)
                 weight_sum += w
             res = count(spec, s)
             assert total == 2 ** s * res.total, s
@@ -122,7 +124,7 @@ class TestRowCache:
     def test_no_merged_records_outlive_count(self):
         def live_records():
             gc.collect()
-            return sum(isinstance(o, MergedFloorDiagram) for o in gc.get_objects())
+            return sum(isinstance(o, PairLabels) for o in gc.get_objects())
 
         spec = parse_degree("p2:4")
         clear_count_caches()
@@ -170,8 +172,8 @@ class TestRowCache:
         assert (again.hits, again.misses) == (info.hits + 2, info.misses)
 
     def test_pairs_checked_per_row_not_per_class(self, monkeypatch):
-        # the diagrams are classified under the row's checked cover;
-        # merge() would check it again for every diagram
+        # the diagrams are classified under the row's checked cover, and
+        # no diagram checks it again
         calls = []
 
         def counted(*args):
@@ -179,7 +181,6 @@ class TestRowCache:
             return check_pairs(*args)
 
         monkeypatch.setattr(counting, "check_pairs", counted)
-        monkeypatch.setattr("gwfloor.diagrams.check_pairs", counted)
         spec = parse_degree("p2:4")
         per_row, classes = [], []
         for s in range(1, n_delta(spec) // 2 + 1):
@@ -207,7 +208,7 @@ class TestCoverRestriction:
         for d in enumerate_diagrams(spec):
             row = classify(d, pairs)
             j = sum((u, v) in pairs for u, v, _ in d.edges)
-            sums[signature(d, pairs, row.classification, row.twin_trees)] += \
+            sums[signature(d, pairs, *row)] += \
                 2 ** (len(row.twin_trees) + j)
         assert all(weight % 2 ** s == 0 for weight in sums.values()), pairs
         return tuple((sig, weight // 2 ** s) for sig, weight in sums.items())
@@ -241,18 +242,16 @@ class TestCoverRestriction:
             ((0, 8, 1), (1, 9, 1), (2, 5, 1), (3, 5, 1), (4, 5, 1), (5, 6, 1), (5, 7, 1),
              (6, 8, 1), (7, 9, 1), (8, 10, 1), (9, 11, 1), (10, 12, 1), (11, 13, 1)),
             tuple((i, INCOMING) for i in range(5)))
-        d.validate(parse_degree("p2:5"))
+        validate(d, parse_degree("p2:5"))
         cover = classify(d, default_pairs(7))
         assert [tree.point_indices for tree in cover.twin_trees] == [(1, 4, 5, 6, 7), (2,)]
-        weights, sinces = absorbed_since(d, default_pairs(7), cover.classification,
-                                         cover.twin_trees)
+        weights, sinces = absorbed_since(d, default_pairs(7), *cover)
         assert weights == tuple(sorted(w for _, _, w in d.edges))
         for s in range(1, 8):
             row = classify(d, default_pairs(s))
-            assert counting._restrict((cover.classification, cover.twin_trees), s) == \
-                (row.classification, row.twin_trees)
+            assert counting._restrict(cover, s) == row
             # the edges a row keeps are those its cover absorbs only later
-            assert signature(d, default_pairs(s), row.classification, row.twin_trees)[2] == \
+            assert signature(d, default_pairs(s), *row)[2] == \
                 tuple(w for w, since in zip(weights, sinces) if since > s)
         assert classify(d, default_pairs(2)).classification == (("free",), ("twin", 0))
 
@@ -298,8 +297,8 @@ class TestCrossPath:
 
     @staticmethod
     def assert_tallies_agree(spec, pairs):
-        classes = Counter(signature(m.base, m.pairs, m.classification, m.twin_trees)
-                          for m in merged_classes(spec, pairs))
+        classes = Counter(signature(d, pairs, *labels)
+                          for d, labels in merged_classes(spec, pairs))
         assert counting._signature_tally(spec, pairs) == tuple(classes.items()), pairs
 
     @pytest.mark.parametrize("spec_str", QUICK_SPECS)
@@ -341,7 +340,7 @@ class TestBranchCensus:
         for spec_str in QUICK_SPECS:
             spec = parse_degree(spec_str)
             for s in range(1, n_delta(spec) // 2 + 1):
-                for m in merged_classes(spec, default_pairs(s)):
+                for _, m in merged_classes(spec, default_pairs(s)):
                     for label in m.classification:
                         labels[label[0]] += 1
                         if label[0] == "type_a":
@@ -356,7 +355,7 @@ class TestBranchCensus:
 
     def test_full_placement_reaches_a_heavy_twin_elevator(self):
         (spec_str, pairs), = FULL_PLACEMENTS
-        weights = {w for m in merged_classes(parse_degree(spec_str), pairs)
+        weights = {w for _, m in merged_classes(parse_degree(spec_str), pairs)
                    for tree in m.twin_trees for w, _ in tree.elevator_marks}
         assert max(weights) >= 2
 
@@ -391,6 +390,12 @@ class TestRowWithoutPairs:
         res = count(parse_degree("p2:7"), 0)
         assert res.rank == kontsevich(7) == 14616808192
         assert res.class_count == 1413862091
+
+    def test_sextic_welschinger_invariant(self):
+        # the all-positive and all-negative signatures agree at s = 0
+        res = count(parse_degree("p2:6"), 0)
+        assert res.signature_all_positive == KNOWN_WELSCHINGER["p2:6"] == 2845440
+        assert res.signature_all_negative == res.signature_all_positive
 
     @pytest.mark.parametrize("spec_str,expected", [
         ("bl1:6,2", 6506400), ("bl2:6,2,1", 6506400), ("bl3:6,2,2,1", 1558272),

@@ -7,17 +7,20 @@ import pytest
 
 import gwfloor
 import gwfloor.counting as counting
+import gwfloor.diagrams as diagrams_module
 from gwfloor.cli import main
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, _twin_tree_summary, count_diagrams, enumerate_diagrams,
-    merge,
+    INCOMING, OUTGOING, FloorDiagram, PairLabels, _twin_tree_summary, check_pairs, classify,
+    count_diagrams, enumerate_diagrams,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, _swap_partners, default_pairs, \
     merged_classes
+from gwfloor.multiplicity import signature_mult
 
 from conftest import clear_count_caches
 from keying import canonical_key
+from oracles import complex_mult, signature, swapped, validate
 from test_degrees import FORCED_BUDGETS
 from twins import swap_fixing_sets
 from wdvv import blowup_count
@@ -37,13 +40,13 @@ class TestEnumeration:
     def test_cubic_complex_count(self):
         diagrams = enumerate_diagrams(parse_degree("p2:3"))
         assert len(diagrams) == 9
-        assert sum(d.complex_mult() for d in diagrams) == 12
+        assert sum(complex_mult(d) for d in diagrams) == 12
 
     @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
     def test_invariants_hold(self, spec_str):
         spec = parse_degree(spec_str)
         for diagram in enumerate_diagrams(spec):
-            diagram.validate(spec)
+            validate(diagram, spec)
 
     @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
     def test_duplicate_free(self, spec_str):
@@ -64,7 +67,7 @@ class TestEnumeration:
     def test_complex_count_against_wdvv_oracle(self, spec_str, expected):
         spec = parse_degree(spec_str)
         assert blowup_count(spec.family, spec.params) == expected
-        total = sum(d.complex_mult() for d in enumerate_diagrams(spec))
+        total = sum(complex_mult(d) for d in enumerate_diagrams(spec))
         assert total == expected
 
     @pytest.mark.parametrize("spec_str,expected", [
@@ -72,7 +75,7 @@ class TestEnumeration:
     ])
     def test_complex_count_quadric(self, spec_str, expected):
         spec = parse_degree(spec_str)
-        total = sum(d.complex_mult() for d in enumerate_diagrams(spec))
+        total = sum(complex_mult(d) for d in enumerate_diagrams(spec))
         assert total == expected
 
 
@@ -103,14 +106,14 @@ class TestMerge:
     def test_malformed_pairs_rejected(self):
         d = cubic_t2_diagram()
         with pytest.raises(ValueError):
-            merge(d, [(0, 2)])
+            check_pairs([(0, 2)], d.n)
         with pytest.raises(ValueError):
-            merge(d, [(0, 1), (1, 2)])
+            check_pairs([(0, 1), (1, 2)], d.n)
 
     def test_twin_tree_t2_shape(self):
         d = cubic_t2_diagram()
-        d.validate(parse_degree("p2:3"))
-        m = merge(d, [(4, 5), (6, 7)])
+        validate(d, parse_degree("p2:3"))
+        m = classify(d, ((4, 5), (6, 7)))
         trees = m.twin_trees
         assert len(trees) == 1
         tree = trees[0]
@@ -122,27 +125,27 @@ class TestMerge:
 
     def test_no_double_merges_no_trees(self):
         d = cubic_t2_diagram()
-        m = merge(d, [(3, 4)])  # white + adjacent black
+        m = classify(d, ((3, 4),))  # white + adjacent black
         assert m.twin_trees == ()
         assert m.classification == (("type_a", 1),)
 
     def test_no_pairs_no_work(self, monkeypatch):
-        def unused(self):
-            raise AssertionError("neighbors() built without pairs")
-        monkeypatch.setattr(FloorDiagram, "neighbors", unused)
-        m = merge(cubic_t2_diagram(), [])
-        assert (m.pairs, m.classification, m.twin_trees) == ((), (), ())
+        def unused(*args):
+            raise AssertionError("pairs looked for without pairs")
+        monkeypatch.setattr(diagrams_module, "_pair_maps", unused)
+        monkeypatch.setattr(diagrams_module, "_twin_trees", unused)
+        assert classify(cubic_t2_diagram(), ()) == PairLabels((), ())
 
     def test_asymmetric_double_elevator_is_free(self):
         d = quadric_asymmetric_diagram()
-        d.validate(parse_degree("p1xp1:2,2"))
-        m = merge(d, [(3, 4)])  # outgoing-end black with a splice black
+        validate(d, parse_degree("p1xp1:2,2"))
+        m = classify(d, ((3, 4),))  # outgoing-end black with a splice black
         assert m.twin_trees == ()
         assert m.classification == (("free",),)
 
     def test_simplest_twin_tree(self):
         d = cubic_t2_diagram()
-        m = merge(d, [(0, 1)])  # two incoming ends into the same floor
+        m = classify(d, ((0, 1),))  # two incoming ends into the same floor
         trees = m.twin_trees
         assert len(trees) == 1
         assert trees[0].t == 1
@@ -157,8 +160,8 @@ class TestMerge:
                    (5, 6, 1), (6, 7, 1)),
             ends=((0, INCOMING), (1, INCOMING), (2, INCOMING)),
         )
-        d.validate(parse_degree("p2:3"))
-        m = merge(d, [(0, 1)])
+        validate(d, parse_degree("p2:3"))
+        m = classify(d, ((0, 1),))
         assert m.twin_trees == ()
         assert m.classification == (("free",),)
 
@@ -174,8 +177,8 @@ class TestMerge:
                    (9, 11, 1)),
             ends=((0, INCOMING), (1, INCOMING), (2, INCOMING)),
         )
-        d.validate(parse_degree("bl2:5,1,1"))
-        m = merge(d, [(4, 5), (6, 7), (8, 9), (10, 11)])
+        validate(d, parse_degree("bl2:5,1,1"))
+        m = classify(d, ((4, 5), (6, 7), (8, 9), (10, 11)))
         (tree,) = m.twin_trees
         assert tree.point_indices == (1, 2, 3, 4)
         assert tree.elevator_marks == ((2, 1), (1, 3))
@@ -186,9 +189,9 @@ class TestMerge:
 
 class TestTwinTreeSummaries:
     def test_repeated_summary_is_one_object(self):
-        first = merge(cubic_t2_diagram(), [(4, 5), (6, 7)]).twin_trees[0]
-        assert merge(cubic_t2_diagram(), [(4, 5), (6, 7)]).twin_trees[0] is first
-        trees = [tree for m in merged_classes(parse_degree("p2:4"), default_pairs(3))
+        first = classify(cubic_t2_diagram(), ((4, 5), (6, 7))).twin_trees[0]
+        assert classify(cubic_t2_diagram(), ((4, 5), (6, 7))).twin_trees[0] is first
+        trees = [tree for _, m in merged_classes(parse_degree("p2:4"), default_pairs(3))
                  for tree in m.twin_trees]
         assert len({id(tree) for tree in trees}) == len(set(trees)) < len(trees)
 
@@ -228,13 +231,13 @@ class TestClassify:
             ends=((0, INCOMING), (1, INCOMING), (2, INCOMING),
                   (6, OUTGOING), (7, OUTGOING), (8, OUTGOING)),
         )
-        d.validate(parse_degree("p1xp1:2,3"))
-        m = merge(d, [(4, 5)])
+        validate(d, parse_degree("p1xp1:2,3"))
+        m = classify(d, ((4, 5),))
         assert m.classification == (("type_a", 3),)
 
     def test_non_adjacent_black_is_free(self):
         d = cubic_t2_diagram()
-        m = merge(d, [(5, 6)])  # splice black 5 feeds floor 7, merged with 6
+        m = classify(d, ((5, 6),))  # splice black 5 feeds floor 7, merged with 6
         assert m.classification == (("free",),)
 
 
@@ -252,7 +255,7 @@ class TestCanonicalKey:
 
     def test_cubic_classes_distinct(self):
         reps = merged_classes(parse_degree("p2:3"), default_pairs(3))
-        keys = [canonical_key(m.base, m.pairs) for m in reps]
+        keys = [canonical_key(d, default_pairs(3)) for d, _ in reps]
         assert len(set(keys)) == 6
 
     def test_preimage_collapse(self):
@@ -289,24 +292,24 @@ class TestMergedClasses:
         diagrams = enumerate_diagrams(spec)
         for pairs in placements:
             reps = merged_classes(spec, pairs)
-            rep_keys = [canonical_key(m.base, m.pairs) for m in reps]
+            rep_keys = [canonical_key(d, pairs) for d, _ in reps]
             assert len(set(rep_keys)) == len(reps), pairs
             keys = {canonical_key(d, pairs) for d in diagrams}
             assert keys == set(rep_keys), pairs
-            # diagram_mult reads the twin-tree vertices off the pair labels
-            for m in reps:
+            # the local factors read the twin-tree vertices off the pair labels
+            for d, m in reps:
                 for t, tree in enumerate(m.twin_trees):
                     labelled = {k + 1 for k, label in enumerate(m.classification)
                                 if label == ("twin", t)}
                     assert set(tree.point_indices) == labelled, (pairs, m)
                 twins = {frozenset(tree.point_indices) for tree in m.twin_trees}
-                assert twins == swap_fixing_sets(m.base, m.pairs), (pairs, m)
+                assert twins == swap_fixing_sets(d, pairs), (pairs, m)
 
     def test_representatives_first_seen(self):
         spec = parse_degree("p2:4")
         diagrams = enumerate_diagrams(spec)
         reps = merged_classes(spec, default_pairs(3))
-        positions = [diagrams.index(m.base) for m in reps]
+        positions = [diagrams.index(d) for d, _ in reps]
         assert positions == sorted(positions) and positions[0] == 0
 
     @pytest.mark.parametrize("pairs,message", [
@@ -325,7 +328,7 @@ class TestMergedClasses:
         spec = parse_degree(spec_str)
         index = {d: i for i, d in enumerate(enumerate_diagrams(spec))}
         for a in range(n_delta(spec) - 1):
-            plain = tuple(index.get(d.swapped(a)) for d in enumerate_diagrams(spec))
+            plain = tuple(index.get(swapped(d, a)) for d in enumerate_diagrams(spec))
             assert _swap_partners(spec, a) == plain, a
             joined = tuple(any((u, v) == (a, a + 1) for u, v, _ in d.edges)
                            for d in enumerate_diagrams(spec))
@@ -344,9 +347,8 @@ class TestMergedClasses:
         assert main(["enumerate", "p2:4", "--pairs-count", "3"]) == 0
         listing = capsys.readouterr().out
 
-        def unused(self, a):
-            raise AssertionError("FloorDiagram.swapped called")
-        monkeypatch.setattr(FloorDiagram, "swapped", unused)
+        # the package has no swap builder; the partners come from packed keys
+        assert not hasattr(FloorDiagram, "swapped")
         counting._swap_partners.cache_clear()
         clear_count_caches()
         assert [counting.count(spec, s) for spec, s in rows] == expected
@@ -356,26 +358,26 @@ class TestMergedClasses:
 
     def test_swap_is_an_involution(self):
         d = cubic_t2_diagram()
-        assert d.swapped(4).swapped(4) == d
-        assert d.swapped(4) != d
+        assert swapped(swapped(d, 4), 4) == d
+        assert swapped(d, 4) != d
 
 
 class TestValidateRaises:
     def test_wrong_degree(self):
         with pytest.raises(ValueError, match="positions"):
-            cubic_t2_diagram().validate(parse_degree("p1xp1:2,2"))
+            validate(cubic_t2_diagram(), parse_degree("p1xp1:2,2"))
 
     def test_broken_elevator(self):
         d = cubic_t2_diagram()
         bad = FloorDiagram(d.colors, d.leaks,
                            d.edges[:-1] + ((5, 7, 2),), d.ends)
         with pytest.raises(ValueError):
-            bad.validate(parse_degree("p2:3"))
+            validate(bad, parse_degree("p2:3"))
 
     def test_swapped_type_a_pair(self):
         # the floor would sit below the black that feeds it
         with pytest.raises(ValueError, match="unbalanced"):
-            cubic_t2_diagram().swapped(2).validate(parse_degree("p2:3"))
+            validate(swapped(cubic_t2_diagram(), 2), parse_degree("p2:3"))
 
     def test_no_asserts_in_package(self):
         # checks must hold under python -O, which strips assert statements
@@ -386,25 +388,22 @@ class TestValidateRaises:
         assert found == []
 
     def test_merged_record_has_no_defaults(self):
-        # classify builds every field, so no half-built record can exist
-        path = Path(gwfloor.__file__).parent / "diagrams.py"
-        (cls,) = [node for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.ClassDef) and node.name == "MergedFloorDiagram"]
-        fields = [(node.target.id, node.value is not None)
-                  for node in cls.body if isinstance(node, ast.AnnAssign)]
-        assert fields == [("base", False), ("pairs", False),
-                          ("classification", False), ("twin_trees", False)]
+        # classify builds both fields, so no half-built labels can exist
+        assert PairLabels._fields == ("classification", "twin_trees")
+        assert PairLabels._field_defaults == {}
+        with pytest.raises(TypeError):
+            PairLabels(())
 
 
 class TestClassSoundness:
     @pytest.mark.parametrize("spec_str", ["p2:3", "p1xp1:2,2", "bl3:3,1,1,1",
                                           "p1xp1:2,3", "bl2:4,2,1"])
     def test_rank_preserved_by_merging(self, spec_str):
-        from gwfloor.multiplicity import diagram_mult
         spec = parse_degree(spec_str)
         diagrams = enumerate_diagrams(spec)
-        complex_total = sum(d.complex_mult() for d in diagrams)
+        complex_total = sum(complex_mult(d) for d in diagrams)
         for s in range(n_delta(spec) // 2 + 1):
-            reps = merged_classes(spec, default_pairs(s))
-            total_rank = sum(diagram_mult(m, s).rank() for m in reps)
+            pairs = default_pairs(s)
+            total_rank = sum(signature_mult(signature(d, pairs, *m), s).rank()
+                             for d, m in merged_classes(spec, pairs))
             assert total_rank == complex_total

@@ -7,12 +7,10 @@ import pytest
 
 import gwfloor
 from gwfloor.gwring import GwElem, GwMonomial, beta_elem, equals_mod, h, one
-from gwfloor.multiplicity import (
-    TwinTreeSummary, edge_mult, gamma, m_a1, twin_edge_mult,
-    twin_tree_mult,
-)
+from gwfloor.multiplicity import TwinTreeSummary, gamma, m_a1, twin_edge_mult, twin_tree_mult
 
 from kummer import trace_kummer
+from oracles import edge_mult
 
 S = 6  # ambient parameter count used throughout
 
