@@ -111,8 +111,14 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _resolve_args_pairs(args, spec) -> tuple[tuple[int, int], ...]:
-    """The checked pairs named by --pairs and --pairs-count."""
+    """The checked pairs named by --pairs and --pairs-count; ValueError,
+    naming the pair 1-based, if a --pairs pair is not adjacent or past n."""
     pairs = _parse_pairs(args.pairs) if args.pairs else None
+    n = n_delta(spec)
+    for a, b in map(sorted, pairs or ()):
+        if b != a + 1 or b >= n:
+            raise ValueError(f"--pairs pair {a + 1},{b + 1} is not an "
+                             f"adjacent position pair of 1..{n}")
     return resolve_pairs(spec, args.pairs_count, pairs)
 
 

@@ -132,5 +132,5 @@ FULL_EXTRA_SPECS = ["p2:4", "p1xp1:2,4", "p1xp1:2,5"]
 # equal the default placement's.  The bl2:5,1,1 placement merges a
 # diagram that has a weight-2 twin elevator, which the default rows of
 # the specs above almost never reach.
-FULL_KONTSEVICH_SPECS = ["p2:6", "p2:7"]
+FULL_KONTSEVICH_SPECS = list(KNOWN_WELSCHINGER)
 FULL_PLACEMENTS = [("bl2:5,1,1", ((4, 5), (6, 7), (8, 9), (10, 11)))]

@@ -110,6 +110,15 @@ class TestEnumerate:
         assert main(["enumerate", "p2:3", "--pairs", "1,3"]) == EXIT_PARSE
         assert "not an adjacent position pair" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,pair", [
+        ("1,3", "1,3"), ("3,1", "1,3"), ("3,4;8,9", "8,9"), ("9,10", "9,10"),
+    ])
+    def test_bad_pair_named_one_based(self, capsys, text, pair):
+        # p2:3 has positions 1..8; the pair is named 1-based, not 0-based
+        assert main(["count", "p2:3", "--pairs", text]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            f"error: --pairs pair {pair} is not an adjacent position pair of 1..8\n"
+
     def test_negative_pairs_count_exit_code(self, capsys):
         assert main(["enumerate", "p2:3", "--pairs-count", "-1"]) == EXIT_PARSE
         assert "need 0 <= 2s <= n" in capsys.readouterr().err

@@ -181,6 +181,7 @@ class TestRowCache:
             return check_pairs(*args)
 
         monkeypatch.setattr(counting, "check_pairs", counted)
+        monkeypatch.setattr("gwfloor.diagrams.check_pairs", counted)
         spec = parse_degree("p2:4")
         per_row, classes = [], []
         for s in range(1, n_delta(spec) // 2 + 1):
