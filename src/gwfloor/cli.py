@@ -26,7 +26,7 @@ import time
 from . import gwring
 from .counting import OrbitWeightError, count, kontsevich, merged_classes, resolve_pairs, \
     verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
-from .degrees import InvalidDegree, n_delta, parse_degree
+from .degrees import n_delta, parse_degree
 from .diagrams import count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan, equals_mod
 from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
@@ -97,9 +97,13 @@ def _csv_rows(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    """Parse 1-based "1,2;3,4" into 0-based position pairs; ValueError,
-    naming the chunk as typed, unless each chunk is two integers >= 1."""
+def _parse_pairs(text: str, n: int) -> list[tuple[int, int]]:
+    """Parse 1-based "1,2;3,4" into 0-based adjacent position pairs of 1..n.
+
+    ValueError, naming the chunk as typed, unless each chunk is two
+    integers >= 1; then, naming the pair 1-based, if a pair is not
+    adjacent or past n.
+    """
     pairs = []
     for chunk in text.split(";"):
         parts = [x.strip() for x in chunk.split(",")]
@@ -107,27 +111,17 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             raise ValueError(f"--pairs chunk {chunk!r} is not two positions >= 1")
         a, b = map(int, parts)
         pairs.append((a - 1, b - 1))
+    for a, b in map(sorted, pairs):
+        if b != a + 1 or b >= n:
+            raise ValueError(f"--pairs pair {a + 1},{b + 1} is not an "
+                             f"adjacent position pair of 1..{n}")
     return pairs
 
 
 def _resolve_args_pairs(args, spec) -> tuple[tuple[int, int], ...]:
-    """The checked pairs named by --pairs and --pairs-count; ValueError,
-    naming the pair 1-based, if a --pairs pair is not adjacent or past n."""
-    pairs = _parse_pairs(args.pairs) if args.pairs else None
-    n = n_delta(spec)
-    for a, b in map(sorted, pairs or ()):
-        if b != a + 1 or b >= n:
-            raise ValueError(f"--pairs pair {a + 1},{b + 1} is not an "
-                             f"adjacent position pair of 1..{n}")
+    """The checked pairs named by --pairs and --pairs-count."""
+    pairs = _parse_pairs(args.pairs, n_delta(spec)) if args.pairs else None
     return resolve_pairs(spec, args.pairs_count, pairs)
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _strip_timing(record: dict) -> dict:
@@ -147,7 +141,7 @@ def _parse_within_budget(args):
     return spec
 
 
-def _run_count(args) -> int:
+def _run_count(args) -> tuple[str, int]:
     spec = _parse_within_budget(args)
     pairs = _resolve_args_pairs(args, spec)
     t0 = time.monotonic()
@@ -155,15 +149,13 @@ def _run_count(args) -> int:
     ms = (time.monotonic() - t0) * 1000
     record = output_record(result, ms)
     if args.format == "json":
-        _emit(json.dumps(_strip_timing(record), sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_csv_rows([record]), args.out)
-    else:
-        _emit(render_beta_form(result.beta_form, args.ascii) + "\n", args.out)
-    return 0
+        return json.dumps(_strip_timing(record), sort_keys=True) + "\n", 0
+    if args.format == "csv":
+        return _csv_rows([record]), 0
+    return render_beta_form(result.beta_form, args.ascii) + "\n", 0
 
 
-def _run_table(args) -> int:
+def _run_table(args) -> tuple[str, int]:
     spec = _parse_within_budget(args)
     n = n_delta(spec)
     records, lines = [], []
@@ -175,16 +167,13 @@ def _run_table(args) -> int:
         lines.append(f"({result.r}, {s})  "
                      f"{render_beta_form(result.beta_form, args.ascii)}")
     if args.format == "json":
-        _emit(json.dumps([_strip_timing(r) for r in records],
-                         sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_csv_rows(records), args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return json.dumps([_strip_timing(r) for r in records], sort_keys=True) + "\n", 0
+    if args.format == "csv":
+        return _csv_rows(records), 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _run_enumerate(args) -> int:
+def _run_enumerate(args) -> tuple[str, int]:
     spec = _parse_within_budget(args)
     pairs = _resolve_args_pairs(args, spec)
     lines = [json.dumps({
@@ -196,8 +185,7 @@ def _run_enumerate(args) -> int:
         "pairs": [[a + 1, b + 1] for a, b in pairs],
         "classification": [list(c) for c in labels.classification],
     }, sort_keys=True) for d, labels in merged_classes(spec, pairs)]
-    _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
-    return 0
+    return "\n".join(lines) + ("\n" if lines else ""), 0
 
 
 def _spec_checks(spec, check_table: bool):
@@ -234,7 +222,7 @@ def _placement_checks(spec, pairs):
         equals_mod(count(spec, s, list(pairs)).total, count(spec, s).total), {}
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple[str, int]:
     # quick: every property for n <= 9; full adds the table reproductions,
     # degrees past the tables and a weight-2 twin elevator placement.
     full = args.scope == "full"
@@ -261,8 +249,7 @@ def _run_verify(args) -> int:
                              "error": str(exc)})
     report = {"scope": args.scope, "checks": checks,
               "failures": failures, "ok": not failures}
-    _emit(json.dumps(report, sort_keys=True) + "\n", args.out)
-    return 0 if not failures else 1
+    return json.dumps(report, sort_keys=True) + "\n", 0 if not failures else 1
 
 
 def _non_negative(text: str) -> int:
@@ -279,60 +266,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "toric del Pezzo surfaces via floor diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True, with_budget=True):
-        p.add_argument("--out", default=None, metavar="FILE")
-        if with_budget:
-            p.add_argument("--max-diagrams", type=_non_negative, default=None, metavar="N",
-                           help="exit 4 if the degree has more than N floor diagrams")
-        if with_format:
-            p.add_argument("--ascii", action="store_true")
-            p.add_argument("--format", choices=["text", "json", "csv"],
-                           default="text")
+    # one parent parser per flag group, so that each option is declared once
+    spec, pairs, out, budget, fmt, scope = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    spec.add_argument("spec")
+    pairs.add_argument("--pairs-count", type=int)
+    pairs.add_argument("--pairs", help="explicit 1-based adjacent pairs, e.g. '1,2;3,4'")
+    out.add_argument("--out", metavar="FILE")
+    budget.add_argument("--max-diagrams", type=_non_negative, metavar="N",
+                        help="exit 4 if the degree has more than N floor diagrams")
+    fmt.add_argument("--ascii", action="store_true")
+    fmt.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    scope.add_argument("--scope", choices=["quick", "full"], default="quick")
 
-    p = sub.add_parser("count", help="count one (degree, s) cell")
-    p.add_argument("spec")
-    p.add_argument("--pairs-count", type=int, default=None)
-    p.add_argument("--pairs", default=None,
-                   help="explicit 1-based adjacent pairs, e.g. '1,2;3,4'")
-    common(p)
-    p.set_defaults(func=_run_count)
-
-    p = sub.add_parser("table", help="all rows s = 0..n/2 of a degree")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=_run_table)
-
-    p = sub.add_parser("enumerate", help="emit merged-diagram classes as JSON")
-    p.add_argument("spec")
-    p.add_argument("--pairs-count", type=int, default=None)
-    p.add_argument("--pairs", default=None)
-    common(p, with_format=False)
-    p.set_defaults(func=_run_enumerate)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--scope", choices=["quick", "full"], default="quick")
-    common(p, with_format=False, with_budget=False)
-    p.set_defaults(func=_run_verify)
+    for name, help_text, parents, run in [
+            ("count", "count one (degree, s) cell", [spec, pairs, out, budget, fmt], _run_count),
+            ("table", "all rows s = 0..n/2 of a degree", [spec, out, budget, fmt], _run_table),
+            ("enumerate", "emit merged-diagram classes as JSON", [spec, pairs, out, budget],
+             _run_enumerate),
+            ("verify", "run the verification suite", [scope, out], _run_verify)]:
+        sub.add_parser(name, help=help_text, parents=parents).set_defaults(func=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its text to stdout or --out; every error
+    becomes one `error:` line on stderr and an exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InvalidDegree, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        text, code = args.func(args)
+    except ValueError as exc:  # InvalidDegree is one
+        message, code = str(exc), EXIT_PARSE
     except ResidualNotInSpan as exc:
-        print(f"error: count outside table format: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
+        message, code = f"count outside table format: {exc}", EXIT_RESIDUAL
     except OrbitWeightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
+        message, code = str(exc), EXIT_RESIDUAL
     except OverBudget as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        message, code = str(exc), EXIT_BUDGET
+    else:
+        if not args.out:
+            sys.stdout.write(text)
+            return code
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            message, code = f"cannot write --out {args.out}: {exc.strerror}", EXIT_PARSE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -248,25 +248,22 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
     each of its edges closes a strand in exactly one move of the path.  So
     the sum is total(root), where total(top) = <1> and total(state) is the
     sum over its kept moves of total(child) times m_a1 of every strand the
-    move closes (Stanley's transfer-matrix method).
+    move closes (Stanley's transfer-matrix method).  The moves come in
+    post-order, so one forward pass meets every child before its parent.
     """
     root, moves, _ = _state_graph(spec)
     n = n_delta(spec)
     m_a1 = multiplicity.m_a1  # read at call time, so a patched factor is used
     totals: dict = {}
-
-    def total(state) -> GwElem:
-        if state not in totals:
-            acc = one(0) if state[0] == n else GwElem.zero(0)
-            for (_, closed, _, _), child in moves[state]:
-                term = total(child)
-                for _, w in closed:
-                    term = term * m_a1(w, 0)
-                acc = acc + term
-            totals[state] = acc
-        return totals[state]
-
-    return total(root)
+    for state, kept in moves.items():
+        acc = one(0) if state[0] == n else GwElem.zero(0)
+        for (_, closed, _, _), child in kept:
+            term = totals[child]
+            for _, w in closed:
+                term = term * m_a1(w, 0)
+            acc = acc + term
+        totals[state] = acc
+    return totals[root]
 
 
 def count(spec: DegreeSpec, s: int,

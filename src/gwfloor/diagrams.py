@@ -122,7 +122,9 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
     weight), layout, end): the new strands are the old ones at the layout
     indices, -1 standing for a strand that starts at the position.  Moves
     are listed in sweep order and kept only if their child has a completion.
-    Built once per degree; the dict is shared, so callers must not mutate it.
+    The dict is in post-order: every kept child comes before its parent,
+    and the root comes last.  Built once per degree; the dict is shared,
+    so callers must not mutate it.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)

@@ -11,9 +11,10 @@ relation family 2<m> = 2<2m>.
 Square classes form an F_2-vector space.  GwElem maps the mask of each
 class to its coefficient: bit 0 is the sign, bit i (1 <= i <= MAX_PARAMS)
 is d_i and bit MAX_PARAMS + 1 + j is the j-th prime in ascending order, so
-a product of classes is one XOR and a mask means the same in every
-process.  GwMonomial is the readable form of a class, used only to build
-elements and to read them out.
+a product of classes is one XOR.  The fixed prime order makes the prime 2
+prime bit 0, so the mask _TWO of <2> is a constant.  GwMonomial is the
+readable form of a class, used only to build elements and to read them
+out.
 """
 
 from __future__ import annotations
@@ -286,8 +287,9 @@ class BetaForm:
     beta_coeffs: tuple[int, ...]
     one_coeff: int
 
-    def expand(self, num_params: int | None = None) -> GwElem:
-        s = len(self.beta_coeffs) if num_params is None else num_params
+    def expand(self) -> GwElem:
+        """The element over s = len(beta_coeffs) parameters."""
+        s = len(self.beta_coeffs)
         total = self.h_coeff * h(s) + self.one_coeff * one(s)
         for l, c in enumerate(self.beta_coeffs, start=1):
             if c:
@@ -357,7 +359,7 @@ def beta_decompose(e: GwElem) -> BetaForm:
         raise ResidualNotInSpan(
             f"residual {remainder - candidate} not in the two-shift lattice")
     form = BetaForm(h_coeff, tuple(cs[1:]), one_coeff)
-    if not equals_mod(form.expand(s), e):
+    if not equals_mod(form.expand(), e):
         raise ResidualNotInSpan(f"{form} does not expand back to {e}")
     return form
 

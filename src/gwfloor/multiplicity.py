@@ -19,8 +19,8 @@ one diagram's labels.  `signature_mult` evaluates a signature;
 once, and sums the row without pairs from m_a1 over the state graph.
 
 The factors that `signature_mult` multiplies are cached by (weight,
-index, s) and the twin-tree factor by (tree, s), safe as GwElem is
-immutable.
+index, s) and the twin-tree factor, with its twin-edge factors, by
+(tree, s), safe as GwElem is immutable.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ def m_a1(m: int, num_params: int) -> GwElem:
     return (m // 2) * h(num_params)
 
 
-@lru_cache(maxsize=None)
 def twin_edge_mult(m: int, i: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")

@@ -1,12 +1,20 @@
+import argparse
 import dataclasses
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gwfloor
 import gwfloor.diagrams as diagrams
 import gwfloor.multiplicity as multiplicity
 import gwfloor.counting as counting
-from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, main, render_beta_form
+from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, build_parser, main, \
+    render_beta_form
 from gwfloor.gwring import BetaForm, GwElem
 
 from betatext import parse_beta_text
@@ -175,6 +183,53 @@ def test_removed_flags_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_PARSE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _subcommand_parsers() -> dict:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestOptions:
+    def test_option_strings_per_subcommand(self):
+        got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in _subcommand_parsers().items()}
+        assert got == {
+            "count": {"--pairs-count", "--pairs", "--out", "--max-diagrams", "--ascii",
+                      "--format"},
+            "table": {"--out", "--max-diagrams", "--ascii", "--format"},
+            "enumerate": {"--pairs-count", "--pairs", "--out", "--max-diagrams"},
+            "verify": {"--scope", "--out"},
+        }
+
+    def test_pair_flags_have_one_help_text(self):
+        parsers = _subcommand_parsers()
+        count_help, enumerate_help = (
+            {a.dest: a.help for a in parsers[name]._actions if "pairs" in a.dest}
+            for name in ("count", "enumerate"))
+        assert enumerate_help == count_help
+        assert count_help["pairs"]
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "p2:3"], ["table", "p2:3"], ["enumerate", "p2:3"], ["verify"],
+    ], ids=["count", "table", "enumerate", "verify"])
+    def test_unwritable_out_exit_code(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.json"
+        assert main(argv + ["--out", str(target)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: cannot write --out {target}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_entry_point_under_optimize(self):
+        # the installed script runs cli.main; -O drops every assert
+        src = str(Path(gwfloor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gwfloor.cli", "count", "p2:3", "--pairs-count", "3"],
+            capture_output=True, encoding="utf-8", env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2h + β^{(1)} + 2⟨1⟩\n"
 
 
 class TestRendering:

@@ -11,8 +11,8 @@ import gwfloor.diagrams as diagrams_module
 from gwfloor.cli import main
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, PairLabels, _twin_tree_summary, check_pairs, classify,
-    count_diagrams, enumerate_diagrams,
+    INCOMING, OUTGOING, FloorDiagram, PairLabels, _state_graph, _twin_tree_summary, check_pairs,
+    classify, count_diagrams, enumerate_diagrams,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, _swap_partners, default_pairs, \
     merged_classes
@@ -57,6 +57,16 @@ class TestEnumeration:
     def test_path_count_is_diagram_count(self, spec_str):
         spec = parse_degree(spec_str)
         assert count_diagrams(spec) == len(enumerate_diagrams(spec))
+
+    @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
+    def test_state_graph_in_post_order(self, spec_str):
+        # the s = 0 row sums the graph in one forward pass over this order
+        root, moves, _ = _state_graph(parse_degree(spec_str))
+        seen = set()
+        for state, kept in moves.items():
+            assert all(child in seen for _, child in kept), state
+            seen.add(state)
+        assert state == root
 
     @pytest.mark.parametrize("spec_str,expected", [
         ("p2:3", 12), ("p2:4", 620),
