@@ -120,7 +120,7 @@ def _parse_pairs(text: str, n: int) -> list[tuple[int, int]]:
 
 def _resolve_args_pairs(args, spec) -> tuple[tuple[int, int], ...]:
     """The checked pairs named by --pairs and --pairs-count."""
-    pairs = _parse_pairs(args.pairs, n_delta(spec)) if args.pairs else None
+    pairs = _parse_pairs(args.pairs, n_delta(spec)) if args.pairs is not None else None
     return resolve_pairs(spec, args.pairs_count, pairs)
 
 
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except OverBudget as exc:
         message, code = str(exc), EXIT_BUDGET
     else:
-        if not args.out:
+        if args.out is None:
             sys.stdout.write(text)
             return code
         try:

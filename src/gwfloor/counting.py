@@ -17,8 +17,9 @@ profiles (1320 of 25871 diagrams on p2:5), restricting the labels to the
 row (`_restrict`), which is exact by the argument at the end of the
 `diagrams` docstring: the cover of a default row is the full default
 placement default_pairs(n // 2), whose first s pairs are the row's, and
-the cover of any other placement is its pairs.  Only the tallies are
-cached, as verify repeats rows; no labels or profile outlive the pass.
+the cover of any other placement is its pairs.  Only the sums are
+cached, as verify repeats rows; each read of a row divides them
+(`_signature_tally`), and no labels or profile outlive the pass.
 
 merged_classes() lists the classes themselves, for `enumerate`: per
 pair, each diagram takes the lesser first-seen label of itself and of its
@@ -179,8 +180,8 @@ class OrbitWeightError(Exception):
 
 @lru_cache(maxsize=256)
 def _cover_tallies(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> dict:
-    """Per row of the cover, its (signature, number of classes) per
-    distinct signature, or the text of its OrbitWeightError.
+    """Per row of the cover, its (signature, orbit-weight sum) per
+    distinct signature.
 
     The rows of the default cover are its prefixes cover[:s]; any other
     cover has one row, itself.  Each diagram is classified once, under
@@ -211,34 +212,25 @@ def _cover_tallies(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> dict
             classification, trees = restricted[e]
             sums[row_signature(classification, trees, absorbed, s)] += \
                 k << (len(trees) + (joined & starts).bit_count())
-        tallies[s] = _whole_classes(spec, cover[:s], sums)
+        tallies[s] = tuple(sums.items())
     return tallies
 
 
-def _whole_classes(spec: DegreeSpec, pairs, sums: Counter) -> tuple | str:
-    """Each signature's orbit-weight sum divided by 2^s, or the text of
-    the OrbitWeightError of the first sum that is no multiple of it."""
+def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tuple:
+    """(signature, number of classes) per distinct signature of the row:
+    its cover's orbit-weight sums divided by 2^s, OrbitWeightError at the
+    first sum that is no multiple of it."""
     s = len(pairs)
+    cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
     tally = []
-    for sig, weight in sums.items():
+    for sig, weight in _cover_tallies(spec, cover)[s]:
         k, rest = divmod(weight, 1 << s)
         if rest:
             named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
-            return (f"{spec} with pairs {named}: the orbit weights of a "
-                    f"signature sum to {weight}, not a multiple of 2^{s}")
+            raise OrbitWeightError(f"{spec} with pairs {named}: the orbit weights of a "
+                                   f"signature sum to {weight}, not a multiple of 2^{s}")
         tally.append((sig, k))
     return tuple(tally)
-
-
-def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tuple:
-    """(signature, number of classes) per distinct signature of the row,
-    from its cover's tallies; OrbitWeightError if they are not whole."""
-    s = len(pairs)
-    cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
-    tally = _cover_tallies(spec, cover)[s]
-    if isinstance(tally, str):
-        raise OrbitWeightError(tally)
-    return tally
 
 
 def _edge_product_sum(spec: DegreeSpec) -> GwElem:
@@ -324,15 +316,10 @@ def verify_square_substitution(spec: DegreeSpec, s: int) -> bool:
 
 def verify_merge_invariance(spec: DegreeSpec, s: int) -> bool:
     """The count does not depend on which adjacent position pairs merge."""
-    n = n_delta(spec)
-    baseline = None
-    for pairs in _disjoint_adjacent_pairs(n, s):
-        total = count(spec, s, list(pairs)).total
-        if baseline is None:
-            baseline = total
-        elif not equals_mod(total, baseline):
-            return False
-    return True
+    totals = (count(spec, s, list(pairs)).total
+              for pairs in _disjoint_adjacent_pairs(n_delta(spec), s))
+    first = next(totals, None)
+    return all(equals_mod(total, first) for total in totals)
 
 
 def _disjoint_adjacent_pairs(n: int, s: int):
@@ -346,32 +333,20 @@ def _disjoint_adjacent_pairs(n: int, s: int):
 def verify_rank_and_signatures(spec: DegreeSpec) -> dict:
     """Rank and all-positive signature are constant in s; the all-negative
     signature equals the <1>-coefficient of the beta presentation."""
-    n = n_delta(spec)
+    results = [count(spec, s) for s in range(n_delta(spec) // 2 + 1)]
+    rows = [{"r": res.r, "s": res.s, "rank": res.rank,
+             "sig_pos": res.signature_all_positive,
+             "sig_neg": res.signature_all_negative,
+             "one_coeff": res.beta_form.one_coeff} for res in results]
     report = {
-        "spec": str(spec), "rows": [], "rank_constant": True,
-        "signature_constant": True, "shustin_matches_one_coeff": True,
+        "spec": str(spec), "rows": rows,
+        "rank_constant": len({row["rank"] for row in rows}) == 1,
+        "signature_constant": len({row["sig_pos"] for row in rows}) == 1,
+        "shustin_matches_one_coeff": all(row["sig_neg"] == row["one_coeff"] for row in rows),
+        "rank": rows[0]["rank"],
+        "welschinger_sequence": [row["sig_neg"] for row in rows],
     }
-    rank0 = sig0 = None
-    for s in range(n // 2 + 1):
-        res = count(spec, s)
-        row = {
-            "r": res.r, "s": s, "rank": res.rank,
-            "sig_pos": res.signature_all_positive,
-            "sig_neg": res.signature_all_negative,
-            "one_coeff": res.beta_form.one_coeff,
-        }
-        report["rows"].append(row)
-        rank0 = res.rank if rank0 is None else rank0
-        sig0 = res.signature_all_positive if sig0 is None else sig0
-        if res.rank != rank0:
-            report["rank_constant"] = False
-        if res.signature_all_positive != sig0:
-            report["signature_constant"] = False
-        if res.signature_all_negative != res.beta_form.one_coeff:
-            report["shustin_matches_one_coeff"] = False
-    report["rank"] = rank0
-    report["welschinger_sequence"] = [row["sig_neg"] for row in report["rows"]]
     if spec.family == "p2":
         report["kontsevich"] = kontsevich(spec.params[0])
-        report["rank_matches_kontsevich"] = report["kontsevich"] == rank0
+        report["rank_matches_kontsevich"] = report["kontsevich"] == report["rank"]
     return report

@@ -38,10 +38,11 @@ pairs hanging from one root elevator pair.  As the diagram is a tree,
 removing a floor r splits it into branches; for a black pair (x, y)
 joined to r by edges of equal weight, `_twin_trees` walks the branches
 at x and at y in step and keeps them as a twin tree when the pairs map
-one onto the other.  Equivalently, the twin trees are the minimal
-non-empty sets of pairs whose simultaneous swap leaves the diagram
-unchanged (`tests/twins.py` checks this); each distinct summary is
-built, and checked, once.  Pairs on a twin tree are labelled "twin".
+one onto the other; it reads leaks and edges only, as the end of a
+black, if any, points away from its one edge.  Equivalently, the twin
+trees are the minimal non-empty sets of pairs whose simultaneous swap
+leaves the diagram unchanged (`tests/twins.py` checks this); each
+distinct summary is built, and checked, once.  Pairs on a twin tree are labelled "twin".
 Every other pair is "type_a" if it merges a floor with the adjacent
 elevator point, and "free" otherwise.  The labels alone say which edges
 a local factor absorbs, so nothing else about them is kept.
@@ -313,14 +314,20 @@ def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
     edges of equal weight: it is the branch at x and the branch at y, seen
     from r, when the pairs map one branch onto the other.  Both branches
     are walked in step; the walk fails at the first (u, v) whose leaks
-    (None at a black, so colours too), ends or children do not correspond
-    under the pairs.  A black's elevator weight is that of any of its
-    edges, here the one the walk came in by.  The walk never passes an
-    unpaired vertex, so nbrs need only list the neighbours of the paired
-    positions.
+    (None at a black, so colours too) or children do not correspond under
+    the pairs.  A black's elevator weight is that of any of its edges,
+    here the one the walk came in by.  The walk never passes an unpaired
+    vertex, so nbrs need only list the neighbours of the paired positions.
+
+    The walk reads no ends.  A black is a splice (two edges) or an end
+    black (one edge and one end), so a black with no children is an
+    unbounded elevator, and equal child counts make u and v both splices
+    or both end blacks.  An end points away from its black's one edge.
+    Paired u and v hang from one floor or from one adjacent pair, and as
+    pairs are disjoint, their parents lie on the same side of them, so
+    both ends point the same way.
     """
     partner, index = _pair_maps(pairs)
-    ends = dict(diagram.ends)
     trees = []
     for x, y in pairs:
         if diagram.colors[x] != "b" or diagram.colors[y] != "b":
@@ -334,14 +341,13 @@ def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
                 u, v, up_u, up_v, w = stack.pop()
                 kids = [(c, wc) for c, wc in nbrs[u] if c != up_u]
                 v_kids = {(c, wc) for c, wc in nbrs[v] if c != up_v}
-                if (diagram.leaks[u] != diagram.leaks[v] or ends.get(u) != ends.get(v)
-                        or len(kids) != len(v_kids)
+                if (diagram.leaks[u] != diagram.leaks[v] or len(kids) != len(v_kids)
                         or any((partner.get(c), wc) not in v_kids for c, wc in kids)):
                     break
                 points.append(index[u])
                 if diagram.colors[u] == "b":
                     marks.append((w, index[u]))
-                    unbounded += u in ends
+                    unbounded += not kids
                 stack.extend((c, partner[c], u, v, wc) for c, wc in kids)
             else:
                 floors = len(points) - len(marks)

@@ -107,9 +107,7 @@ def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     total = total * GwElem.symbol(2 ** (t - 1), (), num_params)
     parity = tree.m_circ % 2
     subset_sum = GwElem.zero(num_params)
-    for k in range(t + 1):
-        if k % 2 != parity:
-            continue
+    for k in range(parity, t + 1, 2):
         for I in itertools.combinations(tree.point_indices, k):
             subset_sum = subset_sum + GwElem.symbol(1, I, num_params)
     return total * subset_sum

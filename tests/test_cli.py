@@ -70,7 +70,7 @@ class TestCount:
 
     @pytest.mark.parametrize("text,chunk", [
         ("1,2,3", "1,2,3"), ("0,1", "0,1"), ("3,4;7", "7"), ("1,x", "1,x"),
-        ("1,2;", ""), ("2,-1", "2,-1"),
+        ("1,2;", ""), ("2,-1", "2,-1"), ("", ""),
     ])
     def test_malformed_pairs_exit_code(self, capsys, text, chunk):
         # the chunk is named as typed, not as a 0-based pair
@@ -221,6 +221,14 @@ class TestOptions:
         assert captured.err == \
             f"error: cannot write --out {target}: {os.strerror(errno.ENOENT)}\n"
 
+    def test_empty_out_exit_code(self, capsys):
+        # an empty --out names no file; it does not mean stdout
+        assert main(["count", "p2:3", "--out", ""]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: cannot write --out : {os.strerror(errno.ENOENT)}\n"
+
     def test_entry_point_under_optimize(self):
         # the installed script runs cli.main; -O drops every assert
         src = str(Path(gwfloor.__file__).resolve().parents[1])
@@ -230,6 +238,17 @@ class TestOptions:
             capture_output=True, encoding="utf-8", env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "2h + β^{(1)} + 2⟨1⟩\n"
+
+    def test_verify_under_optimize(self):
+        # every check of verify is a real comparison, so -O keeps the report
+        src = str(Path(gwfloor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gwfloor.cli", "verify", "--scope", "quick"],
+            capture_output=True, encoding="utf-8", env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        golden = json.loads((Path(__file__).parent / "golden" / "verify_quick.json").read_text())
+        assert proc.stdout == json.dumps(golden["clean"], sort_keys=True) + "\n"
 
 
 class TestRendering:

@@ -132,16 +132,19 @@ class TestRowCache:
         for s in range(n_delta(spec) // 2 + 1):
             count(spec, s)
         assert live_records() <= before
-        # the cover's memo holds a tally per row and no profile: per row, a
-        # (signature, number of classes) per distinct signature
+        # the cover's memo holds sums per row and no profile: per row, a
+        # (signature, orbit-weight sum) per distinct signature, each sum a
+        # positive multiple of 2^s that a read of the row divides
         rows = range(1, n_delta(spec) // 2 + 1)
-        tallies = counting._cover_tallies(spec, default_pairs(rows[-1]))
-        assert list(tallies) == list(rows)
-        for s, tally in tallies.items():
-            assert type(tally) is tuple
-            assert tally == counting._signature_tally(spec, default_pairs(s))
-            assert all(len(sig) == 3 and type(k) is int and k > 0 for sig, k in tally)
-            assert sum(k for _, k in tally) == count(spec, s).class_count
+        sums = counting._cover_tallies(spec, default_pairs(rows[-1]))
+        assert list(sums) == list(rows)
+        for s, row in sums.items():
+            assert type(row) is tuple
+            assert all(len(sig) == 3 and type(w) is int and w > 0 and w % (1 << s) == 0
+                       for sig, w in row)
+            assert tuple((sig, w >> s) for sig, w in row) == \
+                counting._signature_tally(spec, default_pairs(s))
+            assert sum(w for _, w in row) == count(spec, s).class_count << s
 
     def test_table_classifies_each_diagram_once(self, monkeypatch, capsys):
         # each diagram is classified under the full default placement once

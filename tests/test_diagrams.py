@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,15 @@ class TestClassify:
         d = cubic_t2_diagram()
         m = classify(d, ((5, 6),))  # splice black 5 feeds floor 7, merged with 6
         assert m.classification == (("free",),)
+
+    @pytest.mark.parametrize("spec_str", ["p2:4", "bl2:4,1,1"])
+    def test_twin_walk_reads_no_ends(self, spec_str):
+        # a black with one edge carries the one end, pointing away from the
+        # edge, so the labels and twin trees follow from leaks and edges
+        spec = parse_degree(spec_str)
+        cover = default_pairs(n_delta(spec) // 2)
+        for d in enumerate_diagrams(spec):
+            assert classify(d, cover) == classify(dataclasses.replace(d, ends=()), cover)
 
 
 class TestCanonicalKey:
