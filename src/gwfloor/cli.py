@@ -100,14 +100,15 @@ def _csv_rows(records: list[dict]) -> str:
 def _parse_pairs(text: str, n: int) -> list[tuple[int, int]]:
     """Parse 1-based "1,2;3,4" into 0-based adjacent position pairs of 1..n.
 
-    ValueError, naming the chunk as typed, unless each chunk is two
-    integers >= 1; then, naming the pair 1-based, if a pair is not
+    ValueError, naming the chunk as typed, unless each chunk is two runs
+    of ASCII digits >= 1; then, naming the pair 1-based, if a pair is not
     adjacent or past n.
     """
     pairs = []
     for chunk in text.split(";"):
         parts = [x.strip() for x in chunk.split(",")]
-        if len(parts) != 2 or not all(x.isdecimal() and int(x) >= 1 for x in parts):
+        if len(parts) != 2 or not all(x.isascii() and x.isdigit() and int(x) >= 1
+                                      for x in parts):
             raise ValueError(f"--pairs chunk {chunk!r} is not two positions >= 1")
         a, b = map(int, parts)
         pairs.append((a - 1, b - 1))

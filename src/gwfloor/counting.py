@@ -17,9 +17,13 @@ profiles (1320 of 25871 diagrams on p2:5), restricting the labels to the
 row (`_restrict`), which is exact by the argument at the end of the
 `diagrams` docstring: the cover of a default row is the full default
 placement default_pairs(n // 2), whose first s pairs are the row's, and
-the cover of any other placement is its pairs.  Only the sums are
-cached, as verify repeats rows; each read of a row divides them
+the cover of any other placement is its pairs.  The cover's sums are
+cached, so its rows share one pass; each row divides its sums once
 (`_signature_tally`), and no labels or profile outlive the pass.
+
+Each row is computed once per (degree, pairs) and cached (`_row`), as
+verify reads every row two or three times; a row that raises is not
+cached, so it raises again on every read.
 
 merged_classes() lists the classes themselves, for `enumerate`: per
 pair, each diagram takes the lesser first-seen label of itself and of its
@@ -260,8 +264,20 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
 
 def count(spec: DegreeSpec, s: int,
           pair_positions: list[tuple[int, int]] | None = None) -> CountResult:
+    """The s-point count of the degree, with the given pairs or the default ones.
+
+    The pairs are checked on every call (`resolve_pairs`); the row is
+    then computed once per (degree, sorted pairs) and cached, so the
+    result is shared between callers and its `total` must not be mutated.
+    """
+    return _row(spec, resolve_pairs(spec, s, pair_positions))
+
+
+@lru_cache(maxsize=256)
+def _row(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> CountResult:
+    """The count of the row of the checked pairs (see `count`)."""
     n = n_delta(spec)
-    pairs = resolve_pairs(spec, s, pair_positions)
+    s = len(pairs)
     if pairs:
         tally = _signature_tally(spec, pairs)
         total = GwElem.zero(s)

@@ -56,13 +56,16 @@ class DegreeSpec:
 
 
 def parse_degree(text: str) -> DegreeSpec:
-    """Parse "p2:d", "p1xp1:a1,a2", "bl1:d,a1", "bl2:d,a1,a2", "bl3:d,a1,a2,a3"."""
-    try:
-        family, rest = text.strip().lower().split(":", 1)
-        params = tuple(int(x) for x in rest.split(","))
-    except ValueError as exc:
-        raise InvalidDegree(f"cannot parse degree spec {text!r}") from exc
-    return DegreeSpec(family, params)
+    """Parse "p2:d", "p1xp1:a1,a2", "bl1:d,a1", "bl2:d,a1,a2", "bl3:d,a1,a2,a3".
+
+    Each parameter is a run of ASCII digits: no sign, space, underscore
+    or other script's digit, all of which int() would take.
+    """
+    family, colon, rest = text.strip().lower().partition(":")
+    params = rest.split(",")
+    if not colon or not all(x.isascii() and x.isdigit() for x in params):
+        raise InvalidDegree(f"cannot parse degree spec {text!r}")
+    return DegreeSpec(family, tuple(map(int, params)))
 
 
 def _plane(spec: DegreeSpec) -> tuple[int, int, int, int]:

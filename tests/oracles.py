@@ -3,8 +3,9 @@
 validate checks a diagram against the definition of a floor diagram,
 swapped exchanges two adjacent positions, complex_mult and edge_mult are
 the complex multiplicities a quadratic one must reduce to, signature is
-the local-factor signature of one row, and witt_compare compares two
-counts in the Witt ring.
+the local-factor signature of one row, witt_compare compares two counts
+in the Witt ring, and beta_form_from_signatures solves a row's beta form
+from its rank and Welschinger numbers alone.
 """
 
 import math
@@ -127,3 +128,31 @@ def witt_compare(spec1: DegreeSpec, spec2: DegreeSpec, s: int) -> GwElem:
     diff = count(spec1, s).total - count(spec2, s).total
     n = diff.coeff(GwMonomial(1, (), -1))
     return diff - n * h(s)
+
+
+def beta_form_from_signatures(rank: int, welschinger) -> tuple[int, tuple[int, ...], int]:
+    """(h, (c_1, ..., c_s), c_0) of the s-point row, s = len(welschinger) - 1,
+    from its rank and the Welschinger numbers W(d, 0..s) alone.
+
+    W(d, j), the all-negative signature of row j, is also the signature of
+    row s at j negative d_i (setting d_i := 1 drops a point).  There h has
+    signature 0, <1> signature 1 and beta^{(l)} signature 2^l C(s - j, l),
+    so W(d, j) = c_0 + sum_l c_l 2^l C(s - j, l): triangular in c_0, c_1,
+    ... for j = s, s - 1, ....  Then h, of rank 2, is half of the rank
+    minus that of the rest, W(d, 0).  ValueError if a division is not exact.
+    """
+    s = len(welschinger) - 1
+    c0, cs = welschinger[s], []
+
+    def positive_signature(k):  # of c_0 <1> + sum_l c_l beta^{(l)} at k positive d_i
+        return c0 + sum(c * 2 ** l * math.comb(k, l) for l, c in enumerate(cs, start=1))
+
+    for k in range(1, s + 1):
+        c, rest = divmod(welschinger[s - k] - positive_signature(k), 2 ** k)
+        if rest:
+            raise ValueError(f"W(d, {s - k}) leaves c_{k} fractional")
+        cs.append(c)
+    h_coeff, rest = divmod(rank - positive_signature(s), 2)
+    if rest:
+        raise ValueError(f"rank {rank} minus W(d, 0) is odd")
+    return h_coeff, tuple(cs), c0

@@ -6,6 +6,7 @@ import pytest
 
 import gwfloor.counting as counting
 import gwfloor.diagrams as diagrams_module
+import gwfloor.multiplicity as multiplicity
 from gwfloor.cli import main
 from gwfloor.counting import (
     OrbitWeightError, _disjoint_adjacent_pairs, _reindex_drop_last, count, default_pairs,
@@ -21,8 +22,8 @@ from gwfloor.multiplicity import absorbed_since, m_a1, signature_mult
 from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, KNOWN_WELSCHINGER, \
     QUICK_SPECS
 
-from conftest import clear_count_caches
-from oracles import signature, validate, witt_compare
+from conftest import COUNT_CACHES, clear_count_caches
+from oracles import beta_form_from_signatures, signature, validate, witt_compare
 from test_cli import CLASSIFY_MUTANTS
 from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
@@ -164,15 +165,54 @@ class TestRowCache:
         assert len(enumerate_diagrams(spec)) == 1686
 
     def test_repeated_row_hits_the_tally(self):
-        # verify repeats rows, with default and with explicit pairs, and
+        # verify repeats rows, with default and with explicit pairs: a
+        # repeated row is read from the row cache without its cover, and
         # every default row of a degree reads the one default cover
         spec = parse_degree("p2:4")
+        clear_count_caches()
         count(spec, 2)
-        info = counting._cover_tallies.cache_info()
+        rows, covers = counting._row.cache_info(), counting._cover_tallies.cache_info()
         count(spec, 2, [(2, 3), (0, 1)])
+        rows_again = counting._row.cache_info()
+        assert (rows_again.hits, rows_again.misses) == (rows.hits + 1, rows.misses)
+        assert counting._cover_tallies.cache_info() == covers
         count(spec, 4)
         again = counting._cover_tallies.cache_info()
-        assert (again.hits, again.misses) == (info.hits + 2, info.misses)
+        assert (again.hits, again.misses) == (covers.hits + 1, covers.misses)
+
+    def test_verify_computes_each_row_once(self, monkeypatch):
+        # the report and the d_s := 1 chain read the same rows: each row is
+        # decomposed once, and the s = 0 path sum is summed once
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(counting, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("beta_decompose", "_edge_product_sum"):
+            monkeypatch.setattr(counting, name, counted(name))
+        spec = parse_degree("p2:4")
+        clear_count_caches()
+        verify_rank_and_signatures(spec)
+        for s in range(1, n_delta(spec) // 2 + 1):
+            assert verify_square_substitution(spec, s)
+        assert calls == {"beta_decompose": 6, "_edge_product_sum": 1}
+
+    def test_every_factor_cache_is_cleared(self):
+        # a cache of a classify or local-factor result left out of
+        # COUNT_CACHES would hide a patched mutant; these hold neither, or
+        # are leaf factors whose patch replaces the cached function itself
+        factor_free = {"_packed_index", "_swap_partners", "_joined_masks", "kontsevich",
+                       "m_a1", "gamma"}
+        cached = {name for module in (counting, multiplicity)
+                  for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_clear")
+                  and getattr(obj, "__module__", None) == module.__name__}
+        assert cached == {cache.__name__ for cache in COUNT_CACHES} | factor_free
 
     def test_pairs_checked_per_row_not_per_class(self, monkeypatch):
         # the diagrams are classified under the row's checked cover, and
@@ -391,7 +431,11 @@ class TestRowWithoutPairs:
 
         monkeypatch.setattr(counting, "enumerate_diagrams", refuse)
         monkeypatch.setattr(counting, "merged_classes", refuse)
-        res = count(parse_degree("p2:7"), 0)
+        clear_count_caches()  # so that the row is computed under the refusal
+        try:
+            res = count(parse_degree("p2:7"), 0)
+        finally:
+            clear_count_caches()
         assert res.rank == kontsevich(7) == 14616808192
         assert res.class_count == 1413862091
 
@@ -585,3 +629,27 @@ class TestReferenceTables:
         rows, other = KNOWN_COUNTS[spec_str], KNOWN_COUNTS[same_as]
         for s in rows.keys() & other.keys():
             assert rows[s] == other[s], (spec_str, same_as, s)
+
+
+class TestBetaFormFromSignatures:
+    """A row's beta form from its rank and the Welschinger numbers W(d, j),
+    the all-negative signatures of rows j = 0..s, alone: a decomposition
+    that shares no code with `beta_decompose`."""
+
+    @pytest.mark.parametrize("spec_str", list(KNOWN_COUNTS))
+    def test_reference_rows(self, spec_str):
+        rows = KNOWN_COUNTS[spec_str]
+        rank = TestReferenceTables.oracle_rank(spec_str)
+        welschinger = [rows[j][2] for j in range(len(rows))]  # sig_neg = c_0
+        for s, row in rows.items():
+            assert beta_form_from_signatures(rank, welschinger[:s + 1]) == row, (spec_str, s)
+
+    @pytest.mark.parametrize("spec_str", QUICK_SPECS + ["p2:4"])
+    def test_engine_rows(self, spec_str):
+        spec = parse_degree(spec_str)
+        results = [count(spec, s) for s in range(n_delta(spec) // 2 + 1)]
+        welschinger = [res.signature_all_negative for res in results]
+        for res in results:
+            form = res.beta_form
+            assert beta_form_from_signatures(res.rank, welschinger[:res.s + 1]) == \
+                (form.h_coeff, form.beta_coeffs, form.one_coeff), (spec_str, res.s)

@@ -20,6 +20,9 @@ def test_parse_grammar():
 @pytest.mark.parametrize("bad", [
     "p3:1", "p2:", "p2:0", "p1xp1:2", "bl1:2,3", "bl2:4,1,2", "bl2:3,2,2",
     "bl3:3,1,2,1", "bl3:4,2,1,3", "nonsense", "bl1:3,4", "bl2:4,3,2", "bl3:4,2,2,3",
+    "bl3:3,2,2,2", "p1xp1:0,1", "bl1:3,0",
+    # ASCII digits only, though int() takes each of these
+    "p2:0_4", "p2:+3", "p2:٣", "p1xp1:2,+3", "p2: 3",
 ])
 def test_invalid_rejected(bad):
     with pytest.raises(InvalidDegree):
