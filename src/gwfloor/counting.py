@@ -6,16 +6,17 @@ of a degree, evaluating each distinct local-factor signature once
 classes; it presents the total in the h / beta^{(l)} / <1> basis, and
 records rank and the constant-sign signature specializations.
 
-A row with pairs finds no class.  It sums orbit weights over every
-enumerated diagram: a diagram with T twin trees and j pairs joined by an
-edge adds 2^(T + j) to its signature, and each sum divided by 2^s is
-that signature's number of classes (OrbitWeightError unless every
-division is exact).  All rows of a cover are tallied in one pass
-(`_cover_tallies`) that classifies (`diagrams.classify`) each diagram
-once, under the cover, and sums each row over the distinct diagram
-profiles (1320 of 25871 diagrams on p2:5), restricting the labels to the
-row (`_restrict`), which is exact by the argument at the end of the
-`diagrams` docstring: the cover of a default row is the full default
+A row with pairs sums orbit weights: a diagram with T twin trees and j
+pairs joined by an edge adds 2^(T + j) to its signature, and each sum
+divided by 2^s is that signature's number of classes (OrbitWeightError
+unless every division is exact).  A class's members share its profile,
+so one orbit pass (`_orbits`) classifies (`diagrams.classify`) only the
+first diagram of each class, under the cover, and drops the others by
+the packed keys of its swaps (3743 classes of 25871 diagrams on p2:5).
+All rows of a cover are tallied from that pass (`_cover_tallies`), each
+over the distinct class profiles (1320 on p2:5), restricting the labels
+to the row (`_restrict`), which is exact by the argument at the end of
+the `diagrams` docstring: the cover of a default row is the full default
 placement default_pairs(n // 2), whose first s pairs are the row's, and
 the cover of any other placement is its pairs.  The cover's sums are
 cached, so its rows share one pass; each row divides its sums once
@@ -25,11 +26,8 @@ Each row is computed once per (degree, pairs) and cached (`_row`), as
 verify reads every row two or three times; a row that raises is not
 cached, so it raises again on every read.
 
-merged_classes() lists the classes themselves, for `enumerate`: per
-pair, each diagram takes the lesser first-seen label of itself and of its
-swap partner (`_swap_partners`, found by packed key in a per-degree
-index), and each diagram that keeps its own index represents its class
-and is listed with its labels under the row's pairs.
+merged_classes() lists the representatives of the same pass, for
+`enumerate`, with their labels under the row's pairs.
 
 The s = 0 row has no pairs, so each class is one diagram, whose
 multiplicity is the product of m_a1 over its edges.  count() sums it as
@@ -93,44 +91,6 @@ def resolve_pairs(spec: DegreeSpec, s: int | None,
     return pairs
 
 
-@lru_cache(maxsize=None)
-def _packed_index(spec: DegreeSpec) -> dict[tuple, int]:
-    """Per enumerated diagram, its index, keyed by its packed key (leaks, edges).
-
-    The key is complete: leaks fixes the colours (None at a black), and
-    a black with one edge carries the one end, incoming if the edge goes
-    up and outgoing if it goes down.  The dict iterates in enumeration
-    order.
-    """
-    return {(d.leaks, d.edges): i for i, d in enumerate(enumerate_diagrams(spec))}
-
-
-@lru_cache(maxsize=None)
-def _swap_partners(spec: DegreeSpec, a: int) -> tuple[int | None, ...]:
-    """Per enumerated diagram, the index of its (a, a+1)-swap, or None.
-
-    The swap is valid iff no edge joins a and a + 1.  If one does, its
-    black is a splice or an end black: after the swap a splice black has
-    both neighbours on one side, and an end black's end points the wrong
-    way.  If none does, no neighbour of the vertex at a or a + 1 is the
-    other one, so every neighbour stays on the same side of each black,
-    and every edge, end and leak moves with its vertex, keeping every
-    divergence.  The swapped diagram is then a floor diagram of the degree
-    and was enumerated.  Its packed key is the leaks with a and a + 1
-    exchanged and the edges with a and a + 1 relabelled, re-sorted; each
-    edge stays ascending.  A joining edge (a, a + 1, w) would relabel to
-    the descending (a + 1, a, w), which no diagram has, so the partner is
-    None exactly when the relabelled key is not in the index.
-    """
-    b = a + 1
-    relabel = tuple(range(a)) + (b, a) + tuple(range(b + 1, n_delta(spec)))
-    index = _packed_index(spec)
-    get = index.get
-    return tuple([get((leaks[:a] + (leaks[b], leaks[a]) + leaks[b + 1:],
-                       tuple(sorted([(relabel[u], relabel[v], w) for u, v, w in edges]))))
-                  for leaks, edges in index])
-
-
 def _restrict(labels: PairLabels, s: int) -> PairLabels:
     """The labels of the cover's first s pairs, from the cover's labels.
 
@@ -146,40 +106,80 @@ def _restrict(labels: PairLabels, s: int) -> PairLabels:
                       tuple(trees[t] for t in kept))
 
 
-def merged_classes(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]
-                   ) -> tuple[tuple[FloorDiagram, PairLabels], ...]:
-    """(representative, its labels) per merged-diagram class, first-seen order.
-
-    A class is an orbit of the enumerated diagrams under exchanging the two
-    positions of any subset of the pairs; its representative is its first
-    diagram.  The pairs are disjoint, so the swaps commute, and whether a
-    diagram has a valid (a, a+1)-swap (no edge joining a and a + 1) does
-    not change under the other swaps.  So the orbit of a diagram under the
-    first k pairs is the union of the orbits, under the first k - 1 pairs,
-    of the diagram and of its k-th swap partner, and its first-seen label
-    (the least index in its orbit) is the lesser of theirs.
-    """
-    pairs = check_pairs(pairs, n_delta(spec))
-    enumerated = enumerate_diagrams(spec)
-    first = range(len(enumerated))
-    for a, _ in pairs:
-        first = [f if j is None else min(f, first[j])
-                 for f, j in zip(first, _swap_partners(spec, a))]
-    # through the module, so that a patched or traced classify is the one used
-    return tuple((d, diagrams.classify(d, pairs))
-                 for i, d in enumerate(enumerated) if first[i] == i)
-
-
-@lru_cache(maxsize=None)
-def _joined_masks(spec: DegreeSpec) -> tuple[int, ...]:
-    """Per enumerated diagram, the bitmask of the positions a joined to a + 1 by an edge."""
-    return tuple([sum(1 << u for u, v, _ in d.edges if v == u + 1)
-                  for d in enumerate_diagrams(spec)])
-
-
 class OrbitWeightError(Exception):
     """The orbit weights of a signature do not sum to whole classes, which
     no correct labelling allows."""
+
+
+def _named(pairs: tuple[tuple[int, int], ...]) -> str:
+    """The pairs as the command line takes them: 1-based, "a,b;c,d"."""
+    return ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
+
+
+def _orbits(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]):
+    """(representative, its labels, the packed keys of its class) per
+    merged-diagram class, first-seen order.
+
+    A class is an orbit of the enumerated diagrams under exchanging the two
+    positions of any subset of the pairs; its first diagram represents it
+    and is the only one classified.  The packed key (leaks, edges) is
+    complete: leaks fixes the colours, and a black's one edge fixes the
+    direction of its end.  The (a, a+1)-swap is valid iff no edge joins a
+    and a + 1: such an edge would leave a splice black with both
+    neighbours on one side, or an end pointing the wrong way; without one,
+    every edge, end and leak moves with its vertex, so the swap is a floor
+    diagram of the degree, keyed by the leaks exchanged and the edges
+    relabelled (still ascending) and re-sorted.  The pairs are disjoint, so
+    the swaps commute and do not change each other's validity, and the
+    swap sets that fix the diagram are the unions of its T twin trees: the
+    subsets of its v valid swaps that leave one pair of each tree out
+    reach each of its 2^(v - T) members once.  A later member is dropped
+    when met, and its key forgotten; a key never met raises
+    OrbitWeightError.
+    """
+    pending: set = set()
+    interned: dict = {}  # one relabelled edge triple per value, shared by the keys
+
+    def swap(key, a):
+        leaks, edges = key
+        moved = {a: a + 1, a + 1: a}
+        relabelled = []
+        for edge in edges:
+            u, v, w = edge
+            if u in moved or v in moved:
+                edge = (moved.get(u, u), moved.get(v, v), w)
+                edge = interned.setdefault(edge, edge)
+            relabelled.append(edge)
+        relabelled.sort()
+        return leaks[:a] + (leaks[a + 1], leaks[a]) + leaks[a + 2:], tuple(relabelled)
+
+    for d in enumerate_diagrams(spec):
+        key = (d.leaks, d.edges)
+        if key in pending:
+            pending.remove(key)
+            continue
+        # through the module, so that a patched or traced classify is the one used
+        labels = diagrams.classify(d, pairs)
+        held = {u for u, v, _ in d.edges if v == u + 1}
+        held.update(pairs[tree.point_indices[0] - 1][0] for tree in labels.twin_trees)
+        images = [key]
+        for a, _ in pairs:
+            if a not in held:
+                images += [swap(image, a) for image in images]
+        keys = set(images)
+        pending |= keys
+        pending.remove(key)
+        yield d, labels, keys
+    if pending:
+        raise OrbitWeightError(f"{spec} with pairs {_named(pairs)}: swaps reach diagrams "
+                               f"that were not enumerated ({len(pending)})")
+
+
+def merged_classes(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]
+                   ) -> tuple[tuple[FloorDiagram, PairLabels], ...]:
+    """(representative, its labels) per merged-diagram class, first-seen
+    order (see `_orbits`)."""
+    return tuple((d, labels) for d, labels, _ in _orbits(spec, check_pairs(pairs, n_delta(spec))))
 
 
 @lru_cache(maxsize=256)
@@ -188,24 +188,21 @@ def _cover_tallies(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> dict
     distinct signature.
 
     The rows of the default cover are its prefixes cover[:s]; any other
-    cover has one row, itself.  Each diagram is classified once, under
-    the cover, and reduced to a profile: its interned labels, its
-    `multiplicity.absorbed_since` and the cover's pairs that an edge
-    joins.  Each row is summed over the distinct profiles, weighted by
-    their numbers of diagrams.  The swaps of the v pairs of a diagram D
-    that no edge joins form a group (Z/2)^v, and the swap sets that fix
-    D are the unions of its T twin trees, so D's class has 2^(v - T)
-    diagrams, all of one signature; weighting D by 2^(T + j), with
-    j = s - v, counts every class 2^s times.
+    cover has one row, itself.  Each class is classified once, through
+    its representative under the cover (`_orbits`), and reduced to a
+    profile: its interned labels, its `multiplicity.absorbed_since` and
+    the cover's pairs that an edge joins.  Each row is summed over the
+    distinct profiles, weighted by their numbers of diagrams.  A class
+    with T twin trees and v = s - j pairs that no edge joins has 2^(v - T)
+    diagrams, so weighting each by 2^(T + j) counts every class 2^s times.
     """
     entries: dict = {}  # per distinct cover `PairLabels`, its index
     profiles: Counter = Counter()
     cover_starts = sum(1 << a for a, _ in cover)
-    for d, joined in zip(enumerate_diagrams(spec), _joined_masks(spec)):
-        # through the module, so that a patched or traced classify is the one used
-        labels = diagrams.classify(d, cover)
+    for d, labels, keys in _orbits(spec, cover):
+        joined = sum(1 << u for u, v, _ in d.edges if v == u + 1) & cover_starts
         profiles[entries.setdefault(labels, len(entries)), absorbed_since(d, cover, *labels),
-                 joined & cover_starts] += 1
+                 joined] += len(keys)
     size = len(cover)
     tallies = {}
     for s in range(1, size + 1) if cover == default_pairs(size) else (size,):
@@ -230,8 +227,7 @@ def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tu
     for sig, weight in _cover_tallies(spec, cover)[s]:
         k, rest = divmod(weight, 1 << s)
         if rest:
-            named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
-            raise OrbitWeightError(f"{spec} with pairs {named}: the orbit weights of a "
+            raise OrbitWeightError(f"{spec} with pairs {_named(pairs)}: the orbit weights of a "
                                    f"signature sum to {weight}, not a multiple of 2^{s}")
         tally.append((sig, k))
     return tuple(tally)

@@ -24,12 +24,11 @@ emits a diagram at the top of every path, so no branch is a dead end;
 
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
-the same merged diagram.  A count needs no class: it weights each
-diagram by the size of its orbit (`counting._cover_tallies`).  To list
-the classes, `counting._swap_partners` finds the diagram that exchanges
-one pair by its packed key (leaks, edges), and `counting.merged_classes`
-labels each enumerated diagram with the first diagram of its class, one
-pair at a time.
+the same merged diagram.  One pass over the enumerated diagrams
+(`counting._orbits`) classifies the first diagram of each class and
+drops the others, found by the packed keys (leaks, edges) of its swaps;
+a count weights each class by its size (`counting._cover_tallies`), and
+`counting.merged_classes` lists the representatives.
 
 `check_pairs` checks a pair list, and `classify` labels the pairs of a
 diagram: it returns `PairLabels`, one label per pair and the twin-tree
@@ -49,7 +48,7 @@ a local factor absorbs, so nothing else about them is kept.
 
 So the labels under pairs P follow from those under any pairs F
 containing P, which `counting._cover_tallies` uses to classify each
-diagram once per degree and to tally every row of F from the same
+class once per degree and to tally every row of F from the same
 labels: for P within F, the sets of pairs within
 P whose swap fixes the diagram are those of F that lie in P, so P's twin
 trees are F's trees within P.  A pair of one of F's other trees joins

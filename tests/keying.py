@@ -3,8 +3,9 @@
 canonical_key serialises a diagram with merged pairs in every within-pair
 ordering and keeps the smallest, so two diagrams get the same key for the
 same pairs exactly when a set of within-pair swaps turns one into the
-other.  Tests compare the classes of counting.merged_classes, found one
-swap at a time, with the partition by this key.
+other.  Tests compare the classes of the orbit pass (counting._orbits),
+found from the packed keys of each representative's swaps, with the
+partition by this key.
 """
 
 from gwfloor.diagrams import FloorDiagram

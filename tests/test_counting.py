@@ -1,6 +1,10 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,8 @@ from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, KNOWN_W
     QUICK_SPECS
 
 from conftest import COUNT_CACHES, clear_count_caches
-from oracles import beta_form_from_signatures, signature, validate, witt_compare
+from keying import canonical_key
+from oracles import beta_form_from_signatures, signature, swapped, validate, witt_compare
 from test_cli import CLASSIFY_MUTANTS
 from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
@@ -97,7 +102,7 @@ class TestOrbitWeights:
     (Z/2)^v acting on the diagrams, and the swap sets that fix D are the
     unions of its T(D) twin trees, so D's class has 2^(v - T) diagrams.
     Weighting each diagram by 2^(s - v + T) therefore counts every class
-    2^s times.  No swap partner, first-seen label or row cache is used.
+    2^s times.  No orbit pass, class or row cache is used.
     """
 
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:2,4", "bl3:4,1,1,2"])
@@ -147,9 +152,9 @@ class TestRowCache:
                 counting._signature_tally(spec, default_pairs(s))
             assert sum(w for _, w in row) == count(spec, s).class_count << s
 
-    def test_table_classifies_each_diagram_once(self, monkeypatch, capsys):
-        # each diagram is classified under the full default placement once
-        # per degree, not once per row: 1686 calls, not 7 * 1686
+    def test_table_classifies_each_class_once(self, monkeypatch, capsys):
+        # each class of the full default placement is classified once per
+        # degree, through its representative: 405 calls for 1686 diagrams
         spec = parse_degree("p1xp1:2,5")
         classified = Counter()
 
@@ -161,7 +166,8 @@ class TestRowCache:
         clear_count_caches()
         assert main(["table", "p1xp1:2,5", "--format", "json"]) == 0
         capsys.readouterr()
-        assert classified == {default_pairs(n_delta(spec) // 2): 1686}
+        assert n_delta(spec) // 2 == 6
+        assert classified == {default_pairs(6): 405}
         assert len(enumerate_diagrams(spec)) == 1686
 
     def test_repeated_row_hits_the_tally(self):
@@ -206,8 +212,7 @@ class TestRowCache:
         # a cache of a classify or local-factor result left out of
         # COUNT_CACHES would hide a patched mutant; these hold neither, or
         # are leaf factors whose patch replaces the cached function itself
-        factor_free = {"_packed_index", "_swap_partners", "_joined_masks", "kontsevich",
-                       "m_a1", "gamma"}
+        factor_free = {"kontsevich", "m_a1", "gamma"}
         cached = {name for module in (counting, multiplicity)
                   for name, obj in vars(module).items()
                   if hasattr(obj, "cache_clear")
@@ -335,14 +340,67 @@ class TestRowErrors:
                "not a multiple of 2^2"}
 
 
+class TestUnmetImage:
+    """A class member that the enumeration leaves out is an image of its
+    representative that is never met: the orbit pass raises, also under
+    python -O, and `count` exits 3."""
+
+    SPEC = "p2:3"
+    COVER = default_pairs(4)  # the cover of every default row of p2:3
+
+    def missing_index(self):
+        # the index of a diagram that a valid swap of another one gives
+        enumerated = enumerate_diagrams(parse_degree(self.SPEC))
+        return next(enumerated.index(e) for d in enumerated for a, _ in self.COVER
+                    if (e := swapped(d, a)) != d and e in enumerated)
+
+    def test_orbit_pass_raises(self, monkeypatch, capsys):
+        spec = parse_degree(self.SPEC)
+        i = self.missing_index()
+        enumerated = enumerate_diagrams(spec)
+        monkeypatch.setattr(counting, "enumerate_diagrams",
+                            lambda spec: enumerated[:i] + enumerated[i + 1:])
+        clear_count_caches()
+        try:
+            for run in (lambda: merged_classes(spec, self.COVER), lambda: count(spec, 1)):
+                with pytest.raises(OrbitWeightError, match=f"^{self.SPEC} with pairs "):
+                    run()
+            assert main(["count", self.SPEC, "--pairs-count", "1"]) == 3
+        finally:
+            clear_count_caches()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {self.SPEC} with pairs 1,2;3,4;5,6;7,8: swaps reach diagrams " \
+                      "that were not enumerated (1)\n"
+
+    def test_raises_under_optimize(self):
+        # the invariant is a real raise, so -O keeps it
+        script = ("import sys\n"
+                  "import gwfloor.counting as counting\n"
+                  "from gwfloor.cli import main\n"
+                  "real, i = counting.enumerate_diagrams, int(sys.argv[1])\n"
+                  "counting.enumerate_diagrams = lambda s: real(s)[:i] + real(s)[i + 1:]\n"
+                  f"sys.exit(main(['count', '{self.SPEC}', '--pairs-count', '1']))\n")
+        src = str(Path(counting.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(self.missing_index())],
+            capture_output=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": src},
+            timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith(f"error: {self.SPEC} with pairs ")
+
+
 class TestCrossPath:
-    """Each row's orbit-weight tally against the classes that first-seen
-    labels find: each path is the other's oracle."""
+    """Each row's orbit-weight tally against the classes that the 2^s
+    ordering key finds, each labelled through its first diagram: the key
+    shares no code with the orbit pass."""
 
     @staticmethod
     def assert_tallies_agree(spec, pairs):
-        classes = Counter(signature(d, pairs, *labels)
-                          for d, labels in merged_classes(spec, pairs))
+        firsts: dict = {}
+        for d in enumerate_diagrams(spec):
+            firsts.setdefault(canonical_key(d, pairs), d)
+        classes = Counter(signature(d, pairs, *classify(d, pairs)) for d in firsts.values())
         assert counting._signature_tally(spec, pairs) == tuple(classes.items()), pairs
 
     @pytest.mark.parametrize("spec_str", QUICK_SPECS)
@@ -368,10 +426,9 @@ class TestCrossPath:
         expected = [count(spec, s, pairs) for s, pairs in rows]
 
         def refuse(*args):
-            raise AssertionError("a class found for a count")
+            raise AssertionError("a class listed for a count")
 
-        for name in ("merged_classes", "_swap_partners", "_packed_index"):
-            monkeypatch.setattr(counting, name, refuse)
+        monkeypatch.setattr(counting, "merged_classes", refuse)
         clear_count_caches()
         assert [count(spec, s, pairs) for s, pairs in rows] == expected
 

@@ -15,8 +15,7 @@ from gwfloor.diagrams import (
     INCOMING, OUTGOING, FloorDiagram, PairLabels, _state_graph, _twin_tree_summary, check_pairs,
     classify, count_diagrams, enumerate_diagrams,
 )
-from gwfloor.counting import _disjoint_adjacent_pairs, _swap_partners, default_pairs, \
-    merged_classes
+from gwfloor.counting import _disjoint_adjacent_pairs, _orbits, default_pairs, merged_classes
 from gwfloor.multiplicity import signature_mult
 
 from conftest import clear_count_caches
@@ -342,17 +341,30 @@ class TestMergedClasses:
             merged_classes(parse_degree("p2:3"), pairs)
 
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"])
-    def test_swap_partners_match_plain_lookup(self, spec_str):
-        # skipping diagrams with an edge joining a and a + 1 loses no partner,
-        # and every diagram without such an edge has one
+    def test_images_are_the_orbit(self, spec_str):
+        # each representative's keys are its orbit under the plain swaps of
+        # the pairs, a swap being valid iff no edge joins its two positions;
+        # the default cover and the one shifted by one reach every position
         spec = parse_degree(spec_str)
-        index = {d: i for i, d in enumerate(enumerate_diagrams(spec))}
-        for a in range(n_delta(spec) - 1):
-            plain = tuple(index.get(swapped(d, a)) for d in enumerate_diagrams(spec))
-            assert _swap_partners(spec, a) == plain, a
-            joined = tuple(any((u, v) == (a, a + 1) for u, v, _ in d.edges)
-                           for d in enumerate_diagrams(spec))
-            assert tuple(j is None for j in plain) == joined, a
+        n = n_delta(spec)
+        enumerated = set(enumerate_diagrams(spec))
+        for pairs in (default_pairs(n // 2), tuple((a + 1, a + 2) for a, _ in
+                                                   default_pairs((n - 1) // 2))):
+            met = 0
+            for d, _, keys in _orbits(spec, pairs):
+                orbit, stack = {d}, [d]
+                while stack:
+                    e = stack.pop()
+                    for a, b in pairs:
+                        image = swapped(e, a)
+                        joined = any((u, v) == (a, b) for u, v, _ in e.edges)
+                        assert (image in enumerated) != joined, (e, a)
+                        if not joined and image not in orbit:
+                            orbit.add(image)
+                            stack.append(image)
+                assert keys == {(e.leaks, e.edges) for e in orbit}, (pairs, d)
+                met += len(orbit)
+            assert met == len(enumerated), pairs
 
     @pytest.mark.parametrize("spec_str", ["p2:5", "p1xp1:2,5", "bl2:5,1,1"])
     def test_packed_keys_distinct(self, spec_str):
@@ -367,14 +379,12 @@ class TestMergedClasses:
         assert main(["enumerate", "p2:4", "--pairs-count", "3"]) == 0
         listing = capsys.readouterr().out
 
-        # the package has no swap builder; the partners come from packed keys
+        # the package has no swap builder; the images come from packed keys
         assert not hasattr(FloorDiagram, "swapped")
-        counting._swap_partners.cache_clear()
         clear_count_caches()
         assert [counting.count(spec, s) for spec, s in rows] == expected
         assert main(["enumerate", "p2:4", "--pairs-count", "3"]) == 0
         assert capsys.readouterr().out == listing
-        assert counting._swap_partners.cache_info().misses > 0
 
     def test_swap_is_an_involution(self):
         d = cubic_t2_diagram()
