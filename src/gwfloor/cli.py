@@ -7,13 +7,13 @@ verify runs groups of checks through one loop: per spec, its report keys,
 d_s := 1 per s and (full scope) its published rows; per spec and s, merge
 invariance; per plane degree past the tables, the s = 0 Kontsevich rank
 and Welschinger invariant; per placement, its count against the default
-one.  Each group is a generator of (check, passed, extra failure
-fields).  A count outside the table format (ResidualNotInSpan) or a row
-whose orbit weights are not whole classes (OrbitWeightError) ends its
-group: the group then counts as one check, a failed
-"residual_not_in_span" resp. "orbit_weights_not_whole" carrying the
-error text, after the failures it already found, and the remaining
-groups still run.
+one; per group of degrees on isomorphic surfaces, their rows per s.  Each
+group is a generator of (check, passed, extra failure fields).  A count
+outside the table format (ResidualNotInSpan) or a row whose orbit
+weights are not whole classes (OrbitWeightError) ends its group: the
+group then counts as one check, a failed "residual_not_in_span" resp.
+"orbit_weights_not_whole" carrying the error text, after the failures it
+already found, and the remaining groups still run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .degrees import n_delta, parse_degree
 from .diagrams import count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan, equals_mod
 from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
-    KNOWN_COUNTS, KNOWN_WELSCHINGER, MERGE_INVARIANCE_SPECS, QUICK_SPECS
+    ISOMORPHIC_SPECS, KNOWN_COUNTS, KNOWN_WELSCHINGER, MERGE_INVARIANCE_SPECS, QUICK_SPECS
 
 EXIT_PARSE = 2
 EXIT_RESIDUAL = 3
@@ -223,9 +223,19 @@ def _placement_checks(spec, pairs):
         equals_mod(count(spec, s, list(pairs)).total, count(spec, s).total), {}
 
 
+def _isomorphic_checks(spec, others):
+    """Per s, the row of each degree on an isomorphic surface against spec's."""
+    degrees = [parse_degree(other) for other in others]
+    for s in range(min(n_delta(degree) for degree in [spec, *degrees]) // 2 + 1):
+        form = count(spec, s).beta_form
+        differ = [str(degree) for degree in degrees if count(degree, s).beta_form != form]
+        yield f"isomorphic_s{s}", not differ, {"differ": differ}
+
+
 def _run_verify(args) -> tuple[str, int]:
     # quick: every property for n <= 9; full adds the table reproductions,
-    # degrees past the tables and a weight-2 twin elevator placement.
+    # degrees past the tables, a weight-2 twin elevator placement and the
+    # isomorphic-surface identities.
     full = args.scope == "full"
     groups = [(_spec_checks, spec_str, full) for spec_str in QUICK_SPECS]
     # one group per s, so that a residual at one s leaves the others checked
@@ -235,6 +245,7 @@ def _run_verify(args) -> tuple[str, int]:
         groups += [(_spec_checks, spec_str, True) for spec_str in FULL_EXTRA_SPECS]
         groups += [(_kontsevich_checks, spec_str, None) for spec_str in FULL_KONTSEVICH_SPECS]
         groups += [(_placement_checks, spec_str, pairs) for spec_str, pairs in FULL_PLACEMENTS]
+        groups += [(_isomorphic_checks, specs[0], specs[1:]) for specs in ISOMORPHIC_SPECS]
     failures: list = []
     checks = 0
     for family, spec_str, arg in groups:

@@ -1,10 +1,10 @@
 """Orchestration: full quadratically enriched counts and verification.
 
 count() folds the quadratic multiplicities of all merged-diagram classes
-of a degree, evaluating each distinct local-factor signature once
-(`multiplicity.signature_mult`) and weighting it by its number of
-classes; it presents the total in the h / beta^{(l)} / <1> basis, and
-records rank and the constant-sign signature specializations.
+of a degree, summing each row's distinct local-factor signatures, times
+their numbers of classes, in split form (`multiplicity.row_mult`); it
+presents the total in the h / beta^{(l)} / <1> basis, and records rank
+and the constant-sign signature specializations.
 
 A row with pairs sums orbit weights: a diagram with T twin trees and j
 pairs joined by an edge adds 2^(T + j) to its signature, and each sum
@@ -42,14 +42,15 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
 from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, \
     count_diagrams, enumerate_diagrams
-from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, one
-from .multiplicity import absorbed_since, row_signature, signature_mult
+from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, split, split_mul, \
+    split_sum, unsplit
+from .multiplicity import absorbed_since, row_mult, row_signature
 
 
 @dataclass(frozen=True)
@@ -242,20 +243,22 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
     sum over its kept moves of total(child) times m_a1 of every strand the
     move closes (Stanley's transfer-matrix method).  The moves come in
     post-order, so one forward pass meets every child before its parent.
+    The totals are split (`gwring.split`), so an even m_a1 only scales h.
     """
     root, moves, _ = _state_graph(spec)
     n = n_delta(spec)
-    m_a1 = multiplicity.m_a1  # read at call time, so a patched factor is used
+    # read at call time, so that a patched factor is used, and split once per weight
+    m_a1 = cache(lambda w: split(multiplicity.m_a1(w, 0)))
     totals: dict = {}
     for state, kept in moves.items():
-        acc = one(0) if state[0] == n else GwElem.zero(0)
+        terms = [(1, (0, {0: 1}))] if state[0] == n else []
         for (_, closed, _, _), child in kept:
             term = totals[child]
             for _, w in closed:
-                term = term * m_a1(w, 0)
-            acc = acc + term
-        totals[state] = acc
-    return totals[root]
+                term = split_mul(term, m_a1(w))
+            terms.append((1, term))
+        totals[state] = split_sum(terms)
+    return unsplit(totals[root], 0)
 
 
 def count(spec: DegreeSpec, s: int,
@@ -271,14 +274,12 @@ def count(spec: DegreeSpec, s: int,
 
 @lru_cache(maxsize=256)
 def _row(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> CountResult:
-    """The count of the row of the checked pairs (see `count`)."""
+    """The count of the row of the checked pairs (see `count`), summed by `row_mult`."""
     n = n_delta(spec)
     s = len(pairs)
     if pairs:
         tally = _signature_tally(spec, pairs)
-        total = GwElem.zero(s)
-        for sig, k in tally:
-            total = total + k * signature_mult(sig, s)
+        total = row_mult(tally, s)
         class_count = sum(k for _, k in tally)
     else:
         # each class is one diagram, whose multiplicity is m_a1 per edge

@@ -15,6 +15,10 @@ a product of classes is one XOR.  The fixed prime order makes the prime 2
 prime bit 0, so the mask _TWO of <2> is a constant.  GwMonomial is the
 readable form of a class, used only to build elements and to read them
 out.
+
+Sums of products are taken in split form a h + x, x sign-positive
+(`split`): the canonical rewrite of <m><-1> is h<m> = h, so h only scales
+by rank, and (a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y.
 """
 
 from __future__ import annotations
@@ -262,6 +266,39 @@ def h(num_params: int = 0) -> GwElem:
 @lru_cache(maxsize=None)
 def one(num_params: int = 0) -> GwElem:
     return GwElem.from_coeffs({_ONE: 1}, num_params)
+
+
+def split(e: GwElem) -> tuple[int, dict[int, int]]:
+    """(a, x) with e = a h + x: a is the <-1> coefficient, x the rest less a <1>."""
+    a = e.masks.get(_NEG, 0)
+    x = {**e.masks, 0: e.masks.get(0, 0) - a}
+    return a, {m: c for m, c in x.items() if c and m != _NEG}
+
+
+def split_mul(e1: tuple, e2: tuple) -> tuple[int, dict[int, int]]:
+    """(a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y."""
+    (a, x), (b, y) = e1, e2
+    acc: dict[int, int] = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            acc[m1 ^ m2] = acc.get(m1 ^ m2, 0) + c1 * c2
+    return (2 * a * b + a * sum(y.values()) + b * sum(x.values()),
+            {m: c for m, c in acc.items() if c})
+
+
+def split_sum(terms: Iterable[tuple[int, tuple]]) -> tuple[int, dict[int, int]]:
+    """The sum of k e over the (k, e) pairs of split elements."""
+    a, acc = 0, {}
+    for k, (b, y) in terms:
+        a += k * b
+        for m, c in y.items():
+            acc[m] = acc.get(m, 0) + k * c
+    return a, {m: c for m, c in acc.items() if c}
+
+
+def unsplit(e: tuple, num_params: int) -> GwElem:
+    a, x = e
+    return GwElem({m: c for m, c in {**x, 0: x.get(0, 0) + a, _NEG: a}.items() if c}, num_params)
 
 
 def equals_mod(e1: GwElem, e2: GwElem) -> bool:

@@ -14,22 +14,19 @@ the pair labels, and the sorted weights of the edges that no label
 absorbs.  Which edges a label absorbs is said once, in `absorbed_since`,
 per edge as the first prefix of the pairs whose labels absorb it, so
 that `row_signature` reads the signature of every row of a cover from
-one diagram's labels.  `signature_mult` evaluates a signature;
-`counting.count` evaluates each distinct signature of a row with pairs
-once, and sums the row without pairs from m_a1 over the state graph.
-
-The factors that `signature_mult` multiplies are cached by (weight,
-index, s) and the twin-tree factor, with its twin-edge factors, by
-(tree, s), safe as GwElem is immutable.
+one diagram's labels.  `row_mult` sums a row with pairs over its
+signatures in split form (see `gwring`); `counting` sums the row without
+pairs from m_a1 over the state graph.  m_a1 and gamma are cached by
+(weight, index, s), the twin-tree factor by (tree, s).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
 
-from .gwring import GwElem, beta_elem, h, one
+from .gwring import GwElem, beta_elem, h, one, split, split_mul, split_sum, unsplit
 
 
 @lru_cache(maxsize=None)
@@ -143,22 +140,27 @@ def row_signature(classification, twin_trees, absorbed, s: int) -> tuple:
     return twin_trees, classification, tuple([w for w, since in zip(weights, sinces) if since > s])
 
 
-def signature_mult(sig: tuple, num_params: int) -> GwElem:
-    """Total quadratic multiplicity of the merged diagrams with this signature.
-
-    Product of twin-tree factors, gamma factors for type-A pairs (a floor
-    merged with the adjacent elevator point), beta factors for free double
-    points, and m_a1 factors over the remaining bounded edges.
+def row_mult(tally, num_params: int) -> GwElem:
+    """Total quadratic multiplicity of a row, from its (signature, number of
+    classes) tally: per weight tuple the product of m_a1, per label part
+    (twin trees, classification) the sum of those products times its
+    twin-tree, gamma (type-A pair) and beta (free double point) factors.
+    Each factor is read from this module and split (`gwring.split`) once
+    per call, so a patched one is used.
     """
-    twin_trees, classification, weights = sig
-    total = one(num_params)
-    for tree in twin_trees:
-        total = total * twin_tree_mult(tree, num_params)
-    for idx, label in enumerate(classification):
-        if label[0] == "type_a":
-            total = total * gamma(label[1], idx + 1, num_params)
-        elif label[0] == "free":
-            total = total * beta_elem(idx + 1, num_params)
-    for w in weights:
-        total = total * m_a1(w, num_params)
-    return total
+    factor = cache(lambda f, *args: split(f(*args, num_params)))
+    edges, parts = {}, {}  # per weight tuple its product; per label part its terms
+    for (twin_trees, classification, weights), k in tally:
+        if weights not in edges:
+            edges[weights] = reduce(split_mul, [factor(m_a1, w) for w in weights], (0, {0: 1}))
+        parts.setdefault((twin_trees, classification), []).append((k, edges[weights]))
+    terms = []
+    for (twin_trees, classification), edge_terms in parts.items():
+        labels = [factor(twin_tree_mult, tree) for tree in twin_trees]
+        for idx, label in enumerate(classification):
+            if label[0] == "type_a":
+                labels.append(factor(gamma, label[1], idx + 1))
+            elif label[0] == "free":
+                labels.append(factor(beta_elem, idx + 1))
+        terms.append((1, reduce(split_mul, labels, split_sum(edge_terms))))
+    return unsplit(split_sum(terms), num_params)

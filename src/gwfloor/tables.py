@@ -134,3 +134,18 @@ FULL_EXTRA_SPECS = ["p2:4", "p1xp1:2,4", "p1xp1:2,5"]
 # the specs above almost never reach.
 FULL_KONTSEVICH_SPECS = list(KNOWN_WELSCHINGER)
 FULL_PLACEMENTS = [("bl2:5,1,1", ((4, 5), (6, 7), (8, 9), (10, 11)))]
+# Degrees on isomorphic surfaces count the same curves, so their beta
+# forms agree row by row for s <= min(n) / 2, although their floor
+# diagrams differ (and so does n): an exceptional class of multiplicity 1
+# is one more rational point; Bl2(P^2) = Bl1(P^1 x P^1) sends (a + b; a, b)
+# to bidegree (a, b); the quadric's factors swap; the exceptional classes
+# of bl3 permute; and the Cremona map sends (d; a) to (2d - sum a;
+# d - a_j - a_k).  verify --scope full checks each group per s.
+ISOMORPHIC_SPECS = [
+    ["bl1:3,1", "p2:3"],
+    ["bl1:4,1", "bl2:4,1,1", "bl3:4,1,1,1", "p2:4"],
+    ["bl2:4,2,2", "p1xp1:2,2"],
+    ["bl2:5,3,2", "p1xp1:3,2", "p1xp1:2,3"],
+    ["bl3:4,2,1,1", "bl3:4,1,1,2"],
+    ["bl3:5,2,1,1", "bl3:6,3,2,2"],
+]

@@ -3,13 +3,19 @@
 validate checks a diagram against the definition of a floor diagram,
 swapped exchanges two adjacent positions, complex_mult and edge_mult are
 the complex multiplicities a quadratic one must reduce to, signature is
-the local-factor signature of one row, witt_compare compares two counts
-in the Witt ring, and beta_form_from_signatures solves a row's beta form
-from its rank and Welschinger numbers alone.
+the local-factor signature of one row and signature_mult its
+multiplicity, witt_compare compares two counts in the Witt ring, and
+beta_form_from_signatures solves a row's beta form from its rank and
+Welschinger numbers alone.
+
+signature_mult multiplies out one signature's factors as GwElem
+products, one signature at a time; it shares only the local factors with
+`multiplicity.row_mult`, which sums a whole row in split form.
 """
 
 import math
 
+import gwfloor.multiplicity as multiplicity
 from gwfloor.counting import count
 from gwfloor.degrees import DegreeSpec, end_spec, leak_budget, n_delta, white_spec
 from gwfloor.diagrams import INCOMING, OUTGOING, FloorDiagram
@@ -117,6 +123,28 @@ def signature(d: FloorDiagram, pairs, classification, twin_trees) -> tuple:
     """The local-factor signature of d with its pairs labelled, as one row."""
     return row_signature(classification, twin_trees,
                          absorbed_since(d, pairs, classification, twin_trees), len(pairs))
+
+
+def signature_mult(sig: tuple, num_params: int) -> GwElem:
+    """Total quadratic multiplicity of the merged diagrams with this signature.
+
+    Product of twin-tree factors, gamma factors for type-A pairs (a floor
+    merged with the adjacent elevator point), beta factors for free double
+    points, and m_a1 factors over the remaining bounded edges, each read
+    from `multiplicity` at call time, so that a patched factor is used.
+    """
+    twin_trees, classification, weights = sig
+    total = one(num_params)
+    for tree in twin_trees:
+        total = total * multiplicity.twin_tree_mult(tree, num_params)
+    for idx, label in enumerate(classification):
+        if label[0] == "type_a":
+            total = total * multiplicity.gamma(label[1], idx + 1, num_params)
+        elif label[0] == "free":
+            total = total * multiplicity.beta_elem(idx + 1, num_params)
+    for w in weights:
+        total = total * multiplicity.m_a1(w, num_params)
+    return total
 
 
 def witt_compare(spec1: DegreeSpec, spec2: DegreeSpec, s: int) -> GwElem:

@@ -26,11 +26,11 @@ from gwfloor.gwring import (
     BetaForm, GwElem, GwMonomial, beta_decompose, beta_elem, equals_mod, h, one,
 )
 from gwfloor.multiplicity import (
-    TwinTreeSummary, gamma, m_a1, signature_mult, twin_edge_mult, twin_tree_mult,
+    TwinTreeSummary, gamma, m_a1, twin_edge_mult, twin_tree_mult,
 )
 from gwfloor.tables import KNOWN_COUNTS, PUBLISHED_ERRATA
 
-from oracles import edge_mult, signature, witt_compare
+from oracles import edge_mult, signature, signature_mult, witt_compare
 from wdvv import blowup_count
 
 

@@ -19,7 +19,8 @@ PUBLIC = [
 
 # Wrappers and test oracles that left the package; tests/oracles.py holds
 # the oracles.
-REMOVED = ["merge", "MergedFloorDiagram", "diagram_mult", "edge_mult", "witt_compare"]
+REMOVED = ["merge", "MergedFloorDiagram", "diagram_mult", "edge_mult", "witt_compare",
+           "signature_mult"]
 REMOVED_METHODS = ["neighbors", "validate", "divergence", "complex_mult", "swapped"]
 
 

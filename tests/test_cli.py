@@ -13,8 +13,9 @@ import gwfloor
 import gwfloor.diagrams as diagrams
 import gwfloor.multiplicity as multiplicity
 import gwfloor.counting as counting
-from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, build_parser, main, \
-    render_beta_form
+from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, _isomorphic_checks, \
+    build_parser, main, render_beta_form
+from gwfloor.degrees import parse_degree
 from gwfloor.gwring import BetaForm, GwElem
 
 from betatext import parse_beta_text
@@ -402,6 +403,15 @@ class TestVerify:
             "not a multiple of 2^1",
             "error: p2:3 with pairs 5,6;7,8: the orbit weights of a signature sum to 2, "
             "not a multiple of 2^2"]
+
+    def test_isomorphic_checks(self):
+        # one check per s up to the least n / 2, failing where a row differs
+        checks = list(_isomorphic_checks(parse_degree("bl1:3,1"), ["p2:3", "bl3:3,1,1,1"]))
+        assert [(check, passed) for check, passed, _ in checks] == \
+            [(f"isomorphic_s{s}", True) for s in range(3)]
+        checks = list(_isomorphic_checks(parse_degree("p2:4"), ["p1xp1:2,4", "bl2:4,1,1"]))
+        assert checks == [(f"isomorphic_s{s}", False, {"differ": ["p1xp1:2,4"]})
+                          for s in range(5)]  # bl2:4,1,1 has n = 9
 
     def test_quick_passes(self, capsys):
         code, out = run(capsys, "verify", "--scope", "quick")

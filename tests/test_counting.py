@@ -13,7 +13,8 @@ import gwfloor.diagrams as diagrams_module
 import gwfloor.multiplicity as multiplicity
 from gwfloor.cli import main
 from gwfloor.counting import (
-    OrbitWeightError, _disjoint_adjacent_pairs, _reindex_drop_last, count, default_pairs,
+    OrbitWeightError, _disjoint_adjacent_pairs, _reindex_drop_last, _signature_tally, count,
+    default_pairs,
     kontsevich, merged_classes, verify_merge_invariance, verify_rank_and_signatures,
     verify_square_substitution,
 )
@@ -22,13 +23,14 @@ from gwfloor.diagrams import (
     INCOMING, FloorDiagram, PairLabels, check_pairs, classify, enumerate_diagrams,
 )
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
-from gwfloor.multiplicity import absorbed_since, m_a1, signature_mult
-from gwfloor.tables import FULL_PLACEMENTS, KNOWN_COMPLEX, KNOWN_COUNTS, KNOWN_WELSCHINGER, \
-    QUICK_SPECS
+from gwfloor.multiplicity import absorbed_since, m_a1, row_mult
+from gwfloor.tables import FULL_PLACEMENTS, ISOMORPHIC_SPECS, KNOWN_COMPLEX, KNOWN_COUNTS, \
+    KNOWN_WELSCHINGER, QUICK_SPECS
 
 from conftest import COUNT_CACHES, clear_count_caches
 from keying import canonical_key
-from oracles import beta_form_from_signatures, signature, swapped, validate, witt_compare
+from oracles import beta_form_from_signatures, signature, signature_mult, swapped, validate, \
+    witt_compare
 from test_cli import CLASSIFY_MUTANTS
 from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
@@ -89,10 +91,63 @@ class TestCount:
             assert count(spec, s).total == per_class, s
 
     def test_signatures_fewer_than_classes(self):
-        # count() evaluates 58 products for this row, not 98
+        # row_mult sums 58 signatures for this row's 98 classes: 10 distinct
+        # edge-weight products, summed into 50 label parts
         reps = merged_classes(parse_degree("p2:4"), default_pairs(5))
         sigs = {signature(d, default_pairs(5), *labels) for d, labels in reps}
         assert (len(reps), len(sigs)) == (98, 58)
+        assert len({(trees, labels) for trees, labels, _ in sigs}) == 50
+        assert len({weights for _, _, weights in sigs}) == 10
+
+
+class TestPatchedFactors:
+    """`row_mult` and the s = 0 path sum split each local factor once per
+    call, reading it from `multiplicity` then: a patched factor reaches
+    every row that uses it, as the per-signature oracle says, and no split
+    factor outlives the call."""
+
+    @staticmethod
+    def plus_one(real):
+        return lambda *args: real(*args) + one(args[-1])
+
+    @pytest.mark.parametrize("name,label", [
+        ("m_a1", None), ("gamma", "type_a"), ("twin_tree_mult", "twin"), ("beta_elem", "free"),
+    ])
+    def test_rows_with_pairs(self, name, label, monkeypatch):
+        spec = parse_degree("p2:4")
+        tallies = [_signature_tally(spec, default_pairs(s)) for s in range(1, 6)]
+        before = [row_mult(tally, s) for s, tally in enumerate(tallies, start=1)]
+        monkeypatch.setattr(multiplicity, name, self.plus_one(getattr(multiplicity, name)))
+        clear_count_caches()
+        try:
+            changed = 0
+            for s, tally in enumerate(tallies, start=1):
+                patched = row_mult(tally, s)
+                oracle = GwElem.zero(s)
+                for sig, k in tally:
+                    oracle = oracle + k * signature_mult(sig, s)
+                assert patched == oracle, (name, s)
+                uses = label is None or any(c[0] == label for (_, labels, _), _ in tally
+                                            for c in labels)
+                assert (patched != before[s - 1]) == uses, (name, s)
+                changed += uses
+            assert changed
+        finally:
+            clear_count_caches()
+
+    def test_row_without_pairs(self, monkeypatch):
+        spec = parse_degree("p2:4")
+        clear_count_caches()
+        before = count(spec, 0).total
+        monkeypatch.setattr(multiplicity, "m_a1", self.plus_one(multiplicity.m_a1))
+        try:
+            patched = counting._edge_product_sum(spec)
+            oracle = GwElem.zero(0)
+            for d in enumerate_diagrams(spec):
+                oracle = oracle + signature_mult(((), (), [w for _, _, w in d.edges]), 0)
+            assert patched == oracle != before
+        finally:
+            clear_count_caches()
 
 
 class TestOrbitWeights:
@@ -596,21 +651,10 @@ class TestReports:
 
 class TestIsomorphicSurfaces:
     """Degrees on isomorphic surfaces count the same curves, so the engine's
-    β-forms agree row by row for s <= min(n)/2, although the floor diagrams
-    of the two families differ (and so does n).  An exceptional class of
-    multiplicity 1 is one more rational point; Bl2(P^2) = Bl1(P^1 x P^1)
-    sends (a + b; a, b) to bidegree (a, b); the quadric's factors swap; the
-    exceptional classes of bl3 permute; and the Cremona map sends (d; a) to
-    (2d - sum a; d - a_j - a_k)."""
+    β-forms agree row by row for s <= min(n)/2 (`tables.ISOMORPHIC_SPECS`
+    gives the identities); verify --scope full checks the same groups."""
 
-    @pytest.mark.parametrize("specs", [
-        ["bl1:3,1", "p2:3"],
-        ["bl1:4,1", "bl2:4,1,1", "bl3:4,1,1,1", "p2:4"],
-        ["bl2:4,2,2", "p1xp1:2,2"],
-        ["bl2:5,3,2", "p1xp1:3,2", "p1xp1:2,3"],
-        ["bl3:4,2,1,1", "bl3:4,1,1,2"],
-        ["bl3:5,2,1,1", "bl3:6,3,2,2"],
-    ], ids=lambda specs: "=".join(specs))
+    @pytest.mark.parametrize("specs", ISOMORPHIC_SPECS, ids=lambda specs: "=".join(specs))
     def test_beta_forms_agree(self, specs):
         degrees = [parse_degree(spec) for spec in specs]
         for s in range(min(n_delta(spec) for spec in degrees) // 2 + 1):

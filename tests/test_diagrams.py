@@ -16,11 +16,10 @@ from gwfloor.diagrams import (
     classify, count_diagrams, enumerate_diagrams,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, _orbits, default_pairs, merged_classes
-from gwfloor.multiplicity import signature_mult
 
 from conftest import clear_count_caches
 from keying import canonical_key
-from oracles import complex_mult, signature, swapped, validate
+from oracles import complex_mult, signature, signature_mult, swapped, validate
 from test_degrees import FORCED_BUDGETS
 from twins import swap_fixing_sets
 from wdvv import blowup_count

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import gwfloor
 from gwfloor.gwring import (
     MAX_PARAMS, BetaForm, GwElem, GwMonomial, ResidualNotInSpan, beta_decompose,
-    beta_elem, beta_sym, display, equals_mod, h, one, to_json_dict,
+    beta_elem, beta_sym, display, equals_mod, h, one, split, split_mul, split_sum,
+    to_json_dict, unsplit,
 )
+from gwfloor.multiplicity import m_a1
 
 from kummer import trace_kummer
 
@@ -239,6 +241,50 @@ class TestMaskEncoding:
     def test_prime_beyond_limit_rejected(self):
         with pytest.raises(ValueError):
             sym(2 ** 31 - 1)  # a prime
+
+
+# elements over d_1..d_4 with <-1>, <-m> and d-classes among their symbols
+symbols = st.tuples(st.one_of(st.sampled_from([1, -1, 2, -2, 3, -6]), nonzero), subsets)
+elements = st.lists(st.tuples(symbols, st.integers(-9, 9)), max_size=6).map(
+    lambda terms: GwElem.from_coeffs([(GwMonomial.of(a, I), c) for (a, I), c in terms], 4))
+
+
+def _assert_split_form(e):
+    a, x = e
+    assert isinstance(a, int)
+    assert all(c != 0 and m & 1 == 0 for m, c in x.items()), x  # bit 0: the sign
+
+
+class TestSplit:
+    """e = a h + x with x over sign-positive classes, the form in which a
+    row's products are summed."""
+
+    @given(elements)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, e):
+        _assert_split_form(split(e))
+        assert unsplit(split(e), 4) == e
+        assert split(e)[0] == e.coeff(GwMonomial(1, (), -1))
+
+    @given(elements, elements)
+    @settings(max_examples=200, deadline=None)
+    def test_product_is_the_ring_product(self, e1, e2):
+        product = split_mul(split(e1), split(e2))
+        _assert_split_form(product)
+        assert unsplit(product, 4) == e1 * e2
+
+    @given(elements, elements, st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_sum(self, e1, e2, k1, k2):
+        total = split_sum([(k1, split(e1)), (k2, split(e2))])
+        _assert_split_form(total)
+        assert unsplit(total, 4) == k1 * e1 + k2 * e2
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_even_edge_factor_is_pure_h(self, m):
+        # no {<1>: 0} entry is carried, so products with it stay in h
+        assert split(m_a1(m, 4)) == (m // 2, {})
+        assert split_mul(split(beta_elem(1, 4)), split(m_a1(m, 4))) == (m, {})
 
 
 def _symbols(args, num_params):
