@@ -22,6 +22,18 @@ graph from the root, carrying the concrete origin of each strand, and
 emits a diagram at the top of every path, so no branch is a dead end;
 `counting.count` sums the s = 0 row over the graph's paths.
 
+The move generators build only children that can still complete.  Every
+later black closes a seek-black strand (a splice or an outgoing end) or
+is an incoming end, so the floors from here on open room = blacks left -
+incoming ends left - seek-black strands strands; the last floor, below
+outgoing ends only, leaves no incoming end, closes every seek-white
+strand and opens room of weight 1.  Splices and incoming ends open
+seek-white strands, so need a floor above; a splice spends no end, so
+needs a black besides one per end left.  The floors above a floor carry
+at most one leak of each sign each.  On p1xp1:2,5 the build makes 612
+children and memoises 289 states, not 2653 and 866, to keep 254; the
+p2:5 graph has no dead state (617 children, 186 states).
+
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
 the same merged diagram.  One pass over the enumerated diagrams
@@ -122,9 +134,16 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
     weight), layout, end): the new strands are the old ones at the layout
     indices, -1 standing for a strand that starts at the position.  Moves
     are listed in sweep order and kept only if their child has a completion.
-    The dict is in post-order: every kept child comes before its parent,
-    and the root comes last.  Built once per degree; the dict is shared,
-    so callers must not mutate it.
+    No child is built that the module docstring's bounds rule out: a floor
+    opens at most room strands, as each later black closes a seek-black
+    strand or is an incoming end; the last floor leaves no incoming end,
+    closes every seek-white strand and opens room of weight 1, as the
+    blacks above it are outgoing ends; a splice or an incoming end needs a
+    floor above, and a splice a black besides one per end left; the floors
+    above carry at most one leak of each sign each.  The dict is in
+    post-order: every kept child comes before its parent, and the root
+    comes last.  Built once per degree; the dict is shared, so callers
+    must not mutate it.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
@@ -139,30 +158,24 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
 
     leak_options = [(lm, lp) for lm in counts(minus_total) for lp in counts(plus_total)]
 
-    def feasible(pos, whites, minus, plus, inc, out, strands):
-        whites_left = w_total - whites
-        blacks_left = b_total - (pos - whites)
-        in_left, out_left = in_total - inc, out_total - out
-        seek_black = sum(1 for s in strands if s[2] == _SEEK_BLACK)
-        return (blacks_left >= in_left + out_left
-                and seek_black <= blacks_left - in_left
-                and not (whites_left == 0 and (len(strands) > seek_black or in_left > 0))
-                and minus_total - minus <= whites_left and plus_total - plus <= whites_left)
-
     def white_moves(pos, whites, minus, plus, inc, out, strands):
         open_sw = [i for i, s in enumerate(strands) if s[2] == _SEEK_WHITE]
-        blacks_left = b_total - (pos - whites)
+        floors_after = w_total - whites - 1
+        room = b_total - (pos - whites) - (in_total - inc) - (len(strands) - len(open_sw))
+        if not floors_after and inc < in_total:
+            return  # an incoming end needs a floor above
         for lm, lp in leak_options:
-            if minus + lm > minus_total or plus + lp > plus_total:
+            if not (minus_total - floors_after <= minus + lm <= minus_total
+                    and plus_total - floors_after <= plus + lp <= plus_total):
                 continue
             leak = (-1,) * lm + (1,) * lp
-            for k in range(len(open_sw) + 1):
+            for k in range(len(open_sw) + 1) if floors_after else [len(open_sw)]:
                 for chosen in itertools.combinations(open_sw, k):
                     comps = {strands[i][3] for i in chosen}
                     if len(comps) != k:
                         continue  # closing two strands of one component: cycle
                     out_flow = sum(strands[i][1] for i in chosen) - (lp - lm)
-                    if out_flow < 0:
+                    if out_flow < 0 or not (floors_after or out_flow == room):
                         continue
                     # the floor joins the closed components; -1 is a new one
                     comp = min(comps, default=-1)
@@ -171,7 +184,7 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
                             for o, w, stage, c in (strands[i] for i in layout)]
                     closed = tuple((i, strands[i][1]) for i in chosen)
                     sealed = all(s[3] != comp for s in rest)
-                    for parts in _partitions(out_flow, out_flow, blacks_left):
+                    for parts in _partitions(out_flow, out_flow if floors_after else 1, room):
                         if sealed and not parts and pos != n - 1:
                             continue  # a component closed off below the top
                         yield ((leak, closed, tuple(layout) + (-1,) * len(parts), None),
@@ -182,15 +195,16 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
         everyone = tuple(range(len(strands)))
         # (a) splice an open elevator strand, one of each (origin, weight)
         seen = set()
+        splice = whites < w_total and b_total - (pos - whites) > in_total - inc + out_total - out
         for i, (o, w, stage, c) in enumerate(strands):
-            if stage == _SEEK_BLACK and (o, w) not in seen:
+            if splice and stage == _SEEK_BLACK and (o, w) not in seen:
                 seen.add((o, w))
                 new = list(strands)
                 new[i] = (-1, w, _SEEK_WHITE, c)
                 yield ((None, ((i, w),), everyone[:i] + (-1,) + everyone[i + 1:], None),
                        (pos + 1, whites, minus, plus, inc, out, _canonical(new)))
         # (b) consume an incoming end: a weight-1 strand of a new component
-        if inc < in_total:
+        if whites < w_total and inc < in_total:
             yield ((None, (), everyone + (-1,), INCOMING),
                    (pos + 1, whites, minus, plus, inc + 1, out,
                     _canonical(strands + ((-1, 1, _SEEK_WHITE, -1),))))
@@ -218,8 +232,6 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
         kept = []
         if pos == n:
             total = int(state[1:] == complete)
-        elif not feasible(*state):
-            total = 0
         else:
             if whites < w_total:
                 kept += [(m, c) for m, c in white_moves(*state) if visit(c)]
@@ -287,8 +299,8 @@ def check_pairs(pair_positions: Iterable[tuple[int, int]],
     return pairs
 
 
-# A row has thousands of twin trees but few distinct summaries (6 on the
-# p1xp1:2,5 table): each is built, and checked, once.
+# Twin trees repeat: the 405 classify calls of the p1xp1:2,5 table build
+# 1050 of them in 6 distinct summaries, each built, and checked, once.
 _twin_tree_summary = lru_cache(maxsize=None)(TwinTreeSummary)
 
 

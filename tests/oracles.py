@@ -6,18 +6,20 @@ the complex multiplicities a quadratic one must reduce to, signature is
 the local-factor signature of one row and signature_mult its
 multiplicity, witt_compare compares two counts in the Witt ring, and
 beta_form_from_signatures solves a row's beta form from its rank and
-Welschinger numbers alone.
+Welschinger numbers alone, and small_degrees lists every degree up to a
+number of point conditions.
 
 signature_mult multiplies out one signature's factors as GwElem
 products, one signature at a time; it shares only the local factors with
 `multiplicity.row_mult`, which sums a whole row in split form.
 """
 
+import itertools
 import math
 
 import gwfloor.multiplicity as multiplicity
 from gwfloor.counting import count
-from gwfloor.degrees import DegreeSpec, end_spec, leak_budget, n_delta, white_spec
+from gwfloor.degrees import DegreeSpec, InvalidDegree, end_spec, leak_budget, n_delta, white_spec
 from gwfloor.diagrams import INCOMING, OUTGOING, FloorDiagram
 from gwfloor.gwring import GwElem, GwMonomial, h, one
 from gwfloor.multiplicity import absorbed_since, row_signature
@@ -103,6 +105,25 @@ def swapped(d: FloorDiagram, a: int) -> FloorDiagram:
     return FloorDiagram(
         tuple([d.colors[i] for i in p]), tuple([d.leaks[i] for i in p]),
         tuple(sorted(edges)), tuple(sorted([(p[i], end) for i, end in d.ends])))
+
+
+def small_degrees(n_max: int) -> list[str]:
+    """Every valid degree of the five families with n <= n_max, by family.
+
+    On the plane families n = 3d - a1 - a2 - a3 - 1 >= 3d/2 - 1, as
+    a1 + a2 <= d and a3 <= d/2 (a3 <= a1 and a1 + a3 <= d); on the quadric
+    n = 2(a1 + a2) - 1.  So no parameter exceeds 2(n_max + 1)/3.
+    """
+    degrees = []
+    for family, k in (("p2", 1), ("p1xp1", 2), ("bl1", 2), ("bl2", 3), ("bl3", 4)):
+        for params in itertools.product(range(1, 2 * (n_max + 1) // 3 + 1), repeat=k):
+            try:
+                spec = DegreeSpec(family, params)
+            except InvalidDegree:
+                continue
+            if n_delta(spec) <= n_max:
+                degrees.append(str(spec))
+    return degrees
 
 
 def complex_mult(d: FloorDiagram) -> int:

@@ -29,8 +29,8 @@ from gwfloor.tables import FULL_PLACEMENTS, ISOMORPHIC_SPECS, KNOWN_COMPLEX, KNO
 
 from conftest import COUNT_CACHES, clear_count_caches
 from keying import canonical_key
-from oracles import beta_form_from_signatures, signature, signature_mult, swapped, validate, \
-    witt_compare
+from oracles import beta_form_from_signatures, signature, signature_mult, small_degrees, \
+    swapped, validate, witt_compare
 from test_cli import CLASSIFY_MUTANTS
 from test_diagrams import ENUMERATED_SPECS
 from wdvv import blowup_count
@@ -588,6 +588,17 @@ class TestRankOracles:
         spec = parse_degree(spec_str)
         for s in range(n_delta(spec) // 2 + 1):
             assert count(spec, s).rank == expected
+
+    @pytest.mark.parametrize("spec_str", small_degrees(12))
+    def test_every_small_degree_matches_wdvv(self, spec_str):
+        # a path has rank prod w >= 1, so a sweep that dropped a path with a
+        # completion would lower the rank; WDVV shares no code with the sweep
+        spec = parse_degree(spec_str)
+        family, params = spec.family, spec.params
+        if family == "p1xp1":
+            # Bl1(P^1 x P^1) = Bl2(P^2) sends bidegree (a, b) to (a + b; a, b)
+            family, params = "bl2", (sum(params), max(params), min(params))
+        assert count(spec, 0).rank == blowup_count(family, params)
 
 
 class TestSquareSubstitution:
