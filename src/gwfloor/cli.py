@@ -15,8 +15,8 @@ group then counts as one check, a failed "residual_not_in_span" resp.
 "orbit_weights_not_whole" carrying the error text, after the failures it
 already found, and the remaining groups still run.  No verify row has a
 twin elevator of odd weight >= 3, so only unit tests check that branch
-of `multiplicity.twin_edge_mult`: `tests/odd_twins.py` scans the covers of
-the rows with pairs, and the merge-invariance degrees have no weight 3.
+of `multiplicity.twin_edge_mult`: `tests/odd_twins.py` scans the default
+covers, and verify's other covers (merge invariance) have no weight 3.
 """
 
 from __future__ import annotations

@@ -13,14 +13,11 @@ unless every division is exact).  A class's members share its profile,
 so one orbit pass (`_orbits`) classifies (`diagrams.classify`) only the
 first diagram of each class, under the cover, and drops the others by
 the packed keys of its swaps (3743 classes of 25871 diagrams on p2:5).
-All rows of a cover are tallied from that pass (`_cover_tallies`), each
-over the distinct class profiles (1320 on p2:5), restricting the labels
-to the row (`_restrict`), which is exact by the argument at the end of
-the `diagrams` docstring: the cover of a default row is the full default
-placement default_pairs(n // 2), whose first s pairs are the row's, and
-the cover of any other placement is its pairs.  The cover's sums are
-cached, so its rows share one pass; each row divides its sums once
-(`_signature_tally`), and no labels or profile outlive the pass.
+A row's cover (`_extension`) adds the leftmost pairs that fit in each
+gap, default_pairs(n // 2) for a default row; only the distinct profiles
+of its pass are cached (1320 on p2:5, `_cover_profiles`), and a row is
+summed over them when read (`_signature_tally`), its labels restricted
+(`_restrict`, exact by the argument at the end of the `diagrams` docstring).
 
 Each row is computed once per (degree, pairs) and cached (`_row`), as
 verify reads every row two or three times; a row that raises is not
@@ -50,7 +47,7 @@ from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, \
     count_diagrams, enumerate_diagrams
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, split, split_mul, \
     split_sum, unsplit
-from .multiplicity import absorbed_since, row_mult, row_signature
+from .multiplicity import TwinTreeSummary, absorbing_masks, row_mult, row_signature
 
 
 @dataclass(frozen=True)
@@ -92,19 +89,31 @@ def resolve_pairs(spec: DegreeSpec, s: int | None,
     return pairs
 
 
-def _restrict(labels: PairLabels, s: int) -> PairLabels:
-    """The labels of the cover's first s pairs, from the cover's labels.
+def _extension(pairs: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs and, in each gap, the leftmost adjacent pairs that fit."""
+    cover, start = [], 0
+    for a, b in pairs + ((n, n + 1),):
+        cover += [(p, p + 1) for p in range(start, a - 1, 2)] + [(a, b)]
+        start = b + 1
+    return tuple(cover[:-1])
 
-    The row's twin trees are the cover's trees on points <= s, in order
-    and renumbered; a pair of a dropped tree is free.
-    """
-    classification, trees = labels
-    kept = {t: k for k, t in enumerate(
-        t for t, tree in enumerate(trees) if tree.point_indices[-1] <= s)}
-    return PairLabels(tuple(label if label[0] != "twin" else
-                            ("twin", kept[label[1]]) if label[1] in kept else ("free",)
-                            for label in classification[:s]),
-                      tuple(trees[t] for t in kept))
+
+def _restrict(entry: tuple, row: int, picked: list) -> tuple:
+    """(classification, twin trees) of the row from a cover entry (see
+    `_cover_profiles`): the row picks cover[i] for i in picked (bits of
+    row); its trees are the cover's trees within it, in order, their
+    points renumbered to the row's; a pair of a dropped tree is free."""
+    classification, trees, masks = entry
+    kept = [t for t, mask in enumerate(masks) if mask & row == mask]
+    trees = [trees[t] for t in kept]
+    if trees and picked[-1] >= len(picked):  # not a prefix of the cover
+        rank = {i + 1: k for k, i in enumerate(picked, 1)}
+        trees = [TwinTreeSummary(tuple([rank[i] for i in tree.point_indices]), tuple(
+            [(m, rank[i]) for m, i in tree.elevator_marks]), tree.m_root,
+            tree.unbounded_twin_elevators) for tree in trees]
+    return tuple([label if label[0] != "twin" else ("twin", kept.index(label[1])) if label[1]
+                  in kept else ("free",) for label in map(classification.__getitem__, picked)]), \
+        tuple(trees)
 
 
 class OrbitWeightError(Exception):
@@ -184,54 +193,47 @@ def merged_classes(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=256)
-def _cover_tallies(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> dict:
-    """Per row of the cover, its (signature, orbit-weight sum) per
-    distinct signature.
-
-    The rows of the default cover are its prefixes cover[:s]; any other
-    cover has one row, itself.  Each class is classified once, through
-    its representative under the cover (`_orbits`), and reduced to a
-    profile: its interned labels, its `multiplicity.absorbed_since` and
-    the cover's pairs that an edge joins.  Each row is summed over the
-    distinct profiles, weighted by their numbers of diagrams.  A class
-    with T twin trees and v = s - j pairs that no edge joins has 2^(v - T)
-    diagrams, so weighting each by 2^(T + j) counts every class 2^s times.
-    """
+def _cover_profiles(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tuple:
+    """The cover's distinct labels, as (classification, twin trees, their
+    masks), and its distinct profiles, with their numbers of diagrams.  A
+    profile is a class's labels (their index), `multiplicity.absorbing_masks`
+    and the mask of the pairs that an edge joins (bit k for cover[k]);
+    each class is classified once, through its representative."""
     entries: dict = {}  # per distinct cover `PairLabels`, its index
     profiles: Counter = Counter()
-    cover_starts = sum(1 << a for a, _ in cover)
+    index = {a: 1 << k for k, (a, _) in enumerate(cover)}
+    intern = {}.setdefault  # one object per equal label or tuple, to keep the cache small
     for d, labels, keys in _orbits(spec, cover):
-        joined = sum(1 << u for u, v, _ in d.edges if v == u + 1) & cover_starts
-        profiles[entries.setdefault(labels, len(entries)), absorbed_since(d, cover, *labels),
-                 joined] += len(keys)
-    size = len(cover)
-    tallies = {}
-    for s in range(1, size + 1) if cover == default_pairs(size) else (size,):
-        restricted = [_restrict(labels, s) for labels in entries]
-        starts = sum(1 << a for a, _ in cover[:s])
-        sums: Counter = Counter()
-        for (e, absorbed, joined), k in profiles.items():
-            classification, trees = restricted[e]
-            sums[row_signature(classification, trees, absorbed, s)] += \
-                k << (len(trees) + (joined & starts).bit_count())
-        tallies[s] = tuple(sums.items())
-    return tallies
+        joined = sum(index.get(u, 0) for u, v, _ in d.edges if v == u + 1)
+        weights, masks = absorbing_masks(d, cover, *labels)
+        profiles[entries.setdefault(labels, len(entries)), intern(weights, weights),
+                 intern(masks, masks), joined] += len(keys)
+    return tuple((tuple([intern(label, label) for label in classification]), trees,
+                  tuple([sum(1 << (i - 1) for i in tree.point_indices) for tree in trees]))
+                 for classification, trees in entries), tuple(profiles.items())
 
 
 def _signature_tally(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> tuple:
-    """(signature, number of classes) per distinct signature of the row:
-    its cover's orbit-weight sums divided by 2^s, OrbitWeightError at the
-    first sum that is no multiple of it."""
-    s = len(pairs)
-    cover = default_pairs(n_delta(spec) // 2) if pairs == default_pairs(s) else pairs
-    tally = []
-    for sig, weight in _cover_tallies(spec, cover)[s]:
-        k, rest = divmod(weight, 1 << s)
-        if rest:
+    """(signature, number of classes) per distinct signature of the row,
+    summed over its cover's profiles: each weighs 2^(T + j) per diagram,
+    as a class with T twin trees and v = s - j pairs that no edge joins
+    has 2^(v - T) diagrams; OrbitWeightError at the first sum that is no
+    multiple of 2^s."""
+    s, cover = len(pairs), _extension(pairs, n_delta(spec))
+    entries, profiles = _cover_profiles(spec, cover)
+    picked = [cover.index(pair) for pair in pairs]
+    row = sum(1 << i for i in picked)
+    restricted = [_restrict(entry, row, picked) for entry in entries]
+    sums: Counter = Counter()
+    for (e, weights, masks, joined), k in profiles:
+        classification, trees = restricted[e]
+        sums[row_signature(classification, trees, weights, masks, row)] += \
+            k << (len(trees) + (joined & row).bit_count())
+    for weight in sums.values():
+        if weight % (1 << s):
             raise OrbitWeightError(f"{spec} with pairs {_named(pairs)}: the orbit weights of a "
                                    f"signature sum to {weight}, not a multiple of 2^{s}")
-        tally.append((sig, k))
-    return tuple(tally)
+    return tuple((sig, weight >> s) for sig, weight in sums.items())
 
 
 def _edge_product_sum(spec: DegreeSpec) -> GwElem:

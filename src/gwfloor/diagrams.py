@@ -39,7 +39,7 @@ Diagrams that differ by exchanging the two positions of some pairs give
 the same merged diagram.  One pass over the enumerated diagrams
 (`counting._orbits`) classifies the first diagram of each class and
 drops the others, found by the packed keys (leaks, edges) of its swaps;
-a count weights each class by its size (`counting._cover_tallies`), and
+a count weights each class by its size (`counting._cover_profiles`), and
 `counting.merged_classes` lists the representatives.
 
 `check_pairs` checks a pair list, and `classify` labels the pairs of a
@@ -59,16 +59,18 @@ elevator point, and "free" otherwise.  The labels alone say which edges
 a local factor absorbs, so nothing else about them is kept.
 
 So the labels under pairs P follow from those under any pairs F
-containing P, which `counting._cover_tallies` uses to classify each
-class once per degree and to tally every row of F from the same
-labels: for P within F, the sets of pairs within
-P whose swap fixes the diagram are those of F that lie in P, so P's twin
-trees are F's trees within P.  A pair of one of F's other trees joins
-two vertices of one colour, and every edge joins a floor to a black, so
-under P it is free; type-A and free labels depend on their pair alone.
-Hence an edge that P's labels absorb is absorbed under every P' within
-F that contains P, and the first prefix of F whose labels absorb it is
-one number per edge (`multiplicity.absorbed_since`).
+containing P, which `counting._cover_profiles` uses to classify each
+class once per cover and to tally every row within F from the same
+labels: for P within F, the sets of pairs within P whose swap fixes
+the diagram are those of F that lie in P, so P's twin trees are F's
+trees within P.  A pair of one of F's other trees joins two vertices
+of one colour, and every edge joins a floor to a black, so under P it
+is free; type-A and free labels depend on their pair alone.  No two
+labels absorb at the two ends of an edge: the swap of a tree at one end
+fixes the other end v, so v joins both twins, a cycle through the tree's
+root floor r (if v = r, v is on a second tree, whose swap gives one).
+So an edge has one absorbing mask, its label's pairs
+(`multiplicity.absorbing_masks`), and P absorbs it iff P holds the mask.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 The multiplicity of a merged diagram is the product of these factors, so
 it depends only on its local-factor signature: the twin-tree summaries,
 the pair labels, and the sorted weights of the edges that no label
-absorbs.  Which edges a label absorbs is said once, in `absorbed_since`,
-per edge as the first prefix of the pairs whose labels absorb it, so
-that `row_signature` reads the signature of every row of a cover from
+absorbs.  Which edges a label absorbs is said once, in `absorbing_masks`,
+per edge as the pairs of the one label that absorbs it, so that
+`row_signature` reads the signature of every row within a cover from
 one diagram's labels.  `row_mult` sums a row with pairs over its
 signatures in split form (see `gwring`); `counting` sums the row without
 pairs from m_a1 over the state graph.  m_a1 and gamma are cached by
@@ -110,34 +110,39 @@ def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     return total * subset_sum
 
 
-def absorbed_since(diagram, pairs, classification, twin_trees) -> tuple:
-    """(weights, sinces) of a diagram's edges, sorted by (weight, since).
+def absorbing_masks(diagram, pairs, classification, twin_trees) -> tuple:
+    """(weights, masks) of a diagram's edges, sorted by (weight, mask).
 
-    An edge's since is the least s whose labels, those of pairs[:s],
-    absorb it, len(pairs) + 1 if none: a "twin" pair absorbs the edges at
-    both its vertices once its whole tree is in, a "type_a" pair those at
-    its black, whose elevator enters its gamma factor.
+    The mask has bit k for each pairs[k] whose label absorbs the edge, a
+    whole twin tree at both its vertices or a "type_a" pair at its black
+    (gamma takes its elevator), and bit len(pairs) if none does; a row
+    absorbs the edge iff it holds the mask.  ValueError if its two ends
+    name different masks, which no tree allows (`diagrams` docstring).
     """
-    since = [len(pairs) + 1] * len(diagram.colors)  # per vertex
+    at = [0] * len(diagram.colors)  # per vertex, the mask of the label that absorbs at it
     for k, ((a, b), label) in enumerate(zip(pairs, classification)):
         if label[0] == "twin":
-            since[a] = since[b] = twin_trees[label[1]].point_indices[-1]
+            at[a] = at[b] = sum(1 << (i - 1) for i in twin_trees[label[1]].point_indices)
         elif label[0] == "type_a":
-            since[a if diagram.colors[a] == "b" else b] = k + 1
-    edges = [(w, since[u] if since[u] < since[v] else since[v]) for u, v, w in diagram.edges]
+            at[a if diagram.colors[a] == "b" else b] = 1 << k
+    edges, none = [], 1 << len(pairs)
+    for u, v, w in diagram.edges:
+        if (mask := at[u] or at[v]) != (at[v] or mask):  # both ends absorbed, differently
+            raise ValueError("an edge joins vertices that different labels absorb at")
+        edges.append((w, mask or none))
     edges.sort()
-    return tuple([w for w, _ in edges]), tuple([x for _, x in edges])
+    return tuple([w for w, _ in edges]), tuple([mask for _, mask in edges])
 
 
-def row_signature(classification, twin_trees, absorbed, s: int) -> tuple:
-    """The local-factor signature of a row of s pairs, from its labels
-    and the `absorbed_since` of any pairs that begin with its own.
+def row_signature(classification, twin_trees, weights, masks, row: int) -> tuple:
+    """The local-factor signature of a row, from its labels and the
+    `absorbing_masks` of any pairs that contain its own (the bits of row).
 
     (twin_trees, classification, sorted weights of the edges that the
     row's labels do not absorb): all that its multiplicity depends on.
     """
-    weights, sinces = absorbed
-    return twin_trees, classification, tuple([w for w, since in zip(weights, sinces) if since > s])
+    return twin_trees, classification, tuple([w for w, mask in zip(weights, masks)
+                                              if mask & row != mask])
 
 
 def row_mult(tally, num_params: int) -> GwElem:
@@ -146,13 +151,14 @@ def row_mult(tally, num_params: int) -> GwElem:
     (twin trees, classification) the sum of those products times its
     twin-tree, gamma (type-A pair) and beta (free double point) factors.
     Each factor is read from this module and split (`gwring.split`) once
-    per call, so a patched one is used.
+    per call, so a patched one is used; edge factors equal to <1> are left out.
     """
     factor = cache(lambda f, *args: split(f(*args, num_params)))
     edges, parts = {}, {}  # per weight tuple its product; per label part its terms
     for (twin_trees, classification, weights), k in tally:
         if weights not in edges:
-            edges[weights] = reduce(split_mul, [factor(m_a1, w) for w in weights], (0, {0: 1}))
+            kept = [f for w in weights if (f := factor(m_a1, w)) != (0, {0: 1})]  # not <1>
+            edges[weights] = reduce(split_mul, kept, (0, {0: 1}))
         parts.setdefault((twin_trees, classification), []).append((k, edges[weights]))
     terms = []
     for (twin_trees, classification), edge_terms in parts.items():

@@ -131,7 +131,7 @@ FULL_EXTRA_SPECS = ["p2:4", "p1xp1:2,4", "p1xp1:2,5"]
 # Welschinger's W_d, and placements of 0-based pairs whose count must
 # equal the default placement's.  The bl2:5,1,1 placement merges a
 # diagram that has a weight-2 twin elevator, which the default rows of
-# the specs above almost never reach.
+# the specs above almost never reach; it reads the default cover's pass.
 FULL_KONTSEVICH_SPECS = list(KNOWN_WELSCHINGER)
 FULL_PLACEMENTS = [("bl2:5,1,1", ((4, 5), (6, 7), (8, 9), (10, 11)))]
 # Degrees on isomorphic surfaces count the same curves, so their beta

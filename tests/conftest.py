@@ -1,11 +1,11 @@
 """Helpers shared by the test modules."""
 
-from gwfloor.counting import _cover_tallies, _row
+from gwfloor.counting import _cover_profiles, _row
 from gwfloor.multiplicity import twin_tree_mult
 
 # Every cache that holds a result of `diagrams.classify` or of a local
 # factor, bound at import, as a test may patch the module attribute.
-COUNT_CACHES = (_row, _cover_tallies, twin_tree_mult)
+COUNT_CACHES = (_row, _cover_profiles, twin_tree_mult)
 
 
 def clear_count_caches() -> None:

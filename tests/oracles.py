@@ -22,7 +22,7 @@ from gwfloor.counting import count
 from gwfloor.degrees import DegreeSpec, InvalidDegree, end_spec, leak_budget, n_delta, white_spec
 from gwfloor.diagrams import INCOMING, OUTGOING, FloorDiagram
 from gwfloor.gwring import GwElem, GwMonomial, h, one
-from gwfloor.multiplicity import absorbed_since, row_signature
+from gwfloor.multiplicity import absorbing_masks, row_signature
 
 
 def _require(ok: bool, what: str) -> None:
@@ -143,7 +143,8 @@ def edge_mult(m: int, num_params: int = 0) -> GwElem:
 def signature(d: FloorDiagram, pairs, classification, twin_trees) -> tuple:
     """The local-factor signature of d with its pairs labelled, as one row."""
     return row_signature(classification, twin_trees,
-                         absorbed_since(d, pairs, classification, twin_trees), len(pairs))
+                         *absorbing_masks(d, pairs, classification, twin_trees),
+                         (1 << len(pairs)) - 1)
 
 
 def signature_mult(sig: tuple, num_params: int) -> GwElem:

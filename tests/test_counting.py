@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from gwfloor.diagrams import (
     INCOMING, FloorDiagram, PairLabels, check_pairs, classify, enumerate_diagrams,
 )
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
-from gwfloor.multiplicity import absorbed_since, m_a1, row_mult
+from gwfloor.multiplicity import absorbing_masks, m_a1, row_mult
 from gwfloor.tables import FULL_PLACEMENTS, ISOMORPHIC_SPECS, KNOWN_COMPLEX, KNOWN_COUNTS, \
     KNOWN_WELSCHINGER, QUICK_SPECS
 
@@ -192,20 +193,21 @@ class TestRowCache:
         before = live_records()
         for s in range(n_delta(spec) // 2 + 1):
             count(spec, s)
+        # the cover's memo holds its distinct labels, each once with the
+        # masks of its twin trees, and its distinct profiles, each with its
+        # number of diagrams: no class, no diagram and no row's labels;
+        # every row is summed from them when it is read
+        entries, profiles = counting._cover_profiles(spec, default_pairs(n_delta(spec) // 2))
+        assert counting._cover_profiles.cache_info().currsize == 1
         assert live_records() <= before
-        # the cover's memo holds sums per row and no profile: per row, a
-        # (signature, orbit-weight sum) per distinct signature, each sum a
-        # positive multiple of 2^s that a read of the row divides
-        rows = range(1, n_delta(spec) // 2 + 1)
-        sums = counting._cover_tallies(spec, default_pairs(rows[-1]))
-        assert list(sums) == list(rows)
-        for s, row in sums.items():
-            assert type(row) is tuple
-            assert all(len(sig) == 3 and type(w) is int and w > 0 and w % (1 << s) == 0
-                       for sig, w in row)
-            assert tuple((sig, w >> s) for sig, w in row) == \
-                counting._signature_tally(spec, default_pairs(s))
-            assert sum(w for _, w in row) == count(spec, s).class_count << s
+        assert len(set(entries)) == len(entries)
+        for classification, trees, masks in entries:
+            assert type(classification) is tuple and len(masks) == len(trees)
+        assert sum(k for _, k in profiles) == len(enumerate_diagrams(spec))
+        assert len(set(profile for profile, _ in profiles)) == len(profiles)
+        for (e, weights, masks, joined), k in profiles:
+            assert 0 <= e < len(entries) and type(joined) is int and k > 0
+            assert len(weights) == len(masks) and all(type(mask) is int for mask in masks)
 
     def test_table_classifies_each_class_once(self, monkeypatch, capsys):
         # each class of the full default placement is classified once per
@@ -232,13 +234,13 @@ class TestRowCache:
         spec = parse_degree("p2:4")
         clear_count_caches()
         count(spec, 2)
-        rows, covers = counting._row.cache_info(), counting._cover_tallies.cache_info()
+        rows, covers = counting._row.cache_info(), counting._cover_profiles.cache_info()
         count(spec, 2, [(2, 3), (0, 1)])
         rows_again = counting._row.cache_info()
         assert (rows_again.hits, rows_again.misses) == (rows.hits + 1, rows.misses)
-        assert counting._cover_tallies.cache_info() == covers
+        assert counting._cover_profiles.cache_info() == covers
         count(spec, 4)
-        again = counting._cover_tallies.cache_info()
+        again = counting._cover_profiles.cache_info()
         assert (again.hits, again.misses) == (covers.hits + 1, covers.misses)
 
     def test_verify_computes_each_row_once(self, monkeypatch):
@@ -337,9 +339,21 @@ class TestCoverRestriction:
             for pairs in _disjoint_adjacent_pairs(n_delta(spec), s):
                 self.assert_tallied_directly(spec, pairs)
 
+    def test_every_placement_of_a_blowup(self):
+        # 55 rows of n = 9, with s = 0, read from 9 covers
+        spec = parse_degree("bl2:4,1,1")
+        clear_count_caches()
+        rows = [pairs for s in range(n_delta(spec) // 2 + 1)
+                for pairs in _disjoint_adjacent_pairs(n_delta(spec), s)]
+        assert len(rows) == 55
+        for pairs in rows:
+            self.assert_tallied_directly(spec, pairs)
+        assert counting._cover_profiles.cache_info().misses == 9
+
     def test_kept_trees_are_renumbered(self):
         # tree 0 reaches pair 7 and tree 1 is pair 2 alone, so at s = 2 only
-        # tree 1 is kept, as tree 0, and pair 1 of the dropped tree is free
+        # tree 1 is kept, as tree 0, and pair 1 of the dropped tree is free;
+        # every subset of the cover is a row, with its points renumbered
         d = FloorDiagram(
             ("b",) * 5 + ("w", "b", "b", "w", "w", "b", "b", "w", "w"),
             (None,) * 5 + ((1,), None, None, (1,), (1,), None, None, (1,), (1,)),
@@ -347,17 +361,62 @@ class TestCoverRestriction:
              (6, 8, 1), (7, 9, 1), (8, 10, 1), (9, 11, 1), (10, 12, 1), (11, 13, 1)),
             tuple((i, INCOMING) for i in range(5)))
         validate(d, parse_degree("p2:5"))
-        cover = classify(d, default_pairs(7))
+        cover_pairs = default_pairs(7)
+        cover = classify(d, cover_pairs)
         assert [tree.point_indices for tree in cover.twin_trees] == [(1, 4, 5, 6, 7), (2,)]
-        weights, sinces = absorbed_since(d, default_pairs(7), *cover)
+        masks = (0b1111001, 0b10)  # bit i - 1 per point i of each tree
+        weights, edge_masks = absorbing_masks(d, cover_pairs, *cover)
         assert weights == tuple(sorted(w for _, _, w in d.edges))
-        for s in range(1, 8):
-            row = classify(d, default_pairs(s))
-            assert counting._restrict(cover, s) == row
-            # the edges a row keeps are those its cover absorbs only later
-            assert signature(d, default_pairs(s), *row)[2] == \
-                tuple(w for w, since in zip(weights, sinces) if since > s)
+        for k in range(1, 8):
+            for pairs in itertools.combinations(cover_pairs, k):
+                picked = [cover_pairs.index(pair) for pair in pairs]
+                row = sum(1 << i for i in picked)
+                labels = classify(d, pairs)
+                assert counting._restrict((*cover, masks), row, picked) == labels, pairs
+                # the edges a row keeps are those whose masks it does not hold
+                assert signature(d, pairs, *labels)[2] == \
+                    tuple(w for w, mask in zip(weights, edge_masks) if mask & row != mask)
         assert classify(d, default_pairs(2)).classification == (("free",), ("twin", 0))
+        assert classify(d, ((2, 3), (8, 9))).twin_trees[0].point_indices == (1,)
+
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_cover_is_the_leftmost_extension(self, n):
+        assert counting._extension(default_pairs(2), n) == default_pairs(n // 2)
+        shifted = tuple((a + 1, b + 1) for a, b in default_pairs((n - 1) // 2))
+        assert counting._extension(((1, 2), (5, 6)), n) == shifted
+        # a mixed row: the gaps are filled from the left
+        assert counting._extension(((0, 1), (3, 4)), n) == ((0, 1),) + shifted[1:]
+        for s in range(n // 2 + 1):
+            for pairs in _disjoint_adjacent_pairs(n, s):
+                cover = counting._extension(pairs, n)
+                assert check_pairs(cover, n) == cover and set(pairs) <= set(cover)
+                free = set(range(n)).difference(*cover)
+                assert all(a + 1 not in free for a in free), (pairs, cover)  # maximal
+
+    def test_placements_share_covers(self):
+        # one orbit pass per distinct cover: the default rows and every
+        # placement with s <= 2 read 7 covers of p2:3 and 5 of p1xp1:2,2,
+        # where a pass per placement made 21 and 15; the full placement
+        # lies in the default cover
+        for spec_str, passes in [("p2:3", 7), ("p1xp1:2,2", 5)]:
+            spec = parse_degree(spec_str)
+            n = n_delta(spec)
+            clear_count_caches()
+            for s in range(1, n // 2 + 1):
+                count(spec, s)
+            for s in (1, 2):
+                for pairs in _disjoint_adjacent_pairs(n, s):
+                    count(spec, s, list(pairs))
+            assert counting._cover_profiles.cache_info().misses == passes, spec_str
+        (spec_str, pairs), = FULL_PLACEMENTS
+        spec = parse_degree(spec_str)
+        clear_count_caches()
+        for s in range(1, n_delta(spec) // 2 + 1):
+            count(spec, s)
+        assert counting._cover_profiles.cache_info().misses == 1
+        count(spec, len(pairs), list(pairs))
+        assert counting._cover_profiles.cache_info().misses == 1
+        clear_count_caches()
 
     def test_placement_after_default_rows_has_its_own_cover(self):
         spec = parse_degree("p2:4")
