@@ -15,8 +15,10 @@ group then counts as one check, a failed "residual_not_in_span" resp.
 "orbit_weights_not_whole" carrying the error text, after the failures it
 already found, and the remaining groups still run.  No verify row has a
 twin elevator of odd weight >= 3, so only unit tests check that branch
-of `multiplicity.twin_edge_mult`: `tests/odd_twins.py` scans the default
-covers, and verify's other covers (merge invariance) have no weight 3.
+of `multiplicity.twin_edge_mult`: the on-demand `tests/odd_twins.py`
+streams the default and the shifted cover of every degree with n <= 13
+and at most 200 000 diagrams, plus p2:5, and finds none, and verify's
+other covers (merge invariance) have no weight 3.
 """
 
 from __future__ import annotations

@@ -10,12 +10,16 @@ A row with pairs sums orbit weights: a diagram with T twin trees and j
 pairs joined by an edge adds 2^(T + j) to its signature, and each sum
 divided by 2^s is that signature's number of classes (OrbitWeightError
 unless every division is exact).  A class's members share its profile,
-so one orbit pass (`_orbits`) classifies (`diagrams.classify`) only the
-first diagram of each class, under the cover, and drops the others by
-the packed keys of its swaps (3743 classes of 25871 diagrams on p2:5).
-A row's cover (`_extension`) adds the leftmost pairs that fit in each
-gap, default_pairs(n // 2) for a default row; only the distinct profiles
-of its pass are cached (1320 on p2:5, `_cover_profiles`), and a row is
+so one orbit pass (`_orbits`) over the diagrams that the pruned walk
+meets (`diagrams.walk`; 13033 of the 25871 on p2:5, 932 of the 1686 on
+p1xp1:2,5) classifies (`diagrams.classify`) only the first diagram of
+each class, under the cover (3743 classes on p2:5), drops the others by
+the packed keys of its swaps, and weighs the class by the pairs whose
+rank rises, whose swaps the walk skips.  No diagram is cached, so a pass
+holds one class's keys and the pending ones.  A row's cover
+(`_extension`) adds the leftmost pairs that fit in each gap,
+default_pairs(n // 2) for a default row; only the distinct profiles of
+its pass are cached (1320 on p2:5, `_cover_profiles`), and a row is
 summed over them when read (`_signature_tally`), its labels restricted
 (`_restrict`, exact by the argument at the end of the `diagrams` docstring).
 
@@ -43,8 +47,8 @@ from functools import cache, lru_cache
 
 from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
-from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, \
-    count_diagrams, enumerate_diagrams
+from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, count_diagrams, \
+    unpack, walk
 from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, split, split_mul, \
     split_sum, unsplit
 from .multiplicity import TwinTreeSummary, absorbing_masks, row_mult, row_signature
@@ -127,25 +131,28 @@ def _named(pairs: tuple[tuple[int, int], ...]) -> str:
 
 
 def _orbits(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]):
-    """(representative, its labels, the packed keys of its class) per
-    merged-diagram class, first-seen order.
+    """(representative, its labels, the packed keys of its members met,
+    the class size, the bits of the pairs an edge joins) per merged-diagram
+    class, first-seen order.
 
-    A class is an orbit of the enumerated diagrams under exchanging the two
-    positions of any subset of the pairs; its first diagram represents it
-    and is the only one classified.  The packed key (leaks, edges) is
-    complete: leaks fixes the colours, and a black's one edge fixes the
-    direction of its end.  The (a, a+1)-swap is valid iff no edge joins a
-    and a + 1: such an edge would leave a splice black with both
-    neighbours on one side, or an end pointing the wrong way; without one,
-    every edge, end and leak moves with its vertex, so the swap is a floor
-    diagram of the degree, keyed by the leaks exchanged and the edges
+    A class is an orbit of the diagrams under exchanging the two positions
+    of any subset of the pairs; its first diagram represents it, is met by
+    `walk` under the pairs and is the only one classified.  The packed key
+    (leaks, edges) is complete: leaks fixes the colours, and a black's one
+    edge fixes the direction of its end.  The (a, a+1)-swap is valid iff no
+    edge joins a and a + 1: such an edge would leave a splice black with
+    both neighbours on one side, or an end pointing the wrong way; without
+    one, every edge, end and leak moves with its vertex, so the swap is a
+    floor diagram of the degree, keyed by the leaks exchanged and the edges
     relabelled (still ascending) and re-sorted.  The pairs are disjoint, so
-    the swaps commute and do not change each other's validity, and the
-    swap sets that fix the diagram are the unions of its T twin trees: the
-    subsets of its v valid swaps that leave one pair of each tree out
-    reach each of its 2^(v - T) members once.  A later member is dropped
-    when met, and its key forgotten; a key never met raises
-    OrbitWeightError.
+    the swaps commute and do not change each other's validity or ranks,
+    and the swap sets that fix the diagram are the unions of its T twin
+    trees.  The walk meets exactly the images under the t tie pairs, all
+    but the k valid pairs whose rank rises (see the `diagrams` docstring),
+    and twin trees lie on ties: the subsets of the tie swaps that leave one
+    pair of each tree out reach each member met once, 2^(t - T) of the
+    class's 2^(t + k - T).  A later member is dropped when met, and its key
+    forgotten; a key never met raises OrbitWeightError.
     """
     pending: set = set()
     interned: dict = {}  # one relabelled edge triple per value, shared by the keys
@@ -163,23 +170,24 @@ def _orbits(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]):
         relabelled.sort()
         return leaks[:a] + (leaks[a + 1], leaks[a]) + leaks[a + 2:], tuple(relabelled)
 
-    for d in enumerate_diagrams(spec):
-        key = (d.leaks, d.edges)
+    for key, ends, joined, rising in walk(spec, pairs):
         if key in pending:
             pending.remove(key)
             continue
+        d = unpack(key, ends)
         # through the module, so that a patched or traced classify is the one used
         labels = diagrams.classify(d, pairs)
-        held = {u for u, v, _ in d.edges if v == u + 1}
-        held.update(pairs[tree.point_indices[0] - 1][0] for tree in labels.twin_trees)
+        held = joined | rising  # the invalid swaps, and those the walk skips
+        for tree in labels.twin_trees:
+            held |= 1 << (tree.point_indices[0] - 1)
         images = [key]
-        for a, _ in pairs:
-            if a not in held:
+        for k, (a, _) in enumerate(pairs):
+            if not held >> k & 1:
                 images += [swap(image, a) for image in images]
         keys = set(images)
         pending |= keys
         pending.remove(key)
-        yield d, labels, keys
+        yield d, labels, keys, len(keys) << rising.bit_count(), joined
     if pending:
         raise OrbitWeightError(f"{spec} with pairs {_named(pairs)}: swaps reach diagrams "
                                f"that were not enumerated ({len(pending)})")
@@ -189,7 +197,7 @@ def merged_classes(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]
                    ) -> tuple[tuple[FloorDiagram, PairLabels], ...]:
     """(representative, its labels) per merged-diagram class, first-seen
     order (see `_orbits`)."""
-    return tuple((d, labels) for d, labels, _ in _orbits(spec, check_pairs(pairs, n_delta(spec))))
+    return tuple((d, labels) for d, labels, *_ in _orbits(spec, check_pairs(pairs, n_delta(spec))))
 
 
 @lru_cache(maxsize=256)
@@ -198,16 +206,16 @@ def _cover_profiles(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tup
     masks), and its distinct profiles, with their numbers of diagrams.  A
     profile is a class's labels (their index), `multiplicity.absorbing_masks`
     and the mask of the pairs that an edge joins (bit k for cover[k]);
-    each class is classified once, through its representative."""
+    each class is classified once, through its representative, and counts
+    its members met times 2 per pair whose rank rises (`_orbits`), as the
+    walk meets only some of its diagrams (932 of 1686 on p1xp1:2,5)."""
     entries: dict = {}  # per distinct cover `PairLabels`, its index
     profiles: Counter = Counter()
-    index = {a: 1 << k for k, (a, _) in enumerate(cover)}
     intern = {}.setdefault  # one object per equal label or tuple, to keep the cache small
-    for d, labels, keys in _orbits(spec, cover):
-        joined = sum(index.get(u, 0) for u, v, _ in d.edges if v == u + 1)
+    for d, labels, _, size, joined in _orbits(spec, cover):
         weights, masks = absorbing_masks(d, cover, *labels)
         profiles[entries.setdefault(labels, len(entries)), intern(weights, weights),
-                 intern(masks, masks), joined] += len(keys)
+                 intern(masks, masks), joined] += size
     return tuple((tuple([intern(label, label) for label in classification]), trees,
                   tuple([sum(1 << (i - 1) for i in tree.point_indices) for tree in trees]))
                  for classification, trees in entries), tuple(profiles.items())

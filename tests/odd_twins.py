@@ -4,11 +4,13 @@
 probe looks for a row that reaches it.  It scans the merged classes of
 every degree with n <= 13 and at most MAX_DIAGRAMS diagrams, plus p2:5,
 each under two placements: the default one, default_pairs(n // 2), and
-the one shifted by one position.  It also scans the FULL_PLACEMENTS rows.
-The labels under a placement's sub-placements follow from its own (see
-the `diagrams` docstring), so these covers stand for every default row
-of those degrees.  Each class is labelled once, through `counting._orbits`;
-every twin elevator mark of odd weight >= 3 is printed.
+the one shifted by one position.  The labels under a placement's
+sub-placements follow from its own (see the `diagrams` docstring), so
+these covers stand for every default row of those degrees, and for the
+FULL_PLACEMENTS row, which lies in the default cover of bl2:5,1,1.  Each
+class is labelled once, through `counting._orbits`, which streams the
+diagrams and holds none past its class; every twin elevator mark of odd
+weight >= 3 is printed.
 
 Run from the repository root (pytest does not collect it):
 
@@ -22,7 +24,6 @@ import sys
 from gwfloor import counting, diagrams
 from gwfloor.counting import default_pairs
 from gwfloor.degrees import n_delta, parse_degree
-from gwfloor.tables import FULL_PLACEMENTS
 
 from oracles import small_degrees
 
@@ -36,8 +37,6 @@ def covers():
             n = n_delta(spec)
             yield spec, [default_pairs(n // 2),
                          tuple((a + 1, b + 1) for a, b in default_pairs((n - 1) // 2))]
-    for text, pairs in FULL_PLACEMENTS:
-        yield parse_degree(text), [pairs]
 
 
 def main() -> int:
@@ -45,7 +44,7 @@ def main() -> int:
     for spec, placements in covers():
         for pairs in filter(None, placements):
             scanned += 1
-            for d, labels, _ in counting._orbits(spec, pairs):
+            for d, labels, *_ in counting._orbits(spec, pairs):
                 classes += 1
                 for m, i in (mark for tree in labels.twin_trees for mark in tree.elevator_marks):
                     if m >= 3 and m % 2:
@@ -53,7 +52,6 @@ def main() -> int:
                         named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
                         print(f"{spec} pairs {named}: weight {m} at point {i}, "
                               f"edges {[(u + 1, v + 1, w) for u, v, w in d.edges]}")
-        diagrams.enumerate_diagrams.cache_clear()  # hold one degree's diagrams at a time
     print(f"{scanned} placements, {classes} classes: "
           f"{found} twin elevator marks of odd weight >= 3")
     return int(found > 0)

@@ -162,11 +162,11 @@ class TestDiagramBudget:
             run(capsys, command, "p2:4")
 
     def test_checked_before_enumeration(self, capsys, monkeypatch):
-        def refuse(spec):
-            raise AssertionError(f"{spec} enumerated despite the budget")
+        def refuse(spec, *pairs):
+            raise AssertionError(f"{spec} walked despite the budget")
 
-        monkeypatch.setattr(diagrams, "enumerate_diagrams", refuse)
-        monkeypatch.setattr(counting, "enumerate_diagrams", refuse)
+        monkeypatch.setattr(diagrams, "walk", refuse)
+        monkeypatch.setattr(counting, "walk", refuse)
         assert main(["count", "p2:7", "--max-diagrams", "1000"]) == EXIT_BUDGET
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -21,7 +21,7 @@ from gwfloor.counting import (
 )
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, FloorDiagram, PairLabels, check_pairs, classify, enumerate_diagrams,
+    INCOMING, FloorDiagram, PairLabels, check_pairs, classify, enumerate_diagrams, unpack, walk,
 )
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
 from gwfloor.multiplicity import absorbing_masks, m_a1, row_mult
@@ -455,7 +455,7 @@ class TestRowErrors:
 
 
 class TestUnmetImage:
-    """A class member that the enumeration leaves out is an image of its
+    """A class member that the walk leaves out is an image of its
     representative that is never met: the orbit pass raises, also under
     python -O, and `count` exits 3."""
 
@@ -463,17 +463,17 @@ class TestUnmetImage:
     COVER = default_pairs(4)  # the cover of every default row of p2:3
 
     def missing_index(self):
-        # the index of a diagram that a valid swap of another one gives
-        enumerated = enumerate_diagrams(parse_degree(self.SPEC))
-        return next(enumerated.index(e) for d in enumerated for a, _ in self.COVER
-                    if (e := swapped(d, a)) != d and e in enumerated)
+        # the index, in the walk under the cover, of a diagram that the walk
+        # meets and that a valid swap of another one met gives (p2:3 has 2)
+        met = [unpack(key, ends) for key, ends, _, _ in walk(parse_degree(self.SPEC), self.COVER)]
+        return next(met.index(e) for d in met for a, _ in self.COVER
+                    if (e := swapped(d, a)) != d and e in met)
 
     def test_orbit_pass_raises(self, monkeypatch, capsys):
         spec = parse_degree(self.SPEC)
         i = self.missing_index()
-        enumerated = enumerate_diagrams(spec)
-        monkeypatch.setattr(counting, "enumerate_diagrams",
-                            lambda spec: enumerated[:i] + enumerated[i + 1:])
+        monkeypatch.setattr(counting, "walk", lambda spec, pairs: (
+            met for j, met in enumerate(walk(spec, pairs)) if j != i))
         clear_count_caches()
         try:
             for run in (lambda: merged_classes(spec, self.COVER), lambda: count(spec, 1)):
@@ -492,8 +492,9 @@ class TestUnmetImage:
         script = ("import sys\n"
                   "import gwfloor.counting as counting\n"
                   "from gwfloor.cli import main\n"
-                  "real, i = counting.enumerate_diagrams, int(sys.argv[1])\n"
-                  "counting.enumerate_diagrams = lambda s: real(s)[:i] + real(s)[i + 1:]\n"
+                  "real, i = counting.walk, int(sys.argv[1])\n"
+                  "counting.walk = lambda spec, pairs: (\n"
+                  "    met for j, met in enumerate(real(spec, pairs)) if j != i)\n"
                   f"sys.exit(main(['count', '{self.SPEC}', '--pairs-count', '1']))\n")
         src = str(Path(counting.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -600,7 +601,7 @@ class TestRowWithoutPairs:
         def refuse(*args):
             raise AssertionError("diagrams built for an s = 0 row")
 
-        monkeypatch.setattr(counting, "enumerate_diagrams", refuse)
+        monkeypatch.setattr(counting, "walk", refuse)
         monkeypatch.setattr(counting, "merged_classes", refuse)
         clear_count_caches()  # so that the row is computed under the refusal
         try:

@@ -12,14 +12,14 @@ import gwfloor.diagrams as diagrams_module
 from gwfloor.cli import main
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, PairLabels, _state_graph, _twin_tree_summary, check_pairs,
-    classify, count_diagrams, enumerate_diagrams,
+    INCOMING, OUTGOING, FloorDiagram, PairLabels, _rank, _state_graph, _twin_tree_summary,
+    check_pairs, classify, count_diagrams, enumerate_diagrams, walk,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, _orbits, default_pairs, merged_classes
 
 from conftest import clear_count_caches
 from keying import canonical_key
-from oracles import complex_mult, signature, signature_mult, swapped, validate
+from oracles import complex_mult, signature, signature_mult, small_degrees, swapped, validate
 from test_degrees import FORCED_BUDGETS
 from twins import swap_fixing_sets
 from wdvv import blowup_count
@@ -66,6 +66,19 @@ class TestEnumeration:
             assert all(child in seen for _, child in kept), state
             seen.add(state)
         assert state == root
+
+    @pytest.mark.parametrize("spec_str", small_degrees(12))
+    def test_moves_in_rank_order(self, spec_str):
+        # the walk's pruning rests on it, and the build checks it
+        _, moves, _ = _state_graph(parse_degree(spec_str))
+        for state, kept in moves.items():
+            ranks = [_rank(move) for move, _ in kept]
+            assert ranks == sorted(ranks), state
+
+    def test_moves_out_of_rank_order_raise(self, monkeypatch):
+        monkeypatch.setattr(diagrams_module, "_rank", lambda move: -_rank(move)[0])
+        with pytest.raises(RuntimeError, match=r"^p2:3: the moves of state .* rank order$"):
+            _state_graph.__wrapped__(parse_degree("p2:3"))  # past the cache
 
     @pytest.mark.parametrize("spec_str,expected", [
         ("p2:3", 12), ("p2:4", 620),
@@ -285,6 +298,22 @@ class TestCanonicalKey:
         assert len(keys) == 6
 
 
+def two_covers(spec):
+    """The default cover and the one shifted by one: together they reach
+    every position."""
+    n = n_delta(spec)
+    return default_pairs(n // 2), tuple((a + 1, b + 1) for a, b in default_pairs((n - 1) // 2))
+
+
+def vertex_rank(d: FloorDiagram, p: int) -> tuple:
+    """The rank of the move that places position p, read off the diagram:
+    floors before blacks, floors by (-1 leaks, +1 leaks, edges below),
+    blacks as splice < incoming end < outgoing end."""
+    if d.colors[p] == "b":
+        return 1, (None, INCOMING, OUTGOING).index(dict(d.ends).get(p))
+    return 0, d.leaks[p].count(-1), d.leaks[p].count(1), sum(v == p for _, v, _ in d.edges)
+
+
 KEYED_SPECS = ["p2:3", "p1xp1:2,2", "p1xp1:2,3", "bl1:4,2", "bl2:4,1,1",
                "bl3:4,1,1,2"]
 
@@ -340,17 +369,37 @@ class TestMergedClasses:
             merged_classes(parse_degree("p2:3"), pairs)
 
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"])
-    def test_images_are_the_orbit(self, spec_str):
-        # each representative's keys are its orbit under the plain swaps of
-        # the pairs, a swap being valid iff no edge joins its two positions;
-        # the default cover and the one shifted by one reach every position
+    def test_walk_skips_falling_pairs(self, spec_str):
+        # under a cover the walk meets exactly the diagrams with no unjoined
+        # pair whose rank falls at a + 1, and flags the joined and rising ones
         spec = parse_degree(spec_str)
-        n = n_delta(spec)
+        for pairs in two_covers(spec):
+            expected = []
+            for d in enumerate_diagrams(spec):
+                edges = {(u, v) for u, v, _ in d.edges}
+                joined = rising = falling = 0
+                for k, (a, b) in enumerate(pairs):
+                    if (a, b) in edges:
+                        joined |= 1 << k
+                    elif vertex_rank(d, b) > vertex_rank(d, a):
+                        rising |= 1 << k
+                    elif vertex_rank(d, b) < vertex_rank(d, a):
+                        falling |= 1 << k
+                if not falling:
+                    expected.append(((d.leaks, d.edges), d.ends, joined, rising))
+            assert list(walk(spec, pairs)) == expected, pairs
+
+    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"])
+    def test_images_are_the_orbit(self, spec_str):
+        # each class's size is its orbit under the plain swaps of the pairs,
+        # a swap being valid iff no edge joins its two positions, and the
+        # keys of its members that the walk meets are its images under the
+        # swaps of its tie pairs, whose two vertices rank equal
+        spec = parse_degree(spec_str)
         enumerated = set(enumerate_diagrams(spec))
-        for pairs in (default_pairs(n // 2), tuple((a + 1, a + 2) for a, _ in
-                                                   default_pairs((n - 1) // 2))):
-            met = 0
-            for d, _, keys in _orbits(spec, pairs):
+        for pairs in two_covers(spec):
+            sizes = 0
+            for d, _, keys, size, _ in _orbits(spec, pairs):
                 orbit, stack = {d}, [d]
                 while stack:
                     e = stack.pop()
@@ -361,9 +410,14 @@ class TestMergedClasses:
                         if not joined and image not in orbit:
                             orbit.add(image)
                             stack.append(image)
-                assert keys == {(e.leaks, e.edges) for e in orbit}, (pairs, d)
-                met += len(orbit)
-            assert met == len(enumerated), pairs
+                ties = {d}
+                for a, b in pairs:
+                    if vertex_rank(d, a) == vertex_rank(d, b):
+                        ties |= {swapped(e, a) for e in ties}
+                assert size == len(orbit), (pairs, d)
+                assert keys == {(e.leaks, e.edges) for e in ties}, (pairs, d)
+                sizes += size
+            assert sizes == len(enumerated) == count_diagrams(spec), pairs
 
     @pytest.mark.parametrize("spec_str", ["p2:5", "p1xp1:2,5", "bl2:5,1,1"])
     def test_packed_keys_distinct(self, spec_str):
