@@ -41,30 +41,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cache, lru_cache
 
 from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
 from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, count_diagrams, \
     unpack, walk
-from .gwring import BetaForm, GwElem, beta_decompose, equals_mod, split, split_mul, \
-    split_sum, unsplit
+from .gwring import GwElem, beta_decompose, equals_mod, split, split_mul, split_sum, unsplit
 from .multiplicity import TwinTreeSummary, absorbing_masks, row_mult, row_signature
 
 
-@dataclass(frozen=True)
-class CountResult:
-    spec: DegreeSpec
-    r: int
-    s: int
-    total: GwElem
-    beta_form: BetaForm
-    rank: int
-    signature_all_positive: int
-    signature_all_negative: int
-    class_count: int
+class CountResult(namedtuple("CountResult", "spec r s total beta_form rank signature_all_positive "
+                                            "signature_all_negative class_count")):
+    """The count of one row: its degree, r + 2s = n, the total (a GwElem)
+    and its BetaForm, rank and the two constant-sign signatures, and the
+    number of merged-diagram classes."""
+
+    __slots__ = ()
 
 
 def default_pairs(s: int) -> tuple[tuple[int, int], ...]:
@@ -253,7 +247,8 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
     sum over its kept moves of total(child) times m_a1 of every strand the
     move closes (Stanley's transfer-matrix method).  The moves come in
     post-order, so one forward pass meets every child before its parent.
-    The totals are split (`gwring.split`), so an even m_a1 only scales h.
+    The totals are split (`gwring.split`), so an even m_a1 only scales h,
+    and a factor equal to <1> is left out.
     """
     root, moves, _ = _state_graph(spec)
     n = n_delta(spec)
@@ -265,7 +260,8 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
         for (_, closed, _, _), child in kept:
             term = totals[child]
             for _, w in closed:
-                term = split_mul(term, m_a1(w))
+                if (f := m_a1(w)) != (0, {0: 1}):  # not <1>
+                    term = split_mul(term, f)
             terms.append((1, term))
         totals[state] = split_sum(terms)
     return unsplit(totals[root], 0)

@@ -12,7 +12,8 @@ the incoming/outgoing vertical end counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 
 
 class InvalidDegree(ValueError):
@@ -25,13 +26,17 @@ _PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class DegreeSpec:
-    family: str                 # "p2" | "p1xp1" | "bl1" | "bl2" | "bl3"
-    params: tuple[int, ...]
+class DegreeSpec(namedtuple("DegreeSpec", "family params")):
+    """family: "p2" | "p1xp1" | "bl1" | "bl2" | "bl3"; params: its positive
+    parameters (see _PARAMS).  InvalidDegree unless they name a degree
+    whose n fits an index."""
 
-    def __post_init__(self):
-        f, p = self.family, self.params
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, family: str, params: tuple[int, ...]):
+        self = super().__new__(cls, family, params)
+        f, p = family, params
         if any(x < 1 for x in p):
             raise InvalidDegree(f"parameters must be positive: {self}")
         if f not in _PARAMS:
@@ -48,8 +53,12 @@ class DegreeSpec:
                 if a1 + a > d:
                     cond = f"a1 + {name}" if name in names else "a1"
                     raise InvalidDegree(f"{f} needs {cond} <= d: {self}")
-        if n_delta(self) < 1:
+        n = n_delta(self)
+        if n < 1:
             raise InvalidDegree(f"n(degree) < 1: {self}")
+        if n > sys.maxsize:
+            raise InvalidDegree(f"n(degree) = {n} does not fit an index: {self}")
+        return self
 
     def __str__(self):
         return f"{self.family}:{','.join(map(str, self.params))}"

@@ -100,10 +100,9 @@ So an edge has one absorbing mask, its label's pairs
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .degrees import DegreeSpec, end_spec, leak_budget, n_delta, white_spec
 from .multiplicity import TwinTreeSummary
@@ -116,12 +115,12 @@ _SEEK_BLACK = 0   # opened at a white, waiting for its elevator point
 _SEEK_WHITE = 1   # opened at a black, waiting for the upper floor
 
 
-@dataclass(frozen=True)
-class FloorDiagram:
-    colors: tuple[str, ...]                       # 'w' | 'b' per position
-    leaks: tuple[tuple[int, ...] | None, ...]     # sub-multiset of {-1,+1} per white
-    edges: tuple[tuple[int, int, int], ...]       # (low pos, high pos, weight)
-    ends: tuple[tuple[int, int], ...]             # (pos, INCOMING | OUTGOING)
+class FloorDiagram(namedtuple("FloorDiagram", "colors leaks edges ends")):
+    """colors: 'w' | 'b' per position; leaks: a sub-multiset of {-1,+1}
+    per white, None per black; edges: (low pos, high pos, weight); ends:
+    (pos, INCOMING | OUTGOING)."""
+
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -346,15 +345,14 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
     return tuple(unpack(key, ends) for key, ends, _, _ in walk(spec))
 
 
-class PairLabels(NamedTuple):
+class PairLabels(namedtuple("PairLabels", "classification twin_trees")):
     """The labels of a diagram's merged pairs, as `classify` finds them.
 
     classification[k] is ("twin", tree index), ("type_a", elevator weight)
     or ("free",) for pairs[k]; twin_trees[t] summarises twin tree t.
     """
 
-    classification: tuple[tuple, ...]
-    twin_trees: tuple[TwinTreeSummary, ...]
+    __slots__ = ()
 
 
 def check_pairs(pair_positions: Iterable[tuple[int, int]],

@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 
 class ResidualNotInSpan(Exception):
@@ -79,22 +79,22 @@ def _prime_product(bits: int) -> int:
     return math.prod(_prime(j) for j in range(bits.bit_length()) if bits >> j & 1)
 
 
-@dataclass(frozen=True, order=True)
-class GwMonomial:
-    """Square-class symbol <sign * int_part * prod d_i>."""
+class GwMonomial(namedtuple("GwMonomial", "int_part d_subset sign")):
+    """Square-class symbol <sign * int_part * prod d_i>, ordered by
+    (int_part, d_subset, sign)."""
 
-    int_part: int
-    d_subset: tuple[int, ...]
-    sign: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if _prime_product(_prime_bits(self.int_part)) != self.int_part:
-            raise ValueError(f"int_part {self.int_part} is not square-free positive")
-        d = self.d_subset
-        if tuple(sorted(set(d))) != d or not all(1 <= i <= MAX_PARAMS for i in d):
-            raise ValueError(f"d_subset {d} is not strictly ascending in 1..{MAX_PARAMS}")
+    def __new__(cls, int_part: int, d_subset: tuple[int, ...], sign: int = 1):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if _prime_product(_prime_bits(int_part)) != int_part:
+            raise ValueError(f"int_part {int_part} is not square-free positive")
+        if tuple(sorted(set(d_subset))) != d_subset or \
+                not all(1 <= i <= MAX_PARAMS for i in d_subset):
+            raise ValueError(f"d_subset {d_subset} is not strictly ascending in 1..{MAX_PARAMS}")
+        return super().__new__(cls, int_part, d_subset, sign)
 
     @staticmethod
     def of(a: int, d_subset: Iterable[int] = ()) -> "GwMonomial":
@@ -143,15 +143,14 @@ def _canonical(acc: dict[int, int], num_params: int) -> "GwElem":
     return GwElem({m: c for m, c in acc.items() if c}, num_params)
 
 
-@dataclass(frozen=True, repr=False)
-class GwElem:
+class GwElem(namedtuple("GwElem", "masks num_params")):
     """Integer combination of square-class symbols, in canonical form.
 
-    masks maps each class's mask to its non-zero coefficient; never mutated.
+    masks maps each class's mask to its non-zero coefficient; never
+    mutated.  Equal by (masks, num_params); unhashable, as masks is a dict.
     """
 
-    masks: dict[int, int]
-    num_params: int
+    __slots__ = ()
 
     @staticmethod
     def from_coeffs(coeffs: Mapping[GwMonomial, int] | Iterable[tuple[GwMonomial, int]],
@@ -316,13 +315,10 @@ def equals_mod(e1: GwElem, e2: GwElem) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BetaForm:
+class BetaForm(namedtuple("BetaForm", "h_coeff beta_coeffs one_coeff")):
     """Presentation c_{s+1} h + sum_l c_l beta_s^{(l)} + c_0 <1>."""
 
-    h_coeff: int
-    beta_coeffs: tuple[int, ...]
-    one_coeff: int
+    __slots__ = ()
 
     def expand(self) -> GwElem:
         """The element over s = len(beta_coeffs) parameters."""

@@ -23,7 +23,7 @@ pairs from m_a1 over the state graph.  m_a1 and gamma are cached by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, lru_cache, reduce
 
 from .gwring import GwElem, beta_elem, h, one, split, split_mul, split_sum, unsplit
@@ -62,8 +62,8 @@ def gamma(m: int, i: int, num_params: int) -> GwElem:
     return one(num_params) + ((m - 1) // 2) * two_part + (m * (m - 1) // 2) * h(num_params)
 
 
-@dataclass(frozen=True)
-class TwinTreeSummary:
+class TwinTreeSummary(namedtuple(
+        "TwinTreeSummary", "point_indices elevator_marks m_root unbounded_twin_elevators")):
     """Combinatorial data of one twin tree of a merged diagram.
 
     point_indices: global indices of the t double points on the tree.
@@ -71,20 +71,21 @@ class TwinTreeSummary:
     points on doubled floors appear in point_indices only.
     """
 
-    point_indices: tuple[int, ...]
-    elevator_marks: tuple[tuple[int, int], ...]
-    m_root: int
-    unbounded_twin_elevators: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        points, elev_points = self.point_indices, [i for _, i in self.elevator_marks]
+    def __new__(cls, point_indices: tuple[int, ...], elevator_marks: tuple[tuple[int, int], ...],
+                m_root: int, unbounded_twin_elevators: int):
+        points, elev_points = point_indices, [i for _, i in elevator_marks]
         if not points or tuple(sorted(points)) != points:
             raise ValueError(f"point indices {points} are empty or unsorted")
         if len(set(elev_points)) != len(elev_points) or not set(elev_points) <= set(points):
-            raise ValueError(f"elevator marks {self.elevator_marks} are not distinct "
+            raise ValueError(f"elevator marks {elevator_marks} are not distinct "
                              "points of the tree")
-        if self.m_root not in [m for m, _ in self.elevator_marks]:
-            raise ValueError(f"root weight {self.m_root} is not an elevator weight")
+        if m_root not in [m for m, _ in elevator_marks]:
+            raise ValueError(f"root weight {m_root} is not an elevator weight")
+        return super().__new__(cls, point_indices, elevator_marks, m_root,
+                               unbounded_twin_elevators)
 
     @property
     def t(self) -> int:

@@ -3,6 +3,11 @@ module of it carries any more."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import gwfloor
 from gwfloor.diagrams import FloorDiagram
@@ -40,3 +45,26 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
     for name in REMOVED_METHODS:
         assert not hasattr(FloorDiagram, name), name
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: site may import typing itself
+    src = str(Path(gwfloor.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import gwfloor\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))") % src
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("record,field,bad", [
+    (gwfloor.DegreeSpec("p2", (3,)), "params", (0,)),
+    (gwfloor.GwMonomial(3, ()), "int_part", 4),
+    (gwfloor.TwinTreeSummary((1, 2), ((1, 1),), 1, 0), "m_root", 2),
+], ids=["DegreeSpec", "GwMonomial", "TwinTreeSummary"])
+def test_replace_is_checked(record, field, bad):
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(AttributeError):
+        setattr(record, field, bad)

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import errno
 import json
 import os
@@ -68,6 +67,10 @@ class TestCount:
     def test_parse_error_exit_code(self, capsys):
         assert main(["count", "bad:spec"]) == EXIT_PARSE
         assert main(["count", "p2:3", "--pairs-count", "9"]) == EXIT_PARSE
+        capsys.readouterr()
+        assert main(["count", "p2:" + "9" * 29]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: n(degree) = ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("spec", [
         "p2:0_4", "p2:+3", "p2:٣", "p1xp1:2,+3", "p2: 3",
@@ -302,8 +305,7 @@ def _gamma_classes_swapped(gamma):
 def _twin_parity_flipped(twin_tree_mult):
     # one more unbounded twin elevator flips the parity of m_circ
     def mutant(tree, num_params):
-        flipped = dataclasses.replace(
-            tree, unbounded_twin_elevators=tree.unbounded_twin_elevators + 1)
+        flipped = tree._replace(unbounded_twin_elevators=tree.unbounded_twin_elevators + 1)
         return twin_tree_mult(flipped, num_params)
     return mutant
 

@@ -23,6 +23,8 @@ def test_parse_grammar():
     "bl3:3,2,2,2", "p1xp1:0,1", "bl1:3,0",
     # ASCII digits only, though int() takes each of these
     "p2:0_4", "p2:+3", "p2:٣", "p1xp1:2,+3", "p2: 3",
+    # n does not fit an index
+    "p2:" + "9" * 29,
 ])
 def test_invalid_rejected(bad):
     with pytest.raises(InvalidDegree):

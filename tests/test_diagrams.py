@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -269,7 +268,7 @@ class TestClassify:
         spec = parse_degree(spec_str)
         cover = default_pairs(n_delta(spec) // 2)
         for d in enumerate_diagrams(spec):
-            assert classify(d, cover) == classify(dataclasses.replace(d, ends=()), cover)
+            assert classify(d, cover) == classify(d._replace(ends=()), cover)
 
 
 class TestCanonicalKey:

@@ -174,13 +174,17 @@ def test_twin_tree_summary_checks_survive_optimize():
     src = str(Path(gwfloor.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, %r)\n"
+        "from gwfloor.degrees import DegreeSpec\n"
+        "from gwfloor.gwring import GwMonomial\n"
         "from gwfloor.multiplicity import TwinTreeSummary\n"
         "assert False, 'asserts are on'\n"
-        "try:\n"
-        "    TwinTreeSummary((1, 2), ((1, 1),), 2, 0)\n"
-        "except ValueError:\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n"
+        "for bad in (lambda: TwinTreeSummary((1, 2), ((1, 1),), 2, 0),\n"
+        "            lambda: DegreeSpec('p2', (0,)), lambda: GwMonomial(4, ())):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError:  # InvalidDegree is one\n"
+        "        continue\n"
+        "    sys.exit(1)\n"
     ) % src
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60)
