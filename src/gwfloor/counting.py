@@ -10,13 +10,13 @@ A row with pairs sums orbit weights: a diagram with T twin trees and j
 pairs joined by an edge adds 2^(T + j) to its signature, and each sum
 divided by 2^s is that signature's number of classes (OrbitWeightError
 unless every division is exact).  A class's members share its profile,
-so one orbit pass (`_orbits`) over the diagrams that the pruned walk
-meets (`diagrams.walk`; 13033 of the 25871 on p2:5, 932 of the 1686 on
-p1xp1:2,5) classifies (`diagrams.classify`) only the first diagram of
-each class, under the cover (3743 classes on p2:5), drops the others by
-the packed keys of its swaps, and weighs the class by the pairs whose
-rank rises, whose swaps the walk skips.  No diagram is cached, so a pass
-holds one class's keys and the pending ones.  A row's cover
+and the walk under the cover (`diagrams.walk`) meets the first diagram
+of each class and no other (3743 of the 25871 diagrams of p2:5, 405 of
+the 1686 of p1xp1:2,5), so one orbit pass (`_orbits`) classifies
+(`diagrams.classify`) every diagram it meets, builds no swap, and weighs
+each class by the size the walk gives, from the twin trees that the walk
+finds on its own; OrbitWeightError unless the sizes sum to the number of
+diagrams.  No diagram is cached, so a pass holds one class.  A row's cover
 (`_extension`) adds the leftmost pairs that fit in each gap,
 default_pairs(n // 2) for a default row; only the distinct profiles of
 its pass are cached (1320 on p2:5, `_cover_profiles`), and a row is
@@ -125,66 +125,36 @@ def _named(pairs: tuple[tuple[int, int], ...]) -> str:
 
 
 def _orbits(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]):
-    """(representative, its labels, the packed keys of its members met,
-    the class size, the bits of the pairs an edge joins) per merged-diagram
-    class, first-seen order.
+    """(representative, its labels, the class size, the bits of the pairs
+    an edge joins) per merged-diagram class, first-seen order.
 
     A class is an orbit of the diagrams under exchanging the two positions
-    of any subset of the pairs; its first diagram represents it, is met by
-    `walk` under the pairs and is the only one classified.  The packed key
-    (leaks, edges) is complete: leaks fixes the colours, and a black's one
-    edge fixes the direction of its end.  The (a, a+1)-swap is valid iff no
-    edge joins a and a + 1: such an edge would leave a splice black with
-    both neighbours on one side, or an end pointing the wrong way; without
-    one, every edge, end and leak moves with its vertex, so the swap is a
-    floor diagram of the degree, keyed by the leaks exchanged and the edges
-    relabelled (still ascending) and re-sorted.  The pairs are disjoint, so
-    the swaps commute and do not change each other's validity or ranks,
-    and the swap sets that fix the diagram are the unions of its T twin
-    trees.  The walk meets exactly the images under the t tie pairs, all
-    but the k valid pairs whose rank rises (see the `diagrams` docstring),
-    and twin trees lie on ties: the subsets of the tie swaps that leave one
-    pair of each tree out reach each member met once, 2^(t - T) of the
-    class's 2^(t + k - T).  A later member is dropped when met, and its key
-    forgotten; a key never met raises OrbitWeightError.
+    of any subset of the pairs; `walk` under the pairs meets its first
+    diagram alone, which represents it and is the only one classified.
+    The (a, a+1)-swap is valid iff no edge joins a and a + 1: such an edge
+    would leave a splice black with both neighbours on one side, or an end
+    pointing the wrong way; without one, every edge, end and leak moves
+    with its vertex, so the swap is a floor diagram of the degree.  The
+    pairs are disjoint, so the swaps commute and do not change each
+    other's validity, and the swap sets that fix the diagram are the
+    unions of its T twin trees: a class with v valid pairs has 2^(v - T)
+    diagrams.  The walk counts the T trees itself, so the labels do not
+    set the size, and a labelling that misses a tree shows in the row's
+    orbit weights (`_signature_tally`).  OrbitWeightError unless the sizes
+    sum to the number of diagrams, which the state graph counts without
+    the walk: a single class left out, or met twice, changes the sum.
     """
-    pending: set = set()
-    interned: dict = {}  # one relabelled edge triple per value, shared by the keys
-
-    def swap(key, a):
-        leaks, edges = key
-        moved = {a: a + 1, a + 1: a}
-        relabelled = []
-        for edge in edges:
-            u, v, w = edge
-            if u in moved or v in moved:
-                edge = (moved.get(u, u), moved.get(v, v), w)
-                edge = interned.setdefault(edge, edge)
-            relabelled.append(edge)
-        relabelled.sort()
-        return leaks[:a] + (leaks[a + 1], leaks[a]) + leaks[a + 2:], tuple(relabelled)
-
-    for key, ends, joined, rising in walk(spec, pairs):
-        if key in pending:
-            pending.remove(key)
-            continue
+    total = 0
+    for key, ends, joined, twins in walk(spec, pairs):
         d = unpack(key, ends)
         # through the module, so that a patched or traced classify is the one used
         labels = diagrams.classify(d, pairs)
-        held = joined | rising  # the invalid swaps, and those the walk skips
-        for tree in labels.twin_trees:
-            held |= 1 << (tree.point_indices[0] - 1)
-        images = [key]
-        for k, (a, _) in enumerate(pairs):
-            if not held >> k & 1:
-                images += [swap(image, a) for image in images]
-        keys = set(images)
-        pending |= keys
-        pending.remove(key)
-        yield d, labels, keys, len(keys) << rising.bit_count(), joined
-    if pending:
-        raise OrbitWeightError(f"{spec} with pairs {_named(pairs)}: swaps reach diagrams "
-                               f"that were not enumerated ({len(pending)})")
+        size = 1 << len(pairs) - joined.bit_count() - twins
+        total += size
+        yield d, labels, size, joined
+    if total != count_diagrams(spec):
+        raise OrbitWeightError(f"{spec} with pairs {_named(pairs)}: the classes met hold "
+                               f"{total} of the {count_diagrams(spec)} diagrams")
 
 
 def merged_classes(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]
@@ -201,12 +171,12 @@ def _cover_profiles(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tup
     profile is a class's labels (their index), `multiplicity.absorbing_masks`
     and the mask of the pairs that an edge joins (bit k for cover[k]);
     each class is classified once, through its representative, and counts
-    its members met times 2 per pair whose rank rises (`_orbits`), as the
-    walk meets only some of its diagrams (932 of 1686 on p1xp1:2,5)."""
+    its size (`_orbits`), as the walk meets one diagram per class (405 of
+    1686 on p1xp1:2,5)."""
     entries: dict = {}  # per distinct cover `PairLabels`, its index
     profiles: Counter = Counter()
     intern = {}.setdefault  # one object per equal label or tuple, to keep the cache small
-    for d, labels, _, size, joined in _orbits(spec, cover):
+    for d, labels, size, joined in _orbits(spec, cover):
         weights, masks = absorbing_masks(d, cover, *labels)
         profiles[entries.setdefault(labels, len(entries)), intern(weights, weights),
                  intern(masks, masks), joined] += size

@@ -20,9 +20,9 @@ per state; it is cached per degree.  `count_diagrams` reads the root's
 path count without building a diagram; `walk` streams the packed keys
 (leaks, edges) of the diagrams from the root with an explicit stack,
 carrying the concrete origin of each strand, and yields one at the top
-of every path, so no branch is a dead end; `enumerate_diagrams` builds
-the diagrams of the unpruned walk, holding nothing between calls;
-`counting.count` sums the s = 0 row over the graph's paths.
+of every path it follows, so no branch is a dead end; `enumerate_diagrams`
+builds the diagrams of the walk without pairs, holding nothing between
+calls; `counting.count` sums the s = 0 row over the graph's paths.
 
 The move generators build only children that can still complete.  Every
 later black closes a seek-black strand (a splice or an outgoing end) or
@@ -31,40 +31,64 @@ incoming ends left - seek-black strands strands; the last floor, below
 outgoing ends only, leaves no incoming end, closes every seek-white
 strand and opens room of weight 1.  Splices and incoming ends open
 seek-white strands, so need a floor above; a splice spends no end, so
-needs a black besides one per end left.  The floors above a floor carry
-at most one leak of each sign each.  On p1xp1:2,5 the build makes 612
-children and memoises 289 states, not 2653 and 866, to keep 254; the
-p2:5 graph has no dead state (617 children, 186 states).
+needs a black besides one per end left.  A floor closes at most one
+seek-white strand of a component, so no component keeps more of them
+than floors are left, checked where that changes: at a floor and at a
+splice.  The floors above a floor carry at most one leak of each sign
+each.  On p1xp1:2,5 the build makes 612 children and
+memoises 289 states, not 2653 and 866, to keep 254; on p1xp1:3,4 it
+makes 1461 children and memoises 457 states to keep 432; the p2:5 graph
+has no dead state (617 children, 186 states).
 
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
-the same merged diagram.  One pass over the walk (`counting._orbits`)
-classifies the first diagram of each class and drops the others, found
-by the packed keys of its swaps; a count weights each class by its size
+the same merged diagram.  One pass over the walk under the pairs
+(`counting._orbits`) classifies the first diagram of each class, the
+only one the walk meets; a count weights each class by its size
 (`counting._cover_profiles`), and `counting.merged_classes` lists the
 representatives.
 
-The walk under pairs meets only what that pass can use (orderly
-generation: B. D. McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26 (1998) 306-324).  A move's rank (`_rank`) puts floors
-before blacks, floors by (-1 leaks, +1 leaks, strands closed) and blacks
-as splice < incoming end < outgoing end; each state's kept moves are in
-nondecreasing rank, which `_state_graph` checks as it builds.  The rank
-depends only on the placed vertex's colour, leaks, down-degree and end.
-Let D swap to D' at an unjoined pair (a, a + 1).  The vertices below a
-and the edges among them are the same, so D and D' reach the same state
-at a; the vertex that D places at a + 1 is the one D' places at a, with
-the same rank, as its edges below a + 1 end below a.  So if it ranks
-below D's vertex at a, D' takes an earlier move at a and comes first in
-sweep order, and the walk skips D with everything that shares its moves
-up to a + 1.  The swap of one pair changes no other pair's ranks or
-edge, so the first diagram of a class, ranking nowhere lower at a + 1,
-is met, and the members met are exactly its images under its tie pairs,
-those whose two vertices rank equal.  A twin tree's pairs are ties; a
-pair that an edge joins holds a floor and a black.  So the class has 2^k
-times the members met, k being its unjoined pairs whose rank rises at
-a + 1, the bits that `walk` yields: 932 of the 1686 diagrams of
-p1xp1:2,5 are met, 13033 of the 25871 of p2:5.
+The walk under pairs meets the first diagram of each class and no other
+(orderly generation: B. D. McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998) 306-324).  Two diagrams part at the first
+position where their moves differ, from one state; the move listed first
+there comes first.  The moves up to a position fix the vertices below
+it, with their leaks, ends, edges and the weights they open, and a swap
+of pairs below maps that prefix to itself, or parts from it at one move
+to an earlier or a later one.  The walk carries the live swap sets, those
+that map its path to itself, and skips a move, with all it leads to, as
+soon as a live set maps it to an earlier one.  If a swap set S makes
+S(D) come first, S is live up to where they part, so D is skipped: the
+walk meets exactly one diagram per class.
+
+A pair (a, a + 1) that no edge joins enters at a + 1: its swap places at
+a the vertex placed at a + 1, with the same rank, closing the same
+strands (mapped through the live sets, strands of one (origin, weight)
+taken in order).  `_rank` puts floors before blacks, floors by (-1 leaks,
++1 leaks, strands closed) and blacks as splice < incoming end < outgoing
+end, and each state's kept moves are in nondecreasing rank, which
+`_state_graph` checks, so a lower rank at a + 1 is skipped at once and a
+higher one parts.  A tie, of equal rank, compares the two moves at a as
+the generators list them (a test checks it): by the sorted indices of the
+strands they close, then, for floors, by their new weights, largest
+first.  If they are one move (two splices of one origin's strands, two
+incoming ends, two floors that close nothing, or moves that live sets
+map onto each other), the swap stays live, and the strands that a and
+a + 1 open are mirrors.  The walk keeps the live sets as a basis of
+mirror sets that move disjoint strands.  A black closes one strand and a
+floor seek-white strands of distinct origins, and moves that differ only
+in the strands they close are listed by their sorted indices, so a
+product of mirror sets maps a move earlier only if one set does: a later
+move that takes exactly one strand of a mirror pair must take the
+earlier one, or it is skipped.  A tie whose moves are the same up to
+mirrors marks its own new strands as mirrors, the composed swap of a
+mirrored branch; no single swap catches 2 diagrams each on the default
+covers of p1xp1:3,3 and bl3:5,2,1,1, and 13 on p2:5.  A set whose
+strands all close while it is live fixes the diagram, and the sets that
+fix it are the unions of its twin trees (below), so the walk counts T of
+them: the class has 2^(v - T) diagrams for v pairs that no edge joins.
+It meets 405 of the 1686 diagrams of p1xp1:2,5 and 3743 of the 25871 of
+p2:5 under the default cover, and builds no swap.
 
 `check_pairs` checks a pair list, and `classify` labels the pairs of a
 diagram: it returns `PairLabels`, one label per pair and the twin-tree
@@ -164,7 +188,8 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
     strand or is an incoming end; the last floor leaves no incoming end,
     closes every seek-white strand and opens room of weight 1, as the
     blacks above it are outgoing ends; a splice or an incoming end needs a
-    floor above, and a splice a black besides one per end left; the floors
+    floor above, and a splice a black besides one per end left; no
+    component keeps more seek-white strands than floors are left; the floors
     above carry at most one leak of each sign each.  The dict is in
     post-order: every kept child comes before its parent, and the root
     comes last.  Built once per degree; the dict is shared, so callers
@@ -207,6 +232,10 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
                     layout = [i for i in range(len(strands)) if i not in chosen]
                     rest = [(o, w, stage, comp if c in comps else c)
                             for o, w, stage, c in (strands[i] for i in layout)]
+                    if len(open_sw) - k > floors_after:
+                        waiting = [c for _, _, stage, c in rest if stage == _SEEK_WHITE]
+                        if any(waiting.count(c) > floors_after for c in waiting):
+                            continue  # a component has more strands than floors to close them
                     closed = tuple((i, strands[i][1]) for i in chosen)
                     sealed = all(s[3] != comp for s in rest)
                     for parts in _partitions(out_flow, out_flow if floors_after else 1, room):
@@ -221,9 +250,14 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
         # (a) splice an open elevator strand, one of each (origin, weight)
         seen = set()
         splice = whites < w_total and b_total - (pos - whites) > in_total - inc + out_total - out
+        # the components of the seek-white strands, when they might outnumber the floors left
+        waiting = [s[3] for s in strands if s[2] == _SEEK_WHITE] \
+            if splice and len(strands) >= w_total - whites else []
         for i, (o, w, stage, c) in enumerate(strands):
             if splice and stage == _SEEK_BLACK and (o, w) not in seen:
                 seen.add((o, w))
+                if waiting.count(c) >= w_total - whites:
+                    continue  # the component would have more strands than floors to close them
                 new = list(strands)
                 new[i] = (-1, w, _SEEK_WHITE, c)
                 yield ((None, ((i, w),), everyone[:i] + (-1,) + everyone[i + 1:], None),
@@ -291,46 +325,123 @@ def _rank(move) -> tuple:
 
 
 def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
-    """Yield ((leaks, edges), ends, joined, rising) per diagram met, in sweep order.
+    """Yield ((leaks, edges), ends, joined, twins) per merged class, in sweep order.
 
     The walk follows the kept moves from the root with an explicit stack,
     carrying the concrete origin of each strand, and builds no diagram:
-    (leaks, edges) is the packed key, edges sorted, and `unpack` builds
-    the `FloorDiagram`.  Per pair (a, a + 1), with bit k for pairs[k],
-    joined has the bit if an edge joins a and a + 1, and rising if not
-    and the move that places a + 1 ranks above the one that places a.
-    A move that places a + 1 below a's rank, with no edge between them,
-    is skipped with all it leads to (see the module docstring), so with
-    no pairs every diagram is met.
+    (leaks, edges) is the packed key of the class's first diagram, edges
+    sorted, and `unpack` builds the `FloorDiagram`.  Bit k of joined is
+    set if an edge joins the two positions of pairs[k], and twins counts
+    the twin trees, so the class has 2^(s - |joined| - twins) diagrams.
+    A move is skipped, with all it leads to, as soon as a swap of pairs
+    below maps the path so far to one with an earlier move (see the module
+    docstring), so with no pairs every diagram is met.
     """
     root, moves, _ = _state_graph(spec)
     n = n_delta(spec)
-    bits = {a + 1: 1 << k for k, (a, _) in enumerate(pairs)}
-    ranked = {state: [(move, child, _rank(move)) for move, child in kept]
-              for state, kept in moves.items()}
-    stack = [(root, (), (), (), (), None, 0, 0)]
+    bit, partner = [0] * n, list(range(n))
+    for k, (a, b) in enumerate(pairs):
+        bit[a] = bit[b] = 1 << k
+        partner[a], partner[b] = b, a
+    # per state: its strands, and its kept moves as (move, the child's record, rank)
+    records = {state: (state[6], []) for state in moves}
+    for state, kept in moves.items():
+        records[state][1].extend((move, records[child], _rank(move)) for move, child in kept)
+
+    def spots(swaps, strands, origins, closes):
+        # the sorted indices of the strands (origin, weight) with the origins
+        # swapped, the first of each, as the generators take them
+        found = []
+        for u, _, w in closes:
+            if bit[u] & swaps:
+                u = partner[u]
+            i = origins.index(u)
+            while strands[i][1] != w:
+                i = origins.index(u, i + 1)
+            found.append(i)
+        return sorted(found)
+
+    def opens(swaps, origins, layout, pos):
+        # whether the swaps move the origin of a strand open after the move
+        # at pos: if not, they map every later move to itself
+        return any(bit[pos if k < 0 else origins[k]] & swaps for k in layout)
+
+    def weights(move, child):
+        # the order of two floor moves of one rank that close the same
+        # strands: the one with the larger new weights comes first
+        return [-s[1] for s, k in zip(child[0], move[2]) if k < 0]
+
+    ties: dict = {}  # per (move at a, move at a + 1), the tie's outcome without mirrors
+    stack = [(records[root], (), (), (), (), 0, (), 0, None)]
     while stack:
-        state, origins, leaks, edges, ends, low, joined, rising = stack.pop()
-        pos = state[0]
+        record, origins, leaks, edges, ends, joined, mirrors, twins, low = stack.pop()
+        pos = len(leaks)
         if pos == n:
-            yield (leaks, tuple(sorted(edges))), ends, joined, rising
+            yield (leaks, tuple(sorted(edges))), ends, joined, twins
             continue
-        bit = bits.get(pos, 0)
-        frames = []
-        for move, child, rank in ranked[state]:
+        strands, frames = record[0], []
+        lower = bit[pos] and partner[pos] > pos  # pos is a of a pair (a, a + 1)
+        if low:  # pos is a + 1 of a pair (a, a + 1)
+            record_a, origins_a, move_a, child_a, rank_a, mirrors_a, b = low
+        for move, child, rank in record[1]:
             leak, closed, layout, end = move
-            new = [(origins[i], pos, w) for i, w in closed]
-            j, r = joined, rising
-            if bit and rank != low:  # a tie has one colour, so no edge
-                if any(u == pos - 1 for u, _, _ in new):
-                    j |= bit
-                elif rank < low:
-                    continue  # the swap of the pair ranks lower here, so is met first
+            closes = [(origins[i], pos, w) for i, w in closed]  # the edges the move closes
+            kept, t, j_bits = mirrors, twins, joined
+            if mirrors and any(bit[u] for u, _, _ in closes):
+                own = [i for i, _ in closed]
+                kept, earlier = [], False
+                for swaps in mirrors:
+                    if any(bit[u] & swaps for u, _, _ in closes):
+                        image = spots(swaps, strands, origins, closes)
+                        earlier = image < own  # the image is an earlier diagram of the class
+                        if earlier:
+                            break
+                        if image > own:
+                            continue  # the image parts from the walk here
+                        if not opens(swaps, origins, layout, pos):
+                            t += 1  # the image stays on the walk: the swaps fix the diagram
+                            continue
+                    kept.append(swaps)
+                if earlier:
+                    continue
+                kept = tuple(kept)
+            if low and rank != rank_a:
+                if any(u == pos - 1 for u, _, _ in closes):
+                    j_bits |= b
+                elif rank < rank_a:
+                    continue  # the swap places this vertex earlier at a
+            elif low:  # a tie, so no edge: the least image of this vertex at a
+                key = id(move_a), id(move)
+                free = not (mirrors_a and any(bit[u] for u, _, _ in closes))
+                if free and key in ties:  # the two moves alone fix the outcome
+                    swaps, stays = ties[key]
                 else:
-                    r |= bit
+                    swaps, image = 0, spots(0, record_a[0], origins_a, closes)
+                    for mirror in mirrors_a:
+                        if any(bit[u] & mirror for u, _, _ in closes) and (other := spots(
+                                swaps ^ mirror, record_a[0], origins_a, closes)) < image:
+                            swaps, image = swaps ^ mirror, other
+                    own = [i for i, _ in move_a[1]]
+                    if image == own and not rank[0]:  # floors: larger new weights come first
+                        image, own = weights(move, child), weights(move_a, child_a)
+                    # -1 if the image comes first, the swaps that make it a's move if
+                    # it is that move, else None; and whether they move an open strand
+                    stays = image == own and opens(swaps | b, origins, layout, pos)
+                    swaps = -1 if image < own else swaps if image == own else None
+                    if free:
+                        ties[key] = swaps, stays
+                if swaps == -1:
+                    continue
+                if swaps is not None:  # the swap stays on the walk
+                    if stays:
+                        kept += (swaps | b,)
+                    else:
+                        t += 1
             frames.append((child, tuple([pos if k < 0 else origins[k] for k in layout]),
-                           leaks + (leak,), edges + tuple(new),
-                           ends if end is None else ends + ((pos, end),), rank, j, r))
+                           leaks + (leak,), edges + tuple(closes),
+                           ends if end is None else ends + ((pos, end),), j_bits, kept, t,
+                           (record, origins, move, child, rank, mirrors, bit[pos])
+                           if lower else None))
         stack += reversed(frames)
 
 

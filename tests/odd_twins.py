@@ -8,9 +8,11 @@ the one shifted by one position.  The labels under a placement's
 sub-placements follow from its own (see the `diagrams` docstring), so
 these covers stand for every default row of those degrees, and for the
 FULL_PLACEMENTS row, which lies in the default cover of bl2:5,1,1.  Each
-class is labelled once, through `counting._orbits`, which streams the
-diagrams and holds none past its class; every twin elevator mark of odd
-weight >= 3 is printed.
+class is labelled once, through `counting._orbits`, which meets one
+diagram per class and holds none past it; it raises OrbitWeightError
+unless the class sizes sum to the number of diagrams, so the scan checks
+that too.  It prints the diagrams met per placement, and every twin
+elevator mark of odd weight >= 3.
 
 Run from the repository root (pytest does not collect it):
 
@@ -44,14 +46,17 @@ def main() -> int:
     for spec, placements in covers():
         for pairs in filter(None, placements):
             scanned += 1
+            named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
+            met = 0
             for d, labels, *_ in counting._orbits(spec, pairs):
-                classes += 1
+                met += 1
                 for m, i in (mark for tree in labels.twin_trees for mark in tree.elevator_marks):
                     if m >= 3 and m % 2:
                         found += 1
-                        named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
                         print(f"{spec} pairs {named}: weight {m} at point {i}, "
                               f"edges {[(u + 1, v + 1, w) for u, v, w in d.edges]}")
+            classes += met
+            print(f"{spec} pairs {named}: {met} of {diagrams.count_diagrams(spec)} diagrams met")
     print(f"{scanned} placements, {classes} classes: "
           f"{found} twin elevator marks of odd weight >= 3")
     return int(found > 0)

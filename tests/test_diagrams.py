@@ -68,16 +68,37 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("spec_str", small_degrees(12))
     def test_moves_in_rank_order(self, spec_str):
-        # the walk's pruning rests on it, and the build checks it
+        # the walk's pruning rests on it, and the build checks it; within a
+        # rank the walk orders moves by their closed strands, then by their
+        # new weights, largest first, which must be the order they are kept in
         _, moves, _ = _state_graph(parse_degree(spec_str))
         for state, kept in moves.items():
             ranks = [_rank(move) for move, _ in kept]
             assert ranks == sorted(ranks), state
+            keys = [(_rank(move), [i for i, _ in move[1]],
+                     [-strand[1] for strand, k in zip(child[6], move[2]) if k < 0])
+                    for move, child in kept]
+            assert all(key < after for key, after in zip(keys, keys[1:])), state
 
     def test_moves_out_of_rank_order_raise(self, monkeypatch):
         monkeypatch.setattr(diagrams_module, "_rank", lambda move: -_rank(move)[0])
         with pytest.raises(RuntimeError, match=r"^p2:3: the moves of state .* rank order$"):
             _state_graph.__wrapped__(parse_degree("p2:3"))  # past the cache
+
+    @pytest.mark.parametrize("spec_str,children,states,paths", [
+        ("p1xp1:3,4", 1461, 432, 26422), ("bl3:6,1,1,3", 5449, 1082, 106006),
+        ("p2:5", 617, 186, 25871),
+    ])
+    def test_children_built(self, monkeypatch, spec_str, children, states, paths):
+        # no child holds more seek-white strands of one component than there
+        # are floors left to close them: 46 and 122 fewer children than
+        # without that bound, and the same kept graph
+        built = []
+        real = diagrams_module._canonical
+        monkeypatch.setattr(diagrams_module, "_canonical",
+                            lambda strands: built.append(strands) or real(strands))
+        _, moves, total = _state_graph.__wrapped__(parse_degree(spec_str))  # past the cache
+        assert (len(built), len(moves), total) == (children, states, paths)
 
     @pytest.mark.parametrize("spec_str,expected", [
         ("p2:3", 12), ("p2:4", 620),
@@ -313,6 +334,38 @@ def vertex_rank(d: FloorDiagram, p: int) -> tuple:
     return 0, d.leaks[p].count(-1), d.leaks[p].count(1), sum(v == p for _, v, _ in d.edges)
 
 
+def joined_bits(d: FloorDiagram, pairs) -> int:
+    """Bit k per pair (a, a + 1) = pairs[k] that an edge joins."""
+    edges = {(u, v) for u, v, _ in d.edges}
+    return sum(1 << k for k, pair in enumerate(pairs) if pair in edges)
+
+
+def sweep_orbits(spec, pairs) -> list:
+    """(first diagram, orbit) per orbit of the diagrams under the swaps of
+    the pairs that no edge joins, breadth first over `enumerate_diagrams`,
+    in sweep order of the first diagrams."""
+    diagrams = enumerate_diagrams(spec)
+    enumerated = set(diagrams)
+    seen, firsts = set(), []
+    for d in diagrams:
+        if d in seen:
+            continue
+        orbit, frontier = {d}, [d]
+        while frontier:
+            e = frontier.pop()
+            joined = joined_bits(e, pairs)
+            for k, (a, _) in enumerate(pairs):
+                image = swapped(e, a)
+                valid = not joined >> k & 1
+                assert (image in enumerated) == valid, (e, a)
+                if valid and image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        firsts.append((d, orbit))
+    return firsts
+
+
 KEYED_SPECS = ["p2:3", "p1xp1:2,2", "p1xp1:2,3", "bl1:4,2", "bl2:4,1,1",
                "bl3:4,1,1,2"]
 
@@ -367,56 +420,39 @@ class TestMergedClasses:
         with pytest.raises(ValueError, match=message):
             merged_classes(parse_degree("p2:3"), pairs)
 
-    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"])
+    # p1xp1:3,3 and bl3:5,2,1,1 hold diagrams whose class meets no member
+    # under a single swap before them, only under the swaps of two pairs
+    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"] + small_degrees(9))
     def test_walk_skips_falling_pairs(self, spec_str):
-        # under a cover the walk meets exactly the diagrams with no unjoined
-        # pair whose rank falls at a + 1, and flags the joined and rising ones
+        # under a cover the walk yields exactly the sweep-first diagram of
+        # each orbit, which has no unjoined pair whose rank falls at a + 1,
+        # flags the joined pairs and counts the orbit
         spec = parse_degree(spec_str)
         for pairs in two_covers(spec):
-            expected = []
-            for d in enumerate_diagrams(spec):
-                edges = {(u, v) for u, v, _ in d.edges}
-                joined = rising = falling = 0
-                for k, (a, b) in enumerate(pairs):
-                    if (a, b) in edges:
-                        joined |= 1 << k
-                    elif vertex_rank(d, b) > vertex_rank(d, a):
-                        rising |= 1 << k
-                    elif vertex_rank(d, b) < vertex_rank(d, a):
-                        falling |= 1 << k
-                if not falling:
-                    expected.append(((d.leaks, d.edges), d.ends, joined, rising))
-            assert list(walk(spec, pairs)) == expected, pairs
+            firsts = sweep_orbits(spec, pairs)
+            assert [(key, ends, joined) for key, ends, joined, _ in walk(spec, pairs)] == [
+                ((d.leaks, d.edges), d.ends, joined_bits(d, pairs)) for d, _ in firsts], pairs
+            for (key, ends, joined, twins), (d, orbit) in zip(walk(spec, pairs), firsts):
+                assert 1 << len(pairs) - joined.bit_count() - twins == len(orbit), (pairs, d)
+                assert not any(vertex_rank(d, b) < vertex_rank(d, a)
+                               for k, (a, b) in enumerate(pairs) if not joined >> k & 1)
 
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"])
     def test_images_are_the_orbit(self, spec_str):
-        # each class's size is its orbit under the plain swaps of the pairs,
-        # a swap being valid iff no edge joins its two positions, and the
-        # keys of its members that the walk meets are its images under the
-        # swaps of its tie pairs, whose two vertices rank equal
+        # the orbit pass yields the sweep-first diagram of each orbit under
+        # the plain swaps of the pairs, in sweep order, with its orbit size
         spec = parse_degree(spec_str)
-        enumerated = set(enumerate_diagrams(spec))
         for pairs in two_covers(spec):
-            sizes = 0
-            for d, _, keys, size, _ in _orbits(spec, pairs):
-                orbit, stack = {d}, [d]
-                while stack:
-                    e = stack.pop()
-                    for a, b in pairs:
-                        image = swapped(e, a)
-                        joined = any((u, v) == (a, b) for u, v, _ in e.edges)
-                        assert (image in enumerated) != joined, (e, a)
-                        if not joined and image not in orbit:
-                            orbit.add(image)
-                            stack.append(image)
-                ties = {d}
-                for a, b in pairs:
-                    if vertex_rank(d, a) == vertex_rank(d, b):
-                        ties |= {swapped(e, a) for e in ties}
-                assert size == len(orbit), (pairs, d)
-                assert keys == {(e.leaks, e.edges) for e in ties}, (pairs, d)
-                sizes += size
-            assert sizes == len(enumerated) == count_diagrams(spec), pairs
+            firsts = sweep_orbits(spec, pairs)
+            assert [(d, size, joined) for d, _, size, joined in _orbits(spec, pairs)] == [
+                (d, len(orbit), joined_bits(d, pairs)) for d, orbit in firsts], pairs
+            assert sum(len(orbit) for _, orbit in firsts) == count_diagrams(spec)
+
+    @pytest.mark.parametrize("spec_str,classes", [("p1xp1:2,5", 405), ("p2:5", 3743)])
+    def test_walk_meets_the_classes_alone(self, spec_str, classes):
+        # the last row's classes, of 1686 and 25871 diagrams
+        spec = parse_degree(spec_str)
+        assert sum(1 for _ in walk(spec, default_pairs(n_delta(spec) // 2))) == classes
 
     @pytest.mark.parametrize("spec_str", ["p2:5", "p1xp1:2,5", "bl2:5,1,1"])
     def test_packed_keys_distinct(self, spec_str):
