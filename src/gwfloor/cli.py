@@ -32,7 +32,7 @@ from . import gwring
 from .counting import OrbitWeightError, count, kontsevich, merged_classes, resolve_pairs, \
     verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
 from .degrees import n_delta, parse_degree
-from .diagrams import count_diagrams
+from .diagrams import OverBudget, count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan, equals_mod
 from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
     ISOMORPHIC_SPECS, KNOWN_COUNTS, KNOWN_WELSCHINGER, MERGE_INVARIANCE_SPECS, QUICK_SPECS
@@ -44,10 +44,6 @@ EXIT_BUDGET = 4
 # the errors that end a verify group, by the failed check they count as
 GROUP_ENDING = {ResidualNotInSpan: "residual_not_in_span",
                 OrbitWeightError: "orbit_weights_not_whole"}
-
-
-class OverBudget(Exception):
-    """The degree has more floor diagrams than --max-diagrams allows."""
 
 
 def render_beta_form(form: BetaForm, ascii_mode: bool = False) -> str:
@@ -136,14 +132,10 @@ def _strip_timing(record: dict) -> dict:
 
 
 def _parse_within_budget(args):
-    """The degree of args.spec; OverBudget if it has more than
-    --max-diagrams floor diagrams, counted before any is built."""
+    """The degree of args.spec; OverBudget past --max-diagrams, before any diagram is built."""
     spec = parse_degree(args.spec)
     if args.max_diagrams is not None:
-        total = count_diagrams(spec)
-        if total > args.max_diagrams:
-            raise OverBudget(f"{spec} has {total} floor diagrams, "
-                             f"more than --max-diagrams {args.max_diagrams}")
+        count_diagrams(spec, args.max_diagrams)
     return spec
 
 
@@ -319,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except OrbitWeightError as exc:
         message, code = str(exc), EXIT_RESIDUAL
     except OverBudget as exc:
-        message, code = str(exc), EXIT_BUDGET
+        message, code = f"{exc}, more than --max-diagrams {args.max_diagrams}", EXIT_BUDGET
     else:
         if args.out is None:
             sys.stdout.write(text)

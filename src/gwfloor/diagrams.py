@@ -13,21 +13,21 @@ upper positions can still do depends only on a sweep state: the
 position, the counts of floors, leaks and ends placed so far, and the
 ordered strands as (origin, weight, stage, component), where origins and
 components matter only through equality and are numbered by first
-appearance.  `_state_graph` builds the graph of these states once (186
-states for p2:5), lists each state's moves in sweep order and keeps a
-move only if its child has a completion, counting the paths to the top
-per state; it is cached per degree.  `count_diagrams` reads the root's
-path count without building a diagram; `walk` streams the packed keys
-(leaks, edges) of the diagrams from the root with an explicit stack,
-carrying the concrete origin of each strand, and yields one at the top
-of every path it follows, so no branch is a dead end; `enumerate_diagrams`
-builds the diagrams of the walk without pairs, holding nothing between
-calls; `counting.count` sums the s = 0 row over the graph's paths.
+appearance.  `_state_graph` builds the graph of these states with an
+explicit stack, lists each state's moves in sweep order and keeps a move
+only if its child has a completion, counting the paths to the top per
+state; it is cached per degree.  `count_diagrams` reads the root's path
+count, or stops the build past a budget, without building a diagram;
+`walk` streams the packed keys (leaks, edges) from the root with a stack
+too, carrying the concrete origin of each strand, and yields one at the
+top of every path it follows, so no branch is a dead end;
+`enumerate_diagrams` builds the diagrams of the walk without pairs,
+uncached; `counting.count` sums the s = 0 row over the graph's paths.
 
 The move generators build only children that can still complete.  Every
 later black closes a seek-black strand (a splice or an outgoing end) or
 is an incoming end, so the floors from here on open room = blacks left -
-incoming ends left - seek-black strands strands; the last floor, below
+incoming ends left - seek-black strands; the last floor, below
 outgoing ends only, leaves no incoming end, closes every seek-white
 strand and opens room of weight 1.  Splices and incoming ends open
 seek-white strands, so need a floor above; a splice spends no end, so
@@ -151,14 +151,21 @@ class FloorDiagram(namedtuple("FloorDiagram", "colors leaks edges ends")):
         return len(self.colors)
 
 
-def _partitions(rest: int, bound: int, parts_left: int):
-    """Weakly decreasing partitions of rest into at most parts_left parts <= bound."""
-    if rest == 0:
-        yield ()
-    elif parts_left:
-        for first in range(min(rest, bound), 0, -1):
-            for tail in _partitions(rest - first, first, parts_left - 1):
-                yield (first,) + tail
+class OverBudget(Exception):
+    """The degree has more floor diagrams than a budget allows."""
+
+
+@lru_cache(maxsize=None)
+def _partitions(rest: int, bound: int, parts_left: int) -> tuple[tuple[int, ...], ...]:
+    """Weakly decreasing partitions of rest in at most parts_left parts <= bound, largest first."""
+    found, stack = [], [((), rest, bound)]
+    while stack:
+        parts, rest, bound = stack.pop()
+        if rest == 0:
+            found.append(parts)
+        elif len(parts) < parts_left:  # the largest next part comes first, pushed last
+            stack += [(parts + (k,), rest - k, k) for k in range(1, min(rest, bound) + 1)]
+    return tuple(found)
 
 
 def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
@@ -170,11 +177,12 @@ def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
+def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple, dict, int]:
     """The root sweep state, the kept moves of each state, and the path count.
 
     The moves are given for the root and every state with a completion,
-    and the path count is the number of paths from the root to the top.
+    and the path count is the number of paths from the root to the top;
+    OverBudget once a state has more than at_most paths, a lower bound on the root's.
 
     A state is (position, whites, -1 leaks, +1 leaks, incoming ends,
     outgoing ends, strands), a strand being (origin, weight, stage,
@@ -182,25 +190,21 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
     A move is (leaks or None for a black, closed strands as (index,
     weight), layout, end): the new strands are the old ones at the layout
     indices, -1 standing for a strand that starts at the position.  Moves
-    are listed in sweep order and kept only if their child has a completion.
-    No child is built that the module docstring's bounds rule out: a floor
-    opens at most room strands, as each later black closes a seek-black
-    strand or is an incoming end; the last floor leaves no incoming end,
-    closes every seek-white strand and opens room of weight 1, as the
-    blacks above it are outgoing ends; a splice or an incoming end needs a
-    floor above, and a splice a black besides one per end left; no
-    component keeps more seek-white strands than floors are left; the floors
-    above carry at most one leak of each sign each.  The dict is in
+    are listed in sweep order and kept only if their child has a completion;
+    no child is built that the module docstring's bounds rule out (room,
+    the last floor, a floor above, seek-white strands and leaks).  One
+    loop over a stack of states, each with its moves left to list,
+    finishes a state once all its children are, so the dict is in
     post-order: every kept child comes before its parent, and the root
-    comes last.  Built once per degree; the dict is shared, so callers
-    must not mutate it.
+    comes last.  Built once per degree and budget; the dict is shared, so
+    callers must not mutate it.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
     minus_total, plus_total = leak_budget(spec)
     in_total, out_total = end_spec(spec)
     b_total = n - w_total
-    complete = (w_total, minus_total, plus_total, in_total, out_total, ())
+    top = (n, w_total, minus_total, plus_total, in_total, out_total, ())  # where every path ends
 
     def counts(budget):
         # a floor carries a leak only if some floor must, and none only if not all must
@@ -281,37 +285,41 @@ def _state_graph(spec: DegreeSpec) -> tuple[tuple, dict, int]:
                        (pos + 1, whites, minus, plus, inc, out + 1,
                         _canonical([strands[j] for j in layout])))
 
-    moves: dict = {}
-    paths: dict = {}
+    def listed(state):
+        # at the top every floor and every black is placed, so nothing is listed
+        if state[1] < w_total:
+            yield from white_moves(*state)
+        if state[0] - state[1] < b_total:
+            yield from black_moves(*state)
 
-    def visit(state) -> int:
-        if state in paths:
-            return paths[state]
-        pos, whites = state[0], state[1]
-        kept = []
-        if pos == n:
-            total = int(state[1:] == complete)
-        else:
-            if whites < w_total:
-                kept += [(m, c) for m, c in white_moves(*state) if visit(c)]
-            if pos - whites < b_total:
-                kept += [(m, c) for m, c in black_moves(*state) if visit(c)]
-            total = sum(paths[c] for _, c in kept)
+    root = (0, 0, 0, 0, 0, 0, ())
+    graph: dict = {}
+    paths: dict = {}  # per finished state, its path count
+    stack = [(root, listed(root), [])]  # per state: its moves to list, and those listed
+    while stack:
+        state, todo, found = stack[-1]
+        for move in todo:
+            found.append(move)
+            if move[1] not in paths:
+                stack.append((move[1], listed(move[1]), []))
+                break
+        else:  # every child is finished, so the state is
+            stack.pop()
+            kept = [(m, c) for m, c in found if paths[c]]
             ranks = [_rank(m) for m, _ in kept]
             if ranks != sorted(ranks):  # the premise of the walk's pruning
                 raise RuntimeError(f"{spec}: the moves of state {state} are not in rank order")
-        moves[state], paths[state] = kept, total
-        return total
+            paths[state] = total = sum((paths[c] for _, c in kept), int(state == top))
+            if total > at_most:  # the state is reachable, so its paths bound the root's
+                raise OverBudget(f"{spec} has at least {total} floor diagrams")
+            if total or not stack:  # a live state, or the root
+                graph[state] = kept
+    return root, graph, paths[root]
 
-    root = (0, 0, 0, 0, 0, 0, ())
-    total = visit(root)
-    # the states without a completion served only the memo; the cache drops them
-    return root, {st: kept for st, kept in moves.items() if paths[st] or st == root}, total
 
-
-def count_diagrams(spec: DegreeSpec) -> int:
-    """The number of floor diagrams of the degree, without building any."""
-    return _state_graph(spec)[2]
+def count_diagrams(spec: DegreeSpec, at_most: int | None = None) -> int:
+    """The number of floor diagrams of the degree, without building any; OverBudget past at_most."""
+    return (_state_graph(spec) if at_most is None else _state_graph(spec, at_most))[2]
 
 
 def _rank(move) -> tuple:

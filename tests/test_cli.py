@@ -27,6 +27,14 @@ def run(capsys, *argv):
     return code, out
 
 
+
+def _fresh_cli(*argv, timeout):
+    """Run the CLI in a fresh interpreter; TimeoutExpired past timeout seconds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gwfloor.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "gwfloor.cli", *argv],
+                          capture_output=True, encoding="utf-8", env=env, timeout=timeout)
+
+
 class TestCount:
     def test_cubic_text(self, capsys):
         code, out = run(capsys, "count", "p2:3", "--pairs-count", "3")
@@ -149,15 +157,18 @@ class TestEnumerate:
 
 
 class TestDiagramBudget:
-    """--max-diagrams N exits 4 before any diagram is built if the degree has
-    more than N floor diagrams (p2:4 has 303), and changes nothing otherwise."""
+    """--max-diagrams N exits 4 before any diagram is built once the state
+    graph's build finishes a state with more than N paths to the top, a
+    lower bound on the degree's floor diagrams (p2:4 has 303), and changes
+    nothing otherwise."""
 
     @pytest.mark.parametrize("command", ["count", "table", "enumerate"])
     def test_over_budget_exit_code(self, capsys, command):
         assert main([command, "p2:4", "--max-diagrams", "302"]) == EXIT_BUDGET
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "p2:4 has 303 floor diagrams" in captured.err
+        assert captured.err == \
+            "error: p2:4 has at least 303 floor diagrams, more than --max-diagrams 302\n"
 
     @pytest.mark.parametrize("command", ["count", "table", "enumerate"])
     def test_within_budget_output_unchanged(self, capsys, command):
@@ -173,7 +184,24 @@ class TestDiagramBudget:
         assert main(["count", "p2:7", "--max-diagrams", "1000"]) == EXIT_BUDGET
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "p2:7 has 1413862091 floor diagrams" in captured.err
+        assert captured.err == \
+            "error: p2:7 has at least 1212 floor diagrams, more than --max-diagrams 1000\n"
+
+    # in a fresh interpreter, so that a deep recursion raises at the default
+    # limit, and under a timeout, so that a build past the budget fails the test
+    @pytest.mark.parametrize("spec", ["p2:12", "p2:170"])
+    def test_stops_the_build(self, spec):
+        proc = _fresh_cli("count", spec, "--max-diagrams", "10", timeout=5)
+        assert proc.returncode == EXIT_BUDGET
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            f"error: {spec} has at least 18 floor diagrams, more than --max-diagrams 10\n"
+
+    def test_deep_degree_builds(self):
+        # n = 601 and one diagram: the build descends 601 positions
+        proc = _fresh_cli("count", "p1xp1:1,300", "--format", "json", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["classes"] == 1
 
     def test_negative_budget_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,8 +11,9 @@ import gwfloor.diagrams as diagrams_module
 from gwfloor.cli import main
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, PairLabels, _rank, _state_graph, _twin_tree_summary,
-    check_pairs, classify, count_diagrams, enumerate_diagrams, walk,
+    INCOMING, OUTGOING, FloorDiagram, OverBudget, PairLabels, _partitions, _rank,
+    _state_graph, _twin_tree_summary, check_pairs, classify, count_diagrams,
+    enumerate_diagrams, walk,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, _orbits, default_pairs, merged_classes
 
@@ -55,6 +56,20 @@ class TestEnumeration:
     def test_path_count_is_diagram_count(self, spec_str):
         spec = parse_degree(spec_str)
         assert count_diagrams(spec) == len(enumerate_diagrams(spec))
+
+    def test_budget_bounds_the_count(self):
+        # within the budget the count is exact; past it the build stops at a
+        # state whose paths bound the count from below
+        spec = parse_degree("p2:5")
+        assert count_diagrams(spec, 25871) == count_diagrams(spec) == 25871
+        with pytest.raises(OverBudget, match=r"^p2:5 has at least 1212 floor diagrams$"):
+            count_diagrams(spec, 1000)
+
+    def test_partitions_without_recursion(self):
+        # largest first, as the floors' moves are listed; the last floor of
+        # p1xp1:1,b opens b strands of weight 1, past any recursion limit
+        assert list(_partitions(5, 3, 3)) == [(3, 2), (3, 1, 1), (2, 2, 1)]
+        assert list(_partitions(5000, 1, 5000)) == [(1,) * 5000]
 
     @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
     def test_state_graph_in_post_order(self, spec_str):

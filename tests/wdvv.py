@@ -21,10 +21,7 @@ curves and the independently confirmed blowup values (3;1)=12, (4;2)=96,
 
 import itertools
 import math
-import sys
 from functools import lru_cache
-
-sys.setrecursionlimit(1_000_000)
 
 
 def _cremona(c):
