@@ -12,10 +12,11 @@ divided by 2^s is that signature's number of classes (OrbitWeightError
 unless every division is exact).  A class's members share its profile,
 and the walk under the cover (`diagrams.walk`) meets the first diagram
 of each class and no other (3743 of the 25871 diagrams of p2:5, 405 of
-the 1686 of p1xp1:2,5), so one orbit pass (`_orbits`) classifies
-(`diagrams.classify`) every diagram it meets, builds no swap, and weighs
-each class by the size the walk gives, from the twin trees that the walk
-finds on its own; OrbitWeightError unless the sizes sum to the number of
+the 1686 of p1xp1:2,5), so one orbit pass (`_orbits`) labels each class
+once (`diagrams.label`) from what the walk hands over, the pairs an edge
+joins and the pair mask of each twin tree, builds no swap and no
+diagram, and weighs each class by the size the walk gives, from those
+twin trees; OrbitWeightError unless the sizes sum to the number of
 diagrams.  No diagram is cached, so a pass holds one class.  A row's cover
 (`_extension`) adds the leftmost pairs that fit in each gap,
 default_pairs(n // 2) for a default row; only the distinct profiles of
@@ -28,7 +29,8 @@ verify reads every row two or three times; a row that raises is not
 cached, so it raises again on every read.
 
 merged_classes() lists the representatives of the same pass, for
-`enumerate`, with their labels under the row's pairs.
+`enumerate`, with their labels under the row's pairs; only it builds
+the representatives' diagrams (`diagrams.unpack`).
 
 The s = 0 row has no pairs, so each class is one diagram, whose
 multiplicity is the product of m_a1 over its edges.  count() sums it as
@@ -49,7 +51,7 @@ from .degrees import DegreeSpec, n_delta
 from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, count_diagrams, \
     unpack, walk
 from .gwring import GwElem, beta_decompose, equals_mod, split, split_mul, split_sum, unsplit
-from .multiplicity import TwinTreeSummary, absorbing_masks, row_mult, row_signature
+from .multiplicity import TwinTreeSummary, row_mult, row_signature
 
 
 class CountResult(namedtuple("CountResult", "spec r s total beta_form rank signature_all_positive "
@@ -125,12 +127,16 @@ def _named(pairs: tuple[tuple[int, int], ...]) -> str:
 
 
 def _orbits(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]):
-    """(representative, its labels, the class size, the bits of the pairs
-    an edge joins) per merged-diagram class, first-seen order.
+    """(packed key, ends, (labels, weights, masks), the class size, the
+    bits of the pairs an edge joins) per merged-diagram class, first-seen
+    order: the key and ends are the representative's, and the labels and
+    the edges' absorbing masks are `diagrams.label`'s.
 
     A class is an orbit of the diagrams under exchanging the two positions
     of any subset of the pairs; `walk` under the pairs meets its first
-    diagram alone, which represents it and is the only one classified.
+    diagram alone, which represents it, and hands over what it found on
+    the way: the pairs an edge joins and the pair mask of each twin tree,
+    from which the class is labelled without building its diagram.
     The (a, a+1)-swap is valid iff no edge joins a and a + 1: such an edge
     would leave a splice black with both neighbours on one side, or an end
     pointing the wrong way; without one, every edge, end and leak moves
@@ -138,20 +144,19 @@ def _orbits(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]):
     pairs are disjoint, so the swaps commute and do not change each
     other's validity, and the swap sets that fix the diagram are the
     unions of its T twin trees: a class with v valid pairs has 2^(v - T)
-    diagrams.  The walk counts the T trees itself, so the labels do not
-    set the size, and a labelling that misses a tree shows in the row's
-    orbit weights (`_signature_tally`).  OrbitWeightError unless the sizes
-    sum to the number of diagrams, which the state graph counts without
-    the walk: a single class left out, or met twice, changes the sum.
+    diagrams.  The size counts the walk's trees, not the labels', so a
+    labelling that misses a tree shows in the row's orbit weights
+    (`_signature_tally`).  OrbitWeightError unless the sizes sum to the
+    number of diagrams, which the state graph counts without the walk: a
+    single class left out, or met twice, or a tree the walk misses,
+    changes the sum.
     """
     total = 0
-    for key, ends, joined, twins in walk(spec, pairs):
-        d = unpack(key, ends)
-        # through the module, so that a patched or traced classify is the one used
-        labels = diagrams.classify(d, pairs)
-        size = 1 << len(pairs) - joined.bit_count() - twins
+    for key, ends, joined, trees in walk(spec, pairs):
+        size = 1 << len(pairs) - joined.bit_count() - len(trees)
         total += size
-        yield d, labels, size, joined
+        # through the module, so that a patched labeller is the one used
+        yield key, ends, diagrams.label(key, pairs, joined, trees), size, joined
     if total != count_diagrams(spec):
         raise OrbitWeightError(f"{spec} with pairs {_named(pairs)}: the classes met hold "
                                f"{total} of the {count_diagrams(spec)} diagrams")
@@ -161,23 +166,23 @@ def merged_classes(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]
                    ) -> tuple[tuple[FloorDiagram, PairLabels], ...]:
     """(representative, its labels) per merged-diagram class, first-seen
     order (see `_orbits`)."""
-    return tuple((d, labels) for d, labels, *_ in _orbits(spec, check_pairs(pairs, n_delta(spec))))
+    return tuple((unpack(key, ends), labels) for key, ends, (labels, _, _), *_
+                 in _orbits(spec, check_pairs(pairs, n_delta(spec))))
 
 
 @lru_cache(maxsize=256)
 def _cover_profiles(spec: DegreeSpec, cover: tuple[tuple[int, int], ...]) -> tuple:
     """The cover's distinct labels, as (classification, twin trees, their
     masks), and its distinct profiles, with their numbers of diagrams.  A
-    profile is a class's labels (their index), `multiplicity.absorbing_masks`
-    and the mask of the pairs that an edge joins (bit k for cover[k]);
-    each class is classified once, through its representative, and counts
+    profile is a class's labels (their index), its edges' weights and
+    absorbing masks, and the mask of the pairs that an edge joins (bit k
+    for cover[k]); each class is labelled once, from the walk, and counts
     its size (`_orbits`), as the walk meets one diagram per class (405 of
     1686 on p1xp1:2,5)."""
     entries: dict = {}  # per distinct cover `PairLabels`, its index
     profiles: Counter = Counter()
     intern = {}.setdefault  # one object per equal label or tuple, to keep the cache small
-    for d, labels, size, joined in _orbits(spec, cover):
-        weights, masks = absorbing_masks(d, cover, *labels)
+    for _, _, (labels, weights, masks), size, joined in _orbits(spec, cover):
         profiles[entries.setdefault(labels, len(entries)), intern(weights, weights),
                  intern(masks, masks), joined] += size
     return tuple((tuple([intern(label, label) for label in classification]), trees,

@@ -13,11 +13,12 @@ upper positions can still do depends only on a sweep state: the
 position, the counts of floors, leaks and ends placed so far, and the
 ordered strands as (origin, weight, stage, component), where origins and
 components matter only through equality and are numbered by first
-appearance.  `_state_graph` builds the graph of these states with an
+appearance.  `_build_graph` builds the graph of these states with an
 explicit stack, lists each state's moves in sweep order and keeps a move
 only if its child has a completion, counting the paths to the top per
-state; it is cached per degree.  `count_diagrams` reads the root's path
-count, or stops the build past a budget, without building a diagram;
+state; `_state_graph` keeps it per degree, once a build, budgeted or
+not, finishes.  `count_diagrams` reads the root's path count, or stops
+the build past a budget, without building a diagram;
 `walk` streams the packed keys (leaks, edges) from the root with a stack
 too, carrying the concrete origin of each strand, and yields one at the
 top of every path it follows, so no branch is a dead end;
@@ -43,10 +44,11 @@ has no dead state (617 children, 186 states).
 Merging declares disjoint adjacent position pairs to be double points.
 Diagrams that differ by exchanging the two positions of some pairs give
 the same merged diagram.  One pass over the walk under the pairs
-(`counting._orbits`) classifies the first diagram of each class, the
-only one the walk meets; a count weights each class by its size
+(`counting._orbits`) labels each class from what the walk found on the
+way to its first diagram, the only one the walk meets, and builds no
+diagram; a count weights each class by its size
 (`counting._cover_profiles`), and `counting.merged_classes` lists the
-representatives.
+representatives, built from their packed keys.
 
 The walk under pairs meets the first diagram of each class and no other
 (orderly generation: B. D. McKay, "Isomorph-free exhaustive generation",
@@ -85,29 +87,32 @@ mirrors marks its own new strands as mirrors, the composed swap of a
 mirrored branch; no single swap catches 2 diagrams each on the default
 covers of p1xp1:3,3 and bl3:5,2,1,1, and 13 on p2:5.  A set whose
 strands all close while it is live fixes the diagram, and the sets that
-fix it are the unions of its twin trees (below), so the walk counts T of
-them: the class has 2^(v - T) diagrams for v pairs that no edge joins.
-It meets 405 of the 1686 diagrams of p1xp1:2,5 and 3743 of the 25871 of
-p2:5 under the default cover, and builds no swap.
+fix it are the unions of its twin trees (below), so each such set is a
+twin tree, and the walk hands over its pair mask (where a tie's swap
+fixes the diagram at once, the tree is the tie's pair and the mirror
+sets that map its two moves onto each other): the class has 2^(v - T)
+diagrams for v pairs that no edge joins and T trees.  It meets 405 of the 1686
+diagrams of p1xp1:2,5 and 3743 of the 25871 of p2:5 under the default
+cover, and builds no swap.
 
-`check_pairs` checks a pair list, and `classify` labels the pairs of a
-diagram: it returns `PairLabels`, one label per pair and the twin-tree
-summaries, always both.  A twin tree is two isomorphic strands of merged
-pairs hanging from one root elevator pair.  As the diagram is a tree,
-removing a floor r splits it into branches; for a black pair (x, y)
-joined to r by edges of equal weight, `_twin_trees` walks the branches
-at x and at y in step and keeps them as a twin tree when the pairs map
-one onto the other; it reads leaks and edges only, as the end of a
-black, if any, points away from its one edge.  Equivalently, the twin
-trees are the minimal non-empty sets of pairs whose simultaneous swap
-leaves the diagram unchanged (`tests/twins.py` checks this); each
-distinct summary is built, and checked, once.  Pairs on a twin tree are labelled "twin".
+`check_pairs` checks a pair list, and `label` labels the pairs of a
+class from its packed key, the pairs an edge joins and the walk's tree
+masks: it returns `PairLabels`, one label per pair and the twin-tree
+summaries, always both, with each edge's weight and absorbing mask.  A
+twin tree is two isomorphic strands of merged pairs hanging from one
+root elevator pair, the black pair that shares a floor; equivalently,
+the twin trees are the minimal non-empty sets of pairs whose
+simultaneous swap leaves the diagram unchanged (`tests/twins.py` checks
+the walk's masks against this, and `tests/classify.py`, a branch walk
+over the built diagram, checks the labels); each distinct summary is
+built, and checked, once.  Pairs on a twin tree are labelled "twin".
 Every other pair is "type_a" if it merges a floor with the adjacent
-elevator point, and "free" otherwise.  The labels alone say which edges
-a local factor absorbs, so nothing else about them is kept.
+elevator point, an edge joining the pair, and "free" otherwise.  The
+labels alone say which edges a local factor absorbs, so nothing else
+about them is kept.
 
 So the labels under pairs P follow from those under any pairs F
-containing P, which `counting._cover_profiles` uses to classify each
+containing P, which `counting._cover_profiles` uses to label each
 class once per cover and to tally every row within F from the same
 labels: for P within F, the sets of pairs within P whose swap fixes
 the diagram are those of F that lie in P, so P's twin trees are F's
@@ -117,8 +122,8 @@ is free; type-A and free labels depend on their pair alone.  No two
 labels absorb at the two ends of an edge: the swap of a tree at one end
 fixes the other end v, so v joins both twins, a cycle through the tree's
 root floor r (if v = r, v is on a second tree, whose swap gives one).
-So an edge has one absorbing mask, its label's pairs
-(`multiplicity.absorbing_masks`), and P absorbs it iff P holds the mask.
+So an edge has one absorbing mask, its label's pairs (`label`), and P
+absorbs it iff P holds the mask.
 """
 
 from __future__ import annotations
@@ -176,8 +181,22 @@ def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
                  for o, w, stage, c in strands)
 
 
-@lru_cache(maxsize=None)
+_graphs: dict = {}  # per degree, its state graph, once a build has finished
+
+
 def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple, dict, int]:
+    """The degree's state graph (`_build_graph`), built once: a build that
+    finishes within at_most is the whole graph, so it is kept.  OverBudget
+    past at_most, with the message of a fresh build."""
+    graph = _graphs.get(spec)
+    if graph is None:
+        graph = _graphs[spec] = _build_graph(spec, at_most)
+    elif graph[2] > at_most:
+        _build_graph(spec, at_most)  # the root has more paths, so this raises
+    return graph
+
+
+def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple, dict, int]:
     """The root sweep state, the kept moves of each state, and the path count.
 
     The moves are given for the root and every state with a completion,
@@ -196,8 +215,7 @@ def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
     loop over a stack of states, each with its moves left to list,
     finishes a state once all its children are, so the dict is in
     post-order: every kept child comes before its parent, and the root
-    comes last.  Built once per degree and budget; the dict is shared, so
-    callers must not mutate it.
+    comes last.  The dict is shared, so callers must not mutate it.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
@@ -311,7 +329,7 @@ def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
                 raise RuntimeError(f"{spec}: the moves of state {state} are not in rank order")
             paths[state] = total = sum((paths[c] for _, c in kept), int(state == top))
             if total > at_most:  # the state is reachable, so its paths bound the root's
-                raise OverBudget(f"{spec} has at least {total} floor diagrams")
+                raise OverBudget(f"{spec} has at least {total} floor diagram" + "s" * (total > 1))
             if total or not stack:  # a live state, or the root
                 graph[state] = kept
     return root, graph, paths[root]
@@ -319,7 +337,7 @@ def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
 
 def count_diagrams(spec: DegreeSpec, at_most: int | None = None) -> int:
     """The number of floor diagrams of the degree, without building any; OverBudget past at_most."""
-    return (_state_graph(spec) if at_most is None else _state_graph(spec, at_most))[2]
+    return _state_graph(spec, float("inf") if at_most is None else at_most)[2]
 
 
 def _rank(move) -> tuple:
@@ -333,14 +351,15 @@ def _rank(move) -> tuple:
 
 
 def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
-    """Yield ((leaks, edges), ends, joined, twins) per merged class, in sweep order.
+    """Yield ((leaks, edges), ends, joined, trees) per merged class, in sweep order.
 
     The walk follows the kept moves from the root with an explicit stack,
     carrying the concrete origin of each strand, and builds no diagram:
     (leaks, edges) is the packed key of the class's first diagram, edges
     sorted, and `unpack` builds the `FloorDiagram`.  Bit k of joined is
-    set if an edge joins the two positions of pairs[k], and twins counts
-    the twin trees, so the class has 2^(s - |joined| - twins) diagrams.
+    set if an edge joins the two positions of pairs[k], and trees holds
+    the mask of the pairs of each twin tree, a mirror set whose strands
+    all closed, so the class has 2^(s - |joined| - len(trees)) diagrams.
     A move is skipped, with all it leads to, as soon as a swap of pairs
     below maps the path so far to one with an earlier move (see the module
     docstring), so with no pairs every diagram is met.
@@ -380,12 +399,12 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
         return [-s[1] for s, k in zip(child[0], move[2]) if k < 0]
 
     ties: dict = {}  # per (move at a, move at a + 1), the tie's outcome without mirrors
-    stack = [(records[root], (), (), (), (), 0, (), 0, None)]
+    stack = [(records[root], (), (), (), (), 0, (), (), None)]
     while stack:
-        record, origins, leaks, edges, ends, joined, mirrors, twins, low = stack.pop()
+        record, origins, leaks, edges, ends, joined, mirrors, trees, low = stack.pop()
         pos = len(leaks)
         if pos == n:
-            yield (leaks, tuple(sorted(edges))), ends, joined, twins
+            yield (leaks, tuple(sorted(edges))), ends, joined, trees
             continue
         strands, frames = record[0], []
         lower = bit[pos] and partner[pos] > pos  # pos is a of a pair (a, a + 1)
@@ -394,7 +413,7 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
         for move, child, rank in record[1]:
             leak, closed, layout, end = move
             closes = [(origins[i], pos, w) for i, w in closed]  # the edges the move closes
-            kept, t, j_bits = mirrors, twins, joined
+            kept, t, j_bits = mirrors, trees, joined
             if mirrors and any(bit[u] for u, _, _ in closes):
                 own = [i for i, _ in closed]
                 kept, earlier = [], False
@@ -407,7 +426,7 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
                         if image > own:
                             continue  # the image parts from the walk here
                         if not opens(swaps, origins, layout, pos):
-                            t += 1  # the image stays on the walk: the swaps fix the diagram
+                            t += (swaps,)  # the image stays on the walk: the swaps fix the diagram
                             continue
                     kept.append(swaps)
                 if earlier:
@@ -444,7 +463,7 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
                     if stays:
                         kept += (swaps | b,)
                     else:
-                        t += 1
+                        t += (swaps | b,)
             frames.append((child, tuple([pos if k < 0 else origins[k] for k in layout]),
                            leaks + (leak,), edges + tuple(closes),
                            ends if end is None else ends + ((pos, end),), j_bits, kept, t,
@@ -465,7 +484,7 @@ def enumerate_diagrams(spec: DegreeSpec) -> tuple[FloorDiagram, ...]:
 
 
 class PairLabels(namedtuple("PairLabels", "classification twin_trees")):
-    """The labels of a diagram's merged pairs, as `classify` finds them.
+    """The labels of a class's merged pairs, as `label` builds them.
 
     classification[k] is ("twin", tree index), ("type_a", elevator weight)
     or ("free",) for pairs[k]; twin_trees[t] summarises twin tree t.
@@ -488,102 +507,87 @@ def check_pairs(pair_positions: Iterable[tuple[int, int]],
     return pairs
 
 
-# Twin trees repeat: the 405 classify calls of the p1xp1:2,5 table build
-# 1050 of them in 6 distinct summaries, each built, and checked, once.
+# Twin trees repeat: the 405 classes of the p1xp1:2,5 table hold 1050 of
+# them in 6 distinct summaries, each built, and checked, once.
 _twin_tree_summary = lru_cache(maxsize=None)(TwinTreeSummary)
 
 
-@lru_cache(maxsize=256)
-def _pair_maps(pairs: tuple[tuple[int, int], ...]) -> tuple[dict[int, int], dict[int, int]]:
-    """Per paired position, its partner and the 1-based index of its pair.
+def label(key, pairs: tuple[tuple[int, int], ...], joined: int, trees: tuple[int, ...]) -> tuple:
+    """(PairLabels, weights, masks) of a class, from what `walk` yields for it.
 
-    Built once per pairs tuple; the dicts are shared, so callers must not
-    mutate them.
+    A pair in trees[t] (a mask of pairs) is a twin; its tree's points are
+    the mask's, with a mark (weight, point) per black pair, the black's
+    edge weight, unbounded if the black has one edge; its root is the
+    black pair that shares a floor, and m_root their edges' weight; trees
+    are ordered by their first mark.  Any other pair is type A, weighted
+    by the edge (a, a + 1, w), if its bit of joined is set, and free if
+    not.  weights and masks are the edges' sorted by (weight, mask): the
+    mask is the pairs of the label that absorbs the edge, a whole twin
+    tree at both its vertices or a type-A pair at its black (gamma takes
+    its elevator), and bit len(pairs) if none does, so a row absorbs the
+    edge iff it holds the mask.  ValueError if its two ends name
+    different masks, which no tree allows (see the module docstring).
     """
-    partner, index = {}, {}
-    for k, (a, b) in enumerate(pairs):
-        partner[a], partner[b] = b, a
-        index[a] = index[b] = k + 1
-    return partner, index
-
-
-def _twin_trees(diagram: FloorDiagram, pairs, nbrs) -> list[TwinTreeSummary]:
-    """The twin trees of the merged pairs, by the point of their first elevator mark.
-
-    A twin tree hangs from a floor r at a black pair (x, y) joined to r by
-    edges of equal weight: it is the branch at x and the branch at y, seen
-    from r, when the pairs map one branch onto the other.  Both branches
-    are walked in step; the walk fails at the first (u, v) whose leaks
-    (None at a black, so colours too) or children do not correspond under
-    the pairs.  A black's elevator weight is that of any of its edges,
-    here the one the walk came in by.  The walk never passes an unpaired
-    vertex, so nbrs need only list the neighbours of the paired positions.
-
-    The walk reads no ends.  A black is a splice (two edges) or an end
-    black (one edge and one end), so a black with no children is an
-    unbounded elevator, and equal child counts make u and v both splices
-    or both end blacks.  An end points away from its black's one edge.
-    Paired u and v hang from one floor or from one adjacent pair, and as
-    pairs are disjoint, their parents lie on the same side of them, so
-    both ends point the same way.
-    """
-    partner, index = _pair_maps(pairs)
-    trees = []
-    for x, y in pairs:
-        if diagram.colors[x] != "b" or diagram.colors[y] != "b":
+    leaks, edges = key
+    at = [0] * len(leaks)  # per vertex, the mask of the label that absorbs at it
+    nbrs: dict = {}  # per black of a label, its (neighbour, weight) pairs
+    labelled = [("free",)] * len(pairs)
+    members, type_a = [], []  # per tree its pairs; per type-A pair (k, its black)
+    for mask in trees:
+        ks, rest = [], mask
+        while rest:  # the set bits, lowest first
+            k = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            ks.append(k)
+            a, b = pairs[k]
+            at[a] = at[b] = mask
+            if leaks[a] is None:
+                nbrs[a], nbrs[b] = [], []
+        members.append(ks)
+    rest = joined
+    while rest:
+        k = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        a, b = pairs[k]
+        black = a if leaks[a] is None else b
+        at[black], nbrs[black] = 1 << k, []
+        type_a.append((k, black))
+    # (weight, mask) as one int, weight << shift | mask, so that they sort fast
+    found, shift, none = [], len(pairs) + 1, 1 << len(pairs)
+    for u, v, w in edges:
+        if not (mask := at[u] or at[v]):
+            found.append(w << shift | none)
             continue
-        for r, m_root in nbrs[x]:
-            if (r, m_root) not in nbrs[y]:
-                continue  # at most one floor passes: a second would close a cycle
-            points, marks, unbounded = [], [], 0
-            stack = [(x, y, r, r, m_root)]
-            while stack:
-                u, v, up_u, up_v, w = stack.pop()
-                kids = [(c, wc) for c, wc in nbrs[u] if c != up_u]
-                v_kids = {(c, wc) for c, wc in nbrs[v] if c != up_v}
-                if (diagram.leaks[u] != diagram.leaks[v] or len(kids) != len(v_kids)
-                        or any((partner.get(c), wc) not in v_kids for c, wc in kids)):
-                    break
-                points.append(index[u])
-                if diagram.colors[u] == "b":
-                    marks.append((w, index[u]))
-                    unbounded += not kids
-                stack.extend((c, partner[c], u, v, wc) for c, wc in kids)
-            else:
-                floors = len(points) - len(marks)
-                if len(marks) != floors + unbounded:
-                    raise ValueError(f"invalid floor diagram: twin tree on points "
-                                     f"{sorted(points)} miscounts its elevator pairs")
-                trees.append(_twin_tree_summary(tuple(sorted(points)), tuple(sorted(
-                    marks, key=lambda mark: mark[1])), m_root, unbounded))
-    return sorted(trees, key=lambda tree: tree.elevator_marks[0][1])
-
-
-def classify(diagram: FloorDiagram, pairs: tuple[tuple[int, int], ...]) -> PairLabels:
-    """Each merged pair labelled twin tree member, type A, or free.
-
-    pairs must be check_pairs output for the diagram, as in
-    counting.merged_classes() and counting.resolve_pairs(), which check
-    them.  Without pairs there is nothing to label, and no work is done.
-    A pair (a, a + 1) off the twin trees is type A when an edge joins its
-    two positions, read from the neighbours of a.
-    """
-    if not pairs:
-        return PairLabels((), ())
-    nbrs = {u: [] for u in _pair_maps(pairs)[0]}
-    for u, v, w in diagram.edges:
+        if mask != (at[v] or mask):  # both ends absorbed, differently
+            raise ValueError("an edge joins vertices that different labels absorb at")
+        found.append(w << shift | mask)
         if u in nbrs:
             nbrs[u].append((v, w))
         if v in nbrs:
             nbrs[v].append((u, w))
-    trees = _twin_trees(diagram, pairs, nbrs)
-    tree_of_pair = {i - 1: t for t, tree in enumerate(trees) for i in tree.point_indices}
-    labels = []
-    for k, (a, b) in enumerate(pairs):
-        if k in tree_of_pair:
-            labels.append(("twin", tree_of_pair[k]))
-        elif joined := [w for c, w in nbrs[a] if c == b]:
-            labels.append(("type_a", joined[0]))
-        else:
-            labels.append(("free",))
-    return PairLabels(tuple(labels), tuple(trees))
+    for k, black in type_a:  # a black's edges have one weight
+        labelled[k] = ("type_a", nbrs[black][0][1])
+    summaries = []  # per tree: the point of its first mark, its summary, its pairs
+    for ks in members:
+        marks, m_root, unbounded = [], None, 0
+        for k in ks:
+            a, b = pairs[k]
+            if leaks[a] is None:
+                w = nbrs[a][0][1]
+                marks.append((w, k + 1))
+                unbounded += len(nbrs[a]) == 1
+                if m_root is None and not set(nbrs[a]).isdisjoint(nbrs[b]):
+                    m_root = w  # the root pair: both blacks join one floor
+        if len(marks) != len(ks) - len(marks) + unbounded:
+            raise ValueError(f"invalid floor diagram: twin tree on points "
+                             f"{[k + 1 for k in ks]} miscounts its elevator pairs")
+        summaries.append((marks[0][1], _twin_tree_summary(
+            tuple([k + 1 for k in ks]), tuple(marks), m_root, unbounded), ks))
+    summaries.sort()
+    for t, (_, _, ks) in enumerate(summaries):
+        twin = ("twin", t)
+        for k in ks:
+            labelled[k] = twin
+    found.sort()
+    return PairLabels(tuple(labelled), tuple([tree for _, tree, _ in summaries])), \
+        tuple([x >> shift for x in found]), tuple([x & (2 * none - 1) for x in found])

@@ -11,10 +11,10 @@ Every factor is a GwElem over the formal parameters d_1, ..., d_s:
 The multiplicity of a merged diagram is the product of these factors, so
 it depends only on its local-factor signature: the twin-tree summaries,
 the pair labels, and the sorted weights of the edges that no label
-absorbs.  Which edges a label absorbs is said once, in `absorbing_masks`,
+absorbs.  Which edges a label absorbs is said once, in `diagrams.label`,
 per edge as the pairs of the one label that absorbs it, so that
 `row_signature` reads the signature of every row within a cover from
-one diagram's labels.  `row_mult` sums a row with pairs over its
+one class's labels.  `row_mult` sums a row with pairs over its
 signatures in split form (see `gwring`); `counting` sums the row without
 pairs from m_a1 over the state graph.  m_a1 and gamma are cached by
 (weight, index, s), the twin-tree factor by (tree, s).
@@ -111,33 +111,10 @@ def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     return total * subset_sum
 
 
-def absorbing_masks(diagram, pairs, classification, twin_trees) -> tuple:
-    """(weights, masks) of a diagram's edges, sorted by (weight, mask).
-
-    The mask has bit k for each pairs[k] whose label absorbs the edge, a
-    whole twin tree at both its vertices or a "type_a" pair at its black
-    (gamma takes its elevator), and bit len(pairs) if none does; a row
-    absorbs the edge iff it holds the mask.  ValueError if its two ends
-    name different masks, which no tree allows (`diagrams` docstring).
-    """
-    at = [0] * len(diagram.colors)  # per vertex, the mask of the label that absorbs at it
-    for k, ((a, b), label) in enumerate(zip(pairs, classification)):
-        if label[0] == "twin":
-            at[a] = at[b] = sum(1 << (i - 1) for i in twin_trees[label[1]].point_indices)
-        elif label[0] == "type_a":
-            at[a if diagram.colors[a] == "b" else b] = 1 << k
-    edges, none = [], 1 << len(pairs)
-    for u, v, w in diagram.edges:
-        if (mask := at[u] or at[v]) != (at[v] or mask):  # both ends absorbed, differently
-            raise ValueError("an edge joins vertices that different labels absorb at")
-        edges.append((w, mask or none))
-    edges.sort()
-    return tuple([w for w, _ in edges]), tuple([mask for _, mask in edges])
-
-
 def row_signature(classification, twin_trees, weights, masks, row: int) -> tuple:
-    """The local-factor signature of a row, from its labels and the
-    `absorbing_masks` of any pairs that contain its own (the bits of row).
+    """The local-factor signature of a row, from its labels and the edges'
+    absorbing masks (`diagrams.label`) under any pairs that contain its
+    own (the bits of row).
 
     (twin_trees, classification, sorted weights of the edges that the
     row's labels do not absorb): all that its multiplicity depends on.

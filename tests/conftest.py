@@ -3,7 +3,7 @@
 from gwfloor.counting import _cover_profiles, _row
 from gwfloor.multiplicity import twin_tree_mult
 
-# Every cache that holds a result of `diagrams.classify` or of a local
+# Every cache that holds a result of `diagrams.label` or of a local
 # factor, bound at import, as a test may patch the module attribute.
 COUNT_CACHES = (_row, _cover_profiles, twin_tree_mult)
 

@@ -11,14 +11,17 @@ FULL_PLACEMENTS row, which lies in the default cover of bl2:5,1,1.  Each
 class is labelled once, through `counting._orbits`, which meets one
 diagram per class and holds none past it; it raises OrbitWeightError
 unless the class sizes sum to the number of diagrams, so the scan checks
-that too.  It prints the diagrams met per placement, and every twin
-elevator mark of odd weight >= 3.
+that too.  It also checks each class's labels and absorbing masks, which
+`diagrams.label` builds from what the walk found, against the branch
+walk over the built diagram (tests/classify.py).  It prints the diagrams
+met per placement, every twin elevator mark of odd weight >= 3, every
+class whose labels differ from the oracle's, and the number of each.
 
 Run from the repository root (pytest does not collect it):
 
     PYTHONPATH=src python tests/odd_twins.py
 
-It exits 1 if it finds such a mark, and 0 otherwise.
+It exits 1 if it finds such a mark or a label mismatch, and 0 otherwise.
 """
 
 import sys
@@ -26,7 +29,9 @@ import sys
 from gwfloor import counting, diagrams
 from gwfloor.counting import default_pairs
 from gwfloor.degrees import n_delta, parse_degree
+from gwfloor.diagrams import unpack
 
+from classify import absorbing_masks, classify
 from oracles import small_degrees
 
 MAX_DIAGRAMS = 200_000
@@ -42,14 +47,20 @@ def covers():
 
 
 def main() -> int:
-    scanned = classes = found = 0
+    scanned = classes = found = mismatches = 0
     for spec, placements in covers():
         for pairs in filter(None, placements):
             scanned += 1
             named = ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
             met = 0
-            for d, labels, *_ in counting._orbits(spec, pairs):
+            for key, ends, labelled, *_ in counting._orbits(spec, pairs):
                 met += 1
+                d, labels = unpack(key, ends), labelled[0]
+                oracle = classify(d, pairs)
+                if labelled != (oracle, *absorbing_masks(d, pairs, *oracle)):
+                    mismatches += 1
+                    print(f"{spec} pairs {named}: the walk's labels differ from the oracle's, "
+                          f"edges {[(u + 1, v + 1, w) for u, v, w in d.edges]}")
                 for m, i in (mark for tree in labels.twin_trees for mark in tree.elevator_marks):
                     if m >= 3 and m % 2:
                         found += 1
@@ -58,8 +69,8 @@ def main() -> int:
             classes += met
             print(f"{spec} pairs {named}: {met} of {diagrams.count_diagrams(spec)} diagrams met")
     print(f"{scanned} placements, {classes} classes: "
-          f"{found} twin elevator marks of odd weight >= 3")
-    return int(found > 0)
+          f"{found} twin elevator marks of odd weight >= 3, {mismatches} label mismatches")
+    return int(found > 0 or mismatches > 0)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,9 @@ from gwfloor.counting import count
 from gwfloor.degrees import DegreeSpec, InvalidDegree, end_spec, leak_budget, n_delta, white_spec
 from gwfloor.diagrams import INCOMING, OUTGOING, FloorDiagram
 from gwfloor.gwring import GwElem, GwMonomial, h, one
-from gwfloor.multiplicity import absorbing_masks, row_signature
+from gwfloor.multiplicity import row_signature
+
+from classify import absorbing_masks
 
 
 def _require(ok: bool, what: str) -> None:

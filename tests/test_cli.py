@@ -187,6 +187,32 @@ class TestDiagramBudget:
         assert captured.err == \
             "error: p2:7 has at least 1212 floor diagrams, more than --max-diagrams 1000\n"
 
+    def test_one_diagram_is_singular(self, capsys):
+        # the top state alone has a path, one more than a budget of 0
+        assert main(["table", "p2:4", "--max-diagrams", "0"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: p2:4 has at least 1 floor diagram, more than --max-diagrams 0\n"
+
+    def test_budgeted_build_is_kept(self, capsys, monkeypatch):
+        # a budgeted build that finishes is the whole graph, so the table
+        # reads it and builds p2:5 once; a lower budget still raises
+        built = []
+        real = diagrams._build_graph
+        monkeypatch.setattr(diagrams, "_graphs", {})
+        monkeypatch.setattr(diagrams, "_build_graph",
+                            lambda spec, *budget: built.append(str(spec)) or real(spec, *budget))
+        clear_count_caches()
+        try:
+            assert main(["table", "p2:5", "--max-diagrams", "100000", "--format", "json"]) == 0
+            assert built == ["p2:5"]
+            assert main(["count", "p2:5", "--max-diagrams", "1000"]) == EXIT_BUDGET
+        finally:
+            clear_count_caches()
+        assert capsys.readouterr().err == \
+            "error: p2:5 has at least 1212 floor diagrams, more than --max-diagrams 1000\n"
+
     # in a fresh interpreter, so that a deep recursion raises at the default
     # limit, and under a timeout, so that a build past the budget fails the test
     @pytest.mark.parametrize("spec", ["p2:12", "p2:170"])
@@ -304,19 +330,20 @@ class TestRendering:
         assert parse_beta_text(text, s) == form
 
 
-def _without_type_a(classify):
-    def mutant(diagram, pairs):
-        merged = classify(diagram, pairs)
-        labels = tuple(("free",) if label[0] == "type_a" else label
-                       for label in merged.classification)
-        return merged._replace(classification=labels)
-    return mutant
+def _without_twin_trees(label):
+    # the labels miss every tree, and the class sizes, read from the walk, do not
+    return lambda key, pairs, joined, trees: label(key, pairs, joined, ())
 
 
-# Planted bugs in the classification layer; verify must fail on each.
+def _without_type_a(label):
+    # no pair is joined for the labels, so each type-A pair is labelled free
+    return lambda key, pairs, joined, trees: label(key, pairs, 0, trees)
+
+
+# Planted bugs in the walk's labelling (`diagrams.label`); verify must fail on each.
 CLASSIFY_MUTANTS = {
-    "no_twin_trees": ("_twin_trees", lambda real: lambda *args: []),
-    "type_a_as_free": ("classify", _without_type_a),
+    "no_twin_trees": ("label", _without_twin_trees),
+    "type_a_as_free": ("label", _without_type_a),
 }
 
 

@@ -20,14 +20,14 @@ from gwfloor.counting import (
     verify_square_substitution,
 )
 from gwfloor.degrees import n_delta, parse_degree
-from gwfloor.diagrams import (
-    INCOMING, FloorDiagram, PairLabels, check_pairs, classify, enumerate_diagrams, walk,
-)
+from gwfloor.diagrams import INCOMING, FloorDiagram, PairLabels, check_pairs, enumerate_diagrams, \
+    walk
 from gwfloor.gwring import BetaForm, GwElem, equals_mod, h, one
-from gwfloor.multiplicity import absorbing_masks, m_a1, row_mult
+from gwfloor.multiplicity import m_a1, row_mult
 from gwfloor.tables import FULL_PLACEMENTS, ISOMORPHIC_SPECS, KNOWN_COMPLEX, KNOWN_COUNTS, \
     KNOWN_WELSCHINGER, QUICK_SPECS
 
+from classify import absorbing_masks, classify
 from conftest import COUNT_CACHES, clear_count_caches
 from keying import canonical_key
 from oracles import beta_form_from_signatures, signature, signature_mult, small_degrees, \
@@ -210,22 +210,31 @@ class TestRowCache:
             assert len(weights) == len(masks) and all(type(mask) is int for mask in masks)
 
     def test_table_classifies_each_class_once(self, monkeypatch, capsys):
-        # each class of the full default placement is classified once per
-        # degree, through its representative: 405 calls for 1686 diagrams
+        # each class of the full default placement is labelled once per
+        # degree, from the walk: 405 calls for 1686 diagrams, and no
+        # diagram is built
         spec = parse_degree("p1xp1:2,5")
-        classified = Counter()
-
-        def counted(diagram, pairs):
-            classified[pairs] += 1
-            return classify(diagram, pairs)
-
-        monkeypatch.setattr("gwfloor.diagrams.classify", counted)
-        clear_count_caches()
-        assert main(["table", "p1xp1:2,5", "--format", "json"]) == 0
-        capsys.readouterr()
         assert n_delta(spec) // 2 == 6
-        assert classified == {default_pairs(6): 405}
         assert len(enumerate_diagrams(spec)) == 1686
+        classified = Counter()
+        real = diagrams_module.label
+
+        def counted(key, pairs, joined, trees):
+            classified[pairs] += 1
+            return real(key, pairs, joined, trees)
+
+        def unbuilt(*args):
+            raise AssertionError("a diagram built on the count path")
+
+        monkeypatch.setattr(diagrams_module, "label", counted)
+        monkeypatch.setattr(diagrams_module, "FloorDiagram", unbuilt)
+        clear_count_caches()
+        try:
+            assert main(["table", "p1xp1:2,5", "--format", "json"]) == 0
+        finally:
+            clear_count_caches()
+        capsys.readouterr()
+        assert classified == {default_pairs(6): 405}
 
     def test_repeated_row_hits_the_tally(self):
         # verify repeats rows, with default and with explicit pairs: a
@@ -266,7 +275,7 @@ class TestRowCache:
         assert calls == {"beta_decompose": 6, "_edge_product_sum": 1}
 
     def test_every_factor_cache_is_cleared(self):
-        # a cache of a classify or local-factor result left out of
+        # a cache of a label or local-factor result left out of
         # COUNT_CACHES would hide a patched mutant; these hold neither, or
         # are leaf factors whose patch replaces the cached function itself
         factor_free = {"kontsevich", "m_a1", "gamma"}
@@ -497,6 +506,44 @@ class TestUnmetImage:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"error: {self.SPEC} with pairs 1,2;3,4;5,6;7,8: the classes " \
                               "met hold 7 of the 9 diagrams\n"
+
+
+class TestMissedTree:
+    """A twin tree missed by the walk makes its class too large, so the
+    class sizes overshoot the number of diagrams; one missed by the labels
+    alone leaves the class size right and the orbit weights not whole.
+    Both are real raises, so python -O keeps them, and `count` exits 3."""
+
+    SCRIPT = ("import sys\n"
+              "import gwfloor.counting as counting\n"
+              "import gwfloor.diagrams as diagrams\n"
+              "from gwfloor.cli import main\n"
+              "real, label = counting.walk, diagrams.label\n"
+              "def walk(spec, pairs):\n"
+              "    dropped = False\n"
+              "    for key, ends, joined, trees in real(spec, pairs):\n"
+              "        if trees and not dropped:  # the first tree met\n"
+              "            dropped, trees = True, trees[1:]\n"
+              "        yield key, ends, joined, trees\n"
+              "if sys.argv[1] == 'walk':\n"
+              "    counting.walk = walk\n"
+              "else:\n"
+              "    diagrams.label = lambda key, pairs, joined, trees: \\\n"
+              "        label(key, pairs, joined, ())\n"
+              "sys.exit(main(['count', 'p2:3', '--pairs-count', '1']))\n")
+
+    @pytest.mark.parametrize("missed_by,error", [
+        ("walk", "p2:3 with pairs 1,2;3,4;5,6;7,8: the classes met hold 10 of the 9 diagrams"),
+        ("label", "p2:3 with pairs 1,2: the orbit weights of a signature sum to 1, "
+                  "not a multiple of 2^1"),
+    ])
+    def test_raises_under_optimize(self, missed_by, error):
+        src = str(Path(counting.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT, missed_by],
+            capture_output=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": src},
+            timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {error}\n")
 
 
 class TestCrossPath:

@@ -12,11 +12,13 @@ from gwfloor.cli import main
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
     INCOMING, OUTGOING, FloorDiagram, OverBudget, PairLabels, _partitions, _rank,
-    _state_graph, _twin_tree_summary, check_pairs, classify, count_diagrams,
-    enumerate_diagrams, walk,
+    _state_graph, _twin_tree_summary, check_pairs, count_diagrams, enumerate_diagrams, label,
+    unpack, walk,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, _orbits, default_pairs, merged_classes
 
+import classify as classify_module
+from classify import absorbing_masks, classify
 from conftest import clear_count_caches
 from keying import canonical_key
 from oracles import complex_mult, signature, signature_mult, small_degrees, swapped, validate
@@ -98,7 +100,7 @@ class TestEnumeration:
     def test_moves_out_of_rank_order_raise(self, monkeypatch):
         monkeypatch.setattr(diagrams_module, "_rank", lambda move: -_rank(move)[0])
         with pytest.raises(RuntimeError, match=r"^p2:3: the moves of state .* rank order$"):
-            _state_graph.__wrapped__(parse_degree("p2:3"))  # past the cache
+            diagrams_module._build_graph(parse_degree("p2:3"))  # past the cache
 
     @pytest.mark.parametrize("spec_str,children,states,paths", [
         ("p1xp1:3,4", 1461, 432, 26422), ("bl3:6,1,1,3", 5449, 1082, 106006),
@@ -112,7 +114,7 @@ class TestEnumeration:
         real = diagrams_module._canonical
         monkeypatch.setattr(diagrams_module, "_canonical",
                             lambda strands: built.append(strands) or real(strands))
-        _, moves, total = _state_graph.__wrapped__(parse_degree(spec_str))  # past the cache
+        _, moves, total = diagrams_module._build_graph(parse_degree(spec_str))  # past the cache
         assert (len(built), len(moves), total) == (children, states, paths)
 
     @pytest.mark.parametrize("spec_str,expected", [
@@ -189,8 +191,8 @@ class TestMerge:
     def test_no_pairs_no_work(self, monkeypatch):
         def unused(*args):
             raise AssertionError("pairs looked for without pairs")
-        monkeypatch.setattr(diagrams_module, "_pair_maps", unused)
-        monkeypatch.setattr(diagrams_module, "_twin_trees", unused)
+        monkeypatch.setattr(classify_module, "_pair_maps", unused)
+        monkeypatch.setattr(classify_module, "_twin_trees", unused)
         assert classify(cubic_t2_diagram(), ()) == PairLabels((), ())
 
     def test_asymmetric_double_elevator_is_free(self):
@@ -447,8 +449,12 @@ class TestMergedClasses:
             firsts = sweep_orbits(spec, pairs)
             assert [(key, ends, joined) for key, ends, joined, _ in walk(spec, pairs)] == [
                 ((d.leaks, d.edges), d.ends, joined_bits(d, pairs)) for d, _ in firsts], pairs
-            for (key, ends, joined, twins), (d, orbit) in zip(walk(spec, pairs), firsts):
-                assert 1 << len(pairs) - joined.bit_count() - twins == len(orbit), (pairs, d)
+            for (key, ends, joined, trees), (d, orbit) in zip(walk(spec, pairs), firsts):
+                assert 1 << len(pairs) - joined.bit_count() - len(trees) == len(orbit), (pairs, d)
+                # each twin tree the walk finds is a minimal set of pairs whose swap fixes d
+                assert {frozenset(k + 1 for k in range(len(pairs)) if mask >> k & 1)
+                        for mask in trees} == swap_fixing_sets(d, pairs), (pairs, d)
+                assert len(set(trees)) == len(trees)
                 assert not any(vertex_rank(d, b) < vertex_rank(d, a)
                                for k, (a, b) in enumerate(pairs) if not joined >> k & 1)
 
@@ -459,7 +465,8 @@ class TestMergedClasses:
         spec = parse_degree(spec_str)
         for pairs in two_covers(spec):
             firsts = sweep_orbits(spec, pairs)
-            assert [(d, size, joined) for d, _, size, joined in _orbits(spec, pairs)] == [
+            assert [(unpack(key, ends), size, joined)
+                    for key, ends, _, size, joined in _orbits(spec, pairs)] == [
                 (d, len(orbit), joined_bits(d, pairs)) for d, orbit in firsts], pairs
             assert sum(len(orbit) for _, orbit in firsts) == count_diagrams(spec)
 
@@ -495,6 +502,29 @@ class TestMergedClasses:
         assert swapped(d, 4) != d
 
 
+class TestWalkLabels:
+    """The labels and absorbing masks that `label` builds from what the walk
+    finds, against those of the branch walk over the built diagram
+    (tests/classify.py), which reads no mirror set."""
+
+    @pytest.mark.parametrize("spec_str", small_degrees(10) + ["p1xp1:2,5"])
+    def test_labels_match_the_oracle(self, spec_str):
+        spec = parse_degree(spec_str)
+        for pairs in two_covers(spec):
+            for key, ends, joined, trees in walk(spec, pairs):
+                d = unpack(key, ends)
+                labels = classify(d, pairs)
+                assert joined == joined_bits(d, pairs), (pairs, d)
+                assert label(key, pairs, joined, trees) == \
+                    (labels, *absorbing_masks(d, pairs, *labels)), (pairs, d)
+
+    def test_no_pairs(self):
+        key, ends, joined, trees = next(walk(parse_degree("p2:3")))
+        # with no pairs, no label absorbs an edge: every mask is bit 0
+        assert label(key, (), joined, trees) == \
+            (PairLabels((), ()), tuple(sorted(w for _, _, w in key[1])), (1,) * 7)
+
+
 class TestValidateRaises:
     def test_wrong_degree(self):
         with pytest.raises(ValueError, match="positions"):
@@ -521,7 +551,7 @@ class TestValidateRaises:
         assert found == []
 
     def test_merged_record_has_no_defaults(self):
-        # classify builds both fields, so no half-built labels can exist
+        # label builds both fields, so no half-built labels can exist
         assert PairLabels._fields == ("classification", "twin_trees")
         assert PairLabels._field_defaults == {}
         with pytest.raises(TypeError):

@@ -24,7 +24,10 @@ as one failed check), and was written while each check family of verify
 had its own CLI helper.  Its "classify:no_twin_trees" entry was rewritten
 when rows with pairs came to be summed by orbit weights: without twin
 trees, the weights of a signature are no longer whole classes, and each
-group ends as one failed "orbit_weights_not_whole" check.
+group ends as one failed "orbit_weights_not_whole" check.  The
+classification mutants have since moved from the per-diagram branch walk
+to the walk's labelling (`diagrams.label`), keeping their entries byte
+for byte.
 """
 
 import hashlib

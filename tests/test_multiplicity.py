@@ -7,9 +7,8 @@ import pytest
 
 import gwfloor
 from gwfloor.gwring import GwElem, GwMonomial, beta_elem, equals_mod, h, one
-from gwfloor.diagrams import INCOMING, FloorDiagram
-from gwfloor.multiplicity import TwinTreeSummary, absorbing_masks, gamma, m_a1, twin_edge_mult, \
-    twin_tree_mult
+from gwfloor.diagrams import INCOMING, FloorDiagram, PairLabels, label
+from gwfloor.multiplicity import TwinTreeSummary, gamma, m_a1, twin_edge_mult, twin_tree_mult
 
 from kummer import trace_kummer
 from oracles import edge_mult
@@ -198,28 +197,28 @@ SPLICED = FloorDiagram(
     ((0, 2, 1), (1, 2, 1), (2, 4, 1), (3, 5, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1)),
     ((0, INCOMING), (1, INCOMING), (3, INCOMING)))
 PAIRS = ((2, 3), (4, 5))
+KEY = (SPLICED.leaks, SPLICED.edges)  # as the walk packs it
 
 
 def test_absorbing_masks():
-    # the type-A pair 1 absorbs both edges at its black; no label is bit 2
-    labels = ((("free",), ("type_a", 1)), ())
-    assert absorbing_masks(SPLICED, PAIRS, *labels) == ((1,) * 7, (0b10,) * 2 + (0b100,) * 5)
+    # the type-A pair 1 (joined, bit 0b10) absorbs both edges at its black;
+    # no label is bit 2
+    assert label(KEY, PAIRS, 0b10, ()) == (PairLabels((("free",), ("type_a", 1)), ()),
+                                           (1,) * 7, (0b10,) * 2 + (0b100,) * 5)
 
 
 def test_edge_between_two_labels_raises():
-    # hand-built labels that no tree allows: pair (2, 3) on a twin tree
+    # walk output that no tree allows: pair (2, 3) as a twin tree of its own
     # absorbs edge (2, 4) too, with a mask other than the type-A pair's
-    labels = ((("twin", 0), ("type_a", 1)), (TwinTreeSummary((1,), ((1, 1),), 1, 0),))
     with pytest.raises(ValueError, match="different labels"):
-        absorbing_masks(SPLICED, PAIRS, *labels)
+        label(KEY, PAIRS, 0b10, (0b1,))
     src = str(Path(gwfloor.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, %r); sys.path.insert(0, %r)\n"
-        "from test_multiplicity import PAIRS, SPLICED, TwinTreeSummary, absorbing_masks\n"
+        "from test_multiplicity import KEY, PAIRS, label\n"
         "assert False, 'asserts are on'\n"
         "try:\n"
-        "    absorbing_masks(SPLICED, PAIRS, (('twin', 0), ('type_a', 1)),\n"
-        "                    (TwinTreeSummary((1,), ((1, 1),), 1, 0),))\n"
+        "    label(KEY, PAIRS, 0b10, (0b1,))\n"
         "except ValueError:\n"
         "    sys.exit(0)\n"
         "sys.exit(1)\n"

@@ -5,7 +5,8 @@ strands onto the other and so leaves the diagram unchanged.  Conversely,
 the twin trees are exactly the minimal non-empty sets of pairs whose
 simultaneous swap fixes the diagram.  swap_fixing_sets finds those sets
 by trying every subset of the pairs with oracles.swapped, without the
-branch walk of diagrams.classify.
+branch walk of classify (tests/classify.py) or the mirror sets of
+diagrams.walk.
 """
 
 from gwfloor.diagrams import FloorDiagram
