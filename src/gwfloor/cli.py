@@ -312,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         message, code = str(exc), EXIT_RESIDUAL
     except OverBudget as exc:
         message, code = f"{exc}, more than --max-diagrams {args.max_diagrams}", EXIT_BUDGET
+    except MemoryError:
+        what = args.spec if args.command != "verify" else f"--scope {args.scope}"
+        message, code = f"out of memory on {args.command} {what}", EXIT_BUDGET
     else:
         if args.out is None:
             sys.stdout.write(text)

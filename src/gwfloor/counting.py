@@ -294,9 +294,11 @@ def kontsevich(d: int) -> int:
 def _reindex_drop_last(e: GwElem, s: int) -> GwElem:
     """View an element of GW over d_1..d_s with d_s inert as one over d_1..d_{s-1}.
 
-    Raises IndexError when d_s occurs in e.
+    Raises IndexError when d_s occurs in e; otherwise the masks are e's.
     """
-    return GwElem.from_coeffs(e.terms, s - 1)
+    if any(m >> s & 1 for m in e.masks):
+        raise IndexError(f"d_{s} occurs in {e}")
+    return GwElem(e.masks, s - 1)
 
 
 def verify_square_substitution(spec: DegreeSpec, s: int) -> bool:

@@ -19,6 +19,14 @@ out.
 Sums of products are taken in split form a h + x, x sign-positive
 (`split`): the canonical rewrite of <m><-1> is h<m> = h, so h only scales
 by rank, and (a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y.
+
+The masks of a local factor do not depend on s, so a factor is built once,
+at the least s it needs (`built_once`), and shared by every larger s.  The
+basis element beta^{(l)}_s, the l-th elementary symmetric polynomial in
+beta_i = <2> + <2 d_i>, is built in closed form (`beta_sym`): the product
+of beta_i over a set J of l points is <2^l> sum_{K subset J} <d_K>, so
+beta^{(l)}_s puts C(s - |K|, l - |K|) on <2^{l mod 2} d_K> for each
+K subset {1..s} with |K| <= l.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 
 class ResidualNotInSpan(Exception):
@@ -133,6 +141,11 @@ def _monomial(mask: int) -> GwMonomial:
     return GwMonomial(_prime_product(mask >> _PRIME_SHIFT), d_subset, -1 if mask & _NEG else 1)
 
 
+def _check_params(num_params: int) -> None:
+    if not 0 <= num_params <= MAX_PARAMS:
+        raise ValueError(f"num_params {num_params} outside 0..{MAX_PARAMS}")
+
+
 def _canonical(acc: dict[int, int], num_params: int) -> "GwElem":
     """Apply <-m> = <1> + <-1> - <m> and drop zero coefficients."""
     for m in [m for m in acc if m & _NEG and m != _NEG]:
@@ -155,8 +168,7 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
     @staticmethod
     def from_coeffs(coeffs: Mapping[GwMonomial, int] | Iterable[tuple[GwMonomial, int]],
                     num_params: int) -> "GwElem":
-        if not 0 <= num_params <= MAX_PARAMS:
-            raise ValueError(f"num_params {num_params} outside 0..{MAX_PARAMS}")
+        _check_params(num_params)
         acc: dict[int, int] = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for m, c in items:
@@ -308,9 +320,11 @@ def equals_mod(e1: GwElem, e2: GwElem) -> bool:
     in it iff the pair coefficients cancel and are even; <-1> has no
     partner in canonical form, so its coordinate admits no relation.
     """
-    diff = (e1 - e2).masks
-    for m, c in diff.items():
-        if c + diff.get(m ^ _TWO, 0) != 0 or c % 2 != 0:
+    e1._binop(e2)
+    a, b = e1.masks, e2.masks
+    for m in a.keys() | b.keys():
+        c, partner = a.get(m, 0) - b.get(m, 0), m ^ _TWO
+        if c % 2 or c + a.get(partner, 0) - b.get(partner, 0):
             return False
     return True
 
@@ -323,14 +337,38 @@ class BetaForm(namedtuple("BetaForm", "h_coeff beta_coeffs one_coeff")):
     def expand(self) -> GwElem:
         """The element over s = len(beta_coeffs) parameters."""
         s = len(self.beta_coeffs)
-        total = self.h_coeff * h(s) + self.one_coeff * one(s)
+        _check_params(s)
+        acc = {0: self.h_coeff + self.one_coeff, _NEG: self.h_coeff}
         for l, c in enumerate(self.beta_coeffs, start=1):
             if c:
-                total = total + c * beta_sym(l, s)
-        return total
+                for m, k in beta_sym(l, s).masks.items():
+                    acc[m] = acc.get(m, 0) + c * k
+        return GwElem({m: k for m, k in acc.items() if k}, s)
 
 
-@lru_cache(maxsize=None)
+def built_once(least):
+    """Cache a local factor f(*key, num_params) whose formula is evaluated
+    once, at the least num_params it needs, least(*key): every larger
+    num_params up to MAX_PARAMS gets a GwElem with the same masks.  Any
+    other num_params goes to the formula itself, whose checks raise.
+
+    A larger s reads the built factor from this cache, never through the
+    factor's module attribute, so a patched wrapper is applied once.
+    """
+    def decorate(formula):
+        @lru_cache(maxsize=None)
+        @wraps(formula)
+        def factor(*args):
+            *key, num_params = args
+            low = least(*key)
+            if not 0 <= low < num_params <= MAX_PARAMS:
+                return formula(*args)
+            return GwElem(factor(*key, low).masks, num_params)
+        return factor
+    return decorate
+
+
+@built_once(lambda i: i)
 def beta_elem(i: int, num_params: int) -> GwElem:
     """beta_i = <2> + <2 d_i>."""
     if not 1 <= i <= num_params:
@@ -341,14 +379,19 @@ def beta_elem(i: int, num_params: int) -> GwElem:
 
 @lru_cache(maxsize=None)
 def beta_sym(l: int, num_params: int) -> GwElem:
-    """l-th elementary symmetric polynomial in beta_1 .. beta_s."""
-    total = GwElem.zero(num_params)
-    for J in itertools.combinations(range(1, num_params + 1), l):
-        prod = one(num_params)
-        for i in J:
-            prod = prod * beta_elem(i, num_params)
-        total = total + prod
-    return total
+    """l-th elementary symmetric polynomial in beta_1 .. beta_s, in closed
+    form: C(s - |K|, l - |K|), the number of l-sets J that hold K, on
+    <2^{l mod 2} d_K> for each |K| <= l (see the module docstring)."""
+    if l < 0:
+        raise ValueError(f"no beta^({l}) of negative degree")
+    _check_params(num_params)
+    two = _TWO if l % 2 else 0
+    masks = {}
+    for k in range(l + 1 if l <= num_params else 0):  # no l-set past s
+        c = math.comb(num_params - k, l - k)
+        for K in itertools.combinations(range(1, num_params + 1), k):
+            masks[sum(1 << i for i in K) | two] = c
+    return GwElem(masks, num_params)
 
 
 def beta_decompose(e: GwElem) -> BetaForm:
@@ -357,13 +400,14 @@ def beta_decompose(e: GwElem) -> BetaForm:
     The system is triangular in decreasing d-subset size: the only beta
     term hitting monomials with |subset| = l after the larger ones are
     peeled off is c_l * <2^{l mod 2} prod_{i in K} d_i> with K the subset
-    itself.  Raises ResidualNotInSpan when no presentation exists.
+    itself.  It is solved on a copy of e's masks, from which each
+    c_l beta^{(l)} is subtracted in place.  Raises ResidualNotInSpan when
+    no presentation exists.
     """
     s = e.num_params
-    remainder = e
+    masks = dict(e.masks)  # the remainder, solved in place
     cs = [0] * (s + 1)  # cs[l] for l = 1..s
     for l in range(s, 0, -1):
-        masks = remainder.masks
         value = None
         for K in itertools.combinations(range(1, s + 1), l):
             odd = sum(1 << i for i in K)
@@ -379,15 +423,14 @@ def beta_decompose(e: GwElem) -> BetaForm:
             elif value != c:
                 raise ResidualNotInSpan(
                     f"inconsistent coefficient for beta^({l}): {value} vs {c} at {K}")
-        if value is None:
-            value = 0
-        cs[l] = value
         if value:
-            remainder = remainder - value * beta_sym(l, s)
-    masks = remainder.masks
+            cs[l] = value
+            for m, c in beta_sym(l, s).masks.items():
+                masks[m] = masks.get(m, 0) - value * c
     h_coeff = masks.get(_NEG, 0)
     one_coeff = (masks.get(0, 0) - h_coeff) + masks.get(_TWO, 0)
-    candidate = h_coeff * h(s) + one_coeff * one(s)
+    remainder = GwElem({m: c for m, c in masks.items() if c}, s)
+    candidate = GwElem({m: c for m, c in ((0, h_coeff + one_coeff), (_NEG, h_coeff)) if c}, s)
     if not equals_mod(remainder, candidate):
         raise ResidualNotInSpan(
             f"residual {remainder - candidate} not in the two-shift lattice")

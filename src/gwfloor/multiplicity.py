@@ -16,20 +16,24 @@ per edge as the pairs of the one label that absorbs it, so that
 `row_signature` reads the signature of every row within a cover from
 one class's labels.  `row_mult` sums a row with pairs over its
 signatures in split form (see `gwring`); `counting` sums the row without
-pairs from m_a1 over the state graph.  m_a1 and gamma are cached by
-(weight, index, s), the twin-tree factor by (tree, s).
+pairs from m_a1 over the state graph.  The masks of a factor do not
+depend on s, so each is built once, at its least s (0 for m_a1, the
+point index for gamma and beta_elem, the tree's last point for the
+twin-tree factor), and every larger s shares its masks
+(`gwring.built_once`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 
-from .gwring import GwElem, beta_elem, h, one, split, split_mul, split_sum, unsplit
+from .gwring import GwElem, beta_elem, built_once, h, one, split, split_mul, split_sum, \
+    unsplit
 
 
-@lru_cache(maxsize=None)
+@built_once(lambda m: 0)
 def m_a1(m: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -50,7 +54,7 @@ def twin_edge_mult(m: int, i: int, num_params: int) -> GwElem:
     return (m * m // 2) * anisotropic + hyper
 
 
-@lru_cache(maxsize=None)
+@built_once(lambda m, i: i)
 def gamma(m: int, i: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -96,7 +100,7 @@ class TwinTreeSummary(namedtuple(
         return self.m_root + self.unbounded_twin_elevators
 
 
-@lru_cache(maxsize=None)
+@built_once(lambda tree: tree.point_indices[-1])
 def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     total = one(num_params)
     for m, i in tree.elevator_marks:

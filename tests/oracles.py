@@ -6,8 +6,9 @@ the complex multiplicities a quadratic one must reduce to, signature is
 the local-factor signature of one row and signature_mult its
 multiplicity, witt_compare compares two counts in the Witt ring, and
 beta_form_from_signatures solves a row's beta form from its rank and
-Welschinger numbers alone, and small_degrees lists every degree up to a
-number of point conditions.
+Welschinger numbers alone, small_degrees lists every degree up to a
+number of point conditions, and beta_sym_product builds beta^{(l)} from
+its definition.
 
 signature_mult multiplies out one signature's factors as GwElem
 products, one signature at a time; it shares only the local factors with
@@ -21,7 +22,7 @@ import gwfloor.multiplicity as multiplicity
 from gwfloor.counting import count
 from gwfloor.degrees import DegreeSpec, InvalidDegree, end_spec, leak_budget, n_delta, white_spec
 from gwfloor.diagrams import INCOMING, OUTGOING, FloorDiagram
-from gwfloor.gwring import GwElem, GwMonomial, h, one
+from gwfloor.gwring import GwElem, GwMonomial, beta_elem, h, one
 from gwfloor.multiplicity import row_signature
 
 from classify import absorbing_masks
@@ -208,3 +209,15 @@ def beta_form_from_signatures(rank: int, welschinger) -> tuple[int, tuple[int, .
     if rest:
         raise ValueError(f"rank {rank} minus W(d, 0) is odd")
     return h_coeff, tuple(cs), c0
+
+
+def beta_sym_product(l: int, num_params: int) -> GwElem:
+    """beta^{(l)} over s = num_params parameters by its definition: the sum
+    over the l-sets J of 1..s of the product of beta_i over J."""
+    total = GwElem.zero(num_params)
+    for J in itertools.combinations(range(1, num_params + 1), l):
+        prod = one(num_params)
+        for i in J:
+            prod = prod * beta_elem(i, num_params)
+        total = total + prod
+    return total

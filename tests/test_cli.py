@@ -12,6 +12,7 @@ import gwfloor
 import gwfloor.diagrams as diagrams
 import gwfloor.multiplicity as multiplicity
 import gwfloor.counting as counting
+import gwfloor.cli as cli
 from gwfloor.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_RESIDUAL, _isomorphic_checks, \
     build_parser, main, render_beta_form
 from gwfloor.degrees import parse_degree
@@ -228,6 +229,24 @@ class TestDiagramBudget:
         proc = _fresh_cli("count", "p1xp1:1,300", "--format", "json", timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["classes"] == 1
+
+    @pytest.mark.parametrize("argv,stage,what", [
+        (["count", "p2:5", "--max-diagrams", "10"], "count_diagrams", "count p2:5"),
+        (["table", "p2:3"], "count", "table p2:3"),
+        (["enumerate", "p2:3"], "merged_classes", "enumerate p2:3"),
+        (["verify"], "verify_rank_and_signatures", "verify --scope quick"),
+    ])
+    def test_out_of_memory_exit_code(self, capsys, monkeypatch, argv, stage, what):
+        # one error line and the budget's exit code, not a traceback and
+        # the exit code of a failed verify; nothing is allocated
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        assert main(argv) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory on {what}\n"
 
     def test_negative_budget_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

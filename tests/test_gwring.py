@@ -17,6 +17,7 @@ from gwfloor.gwring import (
 from gwfloor.multiplicity import m_a1
 
 from kummer import trace_kummer
+from oracles import beta_sym_product
 
 
 def sym(a, ds=(), s=0):
@@ -153,6 +154,40 @@ class TestBetaDecompose:
             beta_decompose(sym(1, (1,), 1))
         with pytest.raises(ResidualNotInSpan):
             beta_decompose(sym(3, (), 0))
+
+    def test_parity_failure(self):
+        # <d1> alone: beta^(1) puts its d1 part on <2 d1>, and one (2, -2)
+        # move cannot carry a single <d1> there
+        with pytest.raises(ResidualNotInSpan, match=r"^parity failure on subset \(1,\)"):
+            beta_decompose(sym(1, (1,), 1))
+
+    def test_inconsistent_coefficient(self):
+        # beta_1 over two parameters: d1 asks for one beta^(1), d2 for none
+        with pytest.raises(ResidualNotInSpan,
+                           match=r"^inconsistent coefficient for beta\^\(1\): 1 vs 0 at \(2,\)"):
+            beta_decompose(beta_elem(1, 2))
+
+    def test_residual_outside_lattice(self):
+        # every beta coefficient is solved, and <3> is left over
+        with pytest.raises(ResidualNotInSpan, match=r"^residual <3> not in the two-shift lattice"):
+            beta_decompose(sym(3, (), 0))
+        with pytest.raises(ResidualNotInSpan, match=r"^residual <3> not in the two-shift lattice"):
+            beta_decompose(beta_sym(2, 2) + sym(3, (), 2))
+
+    @pytest.mark.parametrize("s", range(9))
+    def test_closed_form_is_the_definition(self, s):
+        # expand and beta_decompose both read beta_sym, so only an
+        # independent product pins it
+        for l in range(s + 1):
+            assert beta_sym(l, s) == beta_sym_product(l, s), (l, s)
+
+    def test_closed_form_past_s_is_zero(self):
+        assert beta_sym(3, 2) == GwElem.zero(2)
+        assert beta_sym(0, 0) == one(0)
+        with pytest.raises(ValueError):
+            beta_sym(-1, 2)
+        with pytest.raises(ValueError):
+            beta_sym(1, MAX_PARAMS + 1)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=200, deadline=None)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import gwfloor
-from gwfloor.gwring import GwElem, GwMonomial, beta_elem, equals_mod, h, one
+import gwfloor.multiplicity as multiplicity
+from gwfloor.gwring import MAX_PARAMS, GwElem, GwMonomial, beta_elem, equals_mod, h, one
 from gwfloor.diagrams import INCOMING, FloorDiagram, PairLabels, label
 from gwfloor.multiplicity import TwinTreeSummary, gamma, m_a1, twin_edge_mult, twin_tree_mult
 
@@ -232,3 +233,69 @@ def test_twin_tree_mult_cached_per_tree_and_s():
     tree = _tree([2, 1], m_root=2, unbounded=0, floor_points=1)
     assert twin_tree_mult(tree, S) is twin_tree_mult(_tree([2, 1], 2, 0, 1), S)
     assert twin_tree_mult(tree, S + 1).num_params == S + 1
+
+
+def test_factors_built_once_per_degree():
+    # the masks of a factor do not depend on s: every s past the least
+    # one shares the masks built there
+    tree = _tree([2, 1], m_root=2, unbounded=0, floor_points=1)  # last point 3
+    for s in range(S, S + 3):
+        assert m_a1(3, s).masks is m_a1(3, 0).masks
+        assert gamma(3, 2, s).masks is gamma(3, 2, 2).masks
+        assert beta_elem(2, s).masks is beta_elem(2, 2).masks
+        assert twin_tree_mult(tree, s).masks is twin_tree_mult(tree, 3).masks
+        assert twin_tree_mult(tree, s).num_params == s
+
+
+def test_twin_tree_formula_runs_at_its_last_point(monkeypatch):
+    # the twin-edge factors are read once, at the tree's last point, and
+    # the patched one reaches every s
+    tree = _tree([3, 2], m_root=3, unbounded=1, floor_points=2)  # last point 4
+    seen = []
+
+    def recorded(m, i, num_params):
+        seen.append(num_params)
+        return twin_edge_mult(m, i, num_params)
+
+    monkeypatch.setattr(multiplicity, "twin_edge_mult", recorded)
+    twin_tree_mult.cache_clear()
+    try:
+        built = [twin_tree_mult(tree, s) for s in range(4, 9)]
+    finally:
+        twin_tree_mult.cache_clear()
+    assert seen == [4, 4]
+    assert built[0].num_params == 4 and all(e.masks is built[0].masks for e in built)
+
+
+def test_patched_factor_applied_once(monkeypatch):
+    # a larger s is served from the factor's own cache, not through the
+    # module attribute, so a wrapper patched there runs once per call
+    calls = []
+    real = multiplicity.m_a1
+
+    def wrapper(m, num_params):
+        calls.append(num_params)
+        return real(m, num_params)
+
+    monkeypatch.setattr(multiplicity, "m_a1", wrapper)
+    real.cache_clear()  # so that the call builds m_a1(5, 0) anew
+    assert multiplicity.m_a1(5, 4) == GwElem.symbol(5, (), 4) + 2 * h(4)
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: m_a1(0, 3), ValueError),
+    (lambda: m_a1(3, -1), ValueError),
+    (lambda: m_a1(3, MAX_PARAMS + 1), ValueError),
+    (lambda: gamma(0, 1, 3), ValueError),
+    (lambda: gamma(3, 0, 3), IndexError),
+    (lambda: gamma(3, 4, 3), IndexError),
+    (lambda: gamma(3, 1, MAX_PARAMS + 1), ValueError),
+    (lambda: beta_elem(2, 1), IndexError),
+    (lambda: beta_elem(1, MAX_PARAMS + 1), ValueError),
+    (lambda: twin_tree_mult(_tree([2, 1], 2, 0, 1), 2), IndexError),
+    (lambda: twin_tree_mult(_tree([2, 1], 2, 0, 1), MAX_PARAMS + 1), ValueError),
+])
+def test_factor_range_checks_kept(call, error):
+    with pytest.raises(error):
+        call()
