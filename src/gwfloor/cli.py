@@ -29,8 +29,8 @@ import sys
 import time
 
 from . import gwring
-from .counting import OrbitWeightError, count, kontsevich, merged_classes, resolve_pairs, \
-    verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
+from .counting import OrbitWeightError, _named, count, kontsevich, merged_classes, \
+    resolve_pairs, verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
 from .degrees import n_delta, parse_degree
 from .diagrams import OverBudget, count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan, equals_mod
@@ -156,6 +156,7 @@ def _run_count(args) -> tuple[str, int]:
 def _run_table(args) -> tuple[str, int]:
     spec = _parse_within_budget(args)
     n = n_delta(spec)
+    gwring._check_params(n // 2)  # before the first row, whose decomposition is O(2^s)
     records, lines = [], []
     for s in range(n // 2 + 1):
         t0 = time.monotonic()
@@ -215,8 +216,8 @@ def _kontsevich_checks(spec, _):
 
 
 def _placement_checks(spec, pairs):
-    s, named = len(pairs), ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
-    yield f"merge_invariance_s{s}_pairs_{named}", \
+    s = len(pairs)
+    yield f"merge_invariance_s{s}_pairs_{_named(pairs)}", \
         equals_mod(count(spec, s, list(pairs)).total, count(spec, s).total), {}
 
 

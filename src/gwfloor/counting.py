@@ -50,7 +50,8 @@ from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
 from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, count_diagrams, \
     unpack, walk
-from .gwring import GwElem, beta_decompose, equals_mod, split, split_mul, split_sum, unsplit
+from .gwring import GwElem, _check_params, beta_decompose, equals_mod, split, split_mul, \
+    split_sum, unsplit
 from .multiplicity import TwinTreeSummary, row_mult, row_signature
 
 
@@ -246,11 +247,14 @@ def count(spec: DegreeSpec, s: int,
           pair_positions: list[tuple[int, int]] | None = None) -> CountResult:
     """The s-point count of the degree, with the given pairs or the default ones.
 
-    The pairs are checked on every call (`resolve_pairs`); the row is
+    The pairs are checked on every call (`resolve_pairs`), and more than
+    MAX_PARAMS of them are refused before any graph or walk; the row is
     then computed once per (degree, sorted pairs) and cached, so the
     result is shared between callers and its `total` must not be mutated.
     """
-    return _row(spec, resolve_pairs(spec, s, pair_positions))
+    pairs = resolve_pairs(spec, s, pair_positions)
+    _check_params(len(pairs))
+    return _row(spec, pairs)
 
 
 @lru_cache(maxsize=256)

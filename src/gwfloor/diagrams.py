@@ -414,20 +414,19 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
             leak, closed, layout, end = move
             closes = [(origins[i], pos, w) for i, w in closed]  # the edges the move closes
             kept, t, j_bits = mirrors, trees, joined
-            if mirrors and any(bit[u] for u, _, _ in closes):
+            if mirrors:
                 own = [i for i, _ in closed]
                 kept, earlier = [], False
                 for swaps in mirrors:
-                    if any(bit[u] & swaps for u, _, _ in closes):
-                        image = spots(swaps, strands, origins, closes)
-                        earlier = image < own  # the image is an earlier diagram of the class
-                        if earlier:
-                            break
-                        if image > own:
-                            continue  # the image parts from the walk here
-                        if not opens(swaps, origins, layout, pos):
-                            t += (swaps,)  # the image stays on the walk: the swaps fix the diagram
-                            continue
+                    image = spots(swaps, strands, origins, closes)
+                    earlier = image < own  # the image is an earlier diagram of the class
+                    if earlier:
+                        break
+                    if image > own:
+                        continue  # the image parts from the walk here
+                    if not opens(swaps, origins, layout, pos):
+                        t += (swaps,)  # the image stays on the walk: the swaps fix the diagram
+                        continue
                     kept.append(swaps)
                 if earlier:
                     continue

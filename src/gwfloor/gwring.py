@@ -2,11 +2,9 @@
 
 Elements are integer combinations of square-class symbols <a> where
 a = +-q * d_{i1} * ... * d_{ik} for a square-free positive integer q and
-formal parameters d_1, ..., d_s.  The canonical form keeps every symbol
-sign-positive except the single distinguished <-1>, obtained by the
-hyperbolic rewrite <-m> = <1> + <-1> - <m>.  Equality of expressions
-produced by the counting formulas is decided modulo the two-shift
-relation family 2<m> = 2<2m>.
+formal parameters d_1, ..., d_s.  Equality of expressions produced by the
+counting formulas is decided modulo the two-shift relation family
+2<m> = 2<2m>.
 
 Square classes form an F_2-vector space.  GwElem maps the mask of each
 class to its coefficient: bit 0 is the sign, bit i (1 <= i <= MAX_PARAMS)
@@ -16,9 +14,13 @@ prime bit 0, so the mask _TWO of <2> is a constant.  GwMonomial is the
 readable form of a class, used only to build elements and to read them
 out.
 
-Sums of products are taken in split form a h + x, x sign-positive
-(`split`): the canonical rewrite of <m><-1> is h<m> = h, so h only scales
-by rank, and (a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y.
+Every sum and product is taken in split form a h + x, x sign-positive
+(`split`): h<m> = h, so h only scales by rank, and
+(a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y (`split_mul`),
+x y being one XOR convolution that yields no sign-negative class.  A
+GwElem holds the canonical form that `unsplit` makes of a h + x: every
+class sign-positive but the single distinguished <-1>, which carries a.
+The one sign rewrite, <-q> = h - <q>, lives in `GwElem.from_coeffs`.
 
 The masks of a local factor do not depend on s, so a factor is built once,
 at the least s it needs (`built_once`), and shared by every larger s.  The
@@ -46,7 +48,6 @@ class ResidualNotInSpan(Exception):
 MAX_PARAMS = 32                   # d bits 1..MAX_PARAMS of a mask
 _PRIME_SHIFT = MAX_PARAMS + 1     # bit of the prime 2
 _NEG, _TWO = 1, 1 << _PRIME_SHIFT  # masks of <-1> and <2>
-_UNIT = {0: 1}                    # masks of the element <1>
 _PRIMES = [2]                     # ascending primes found so far
 _PRIME_LIMIT = 1 << 20            # _PRIMES is not extended past this
 
@@ -146,16 +147,6 @@ def _check_params(num_params: int) -> None:
         raise ValueError(f"num_params {num_params} outside 0..{MAX_PARAMS}")
 
 
-def _canonical(acc: dict[int, int], num_params: int) -> "GwElem":
-    """Apply <-m> = <1> + <-1> - <m> and drop zero coefficients."""
-    for m in [m for m in acc if m & _NEG and m != _NEG]:
-        c = acc.pop(m)
-        acc[0] = acc.get(0, 0) + c
-        acc[_NEG] = acc.get(_NEG, 0) + c
-        acc[m ^ _NEG] = acc.get(m ^ _NEG, 0) - c
-    return GwElem({m: c for m, c in acc.items() if c}, num_params)
-
-
 class GwElem(namedtuple("GwElem", "masks num_params")):
     """Integer combination of square-class symbols, in canonical form.
 
@@ -169,14 +160,16 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
     def from_coeffs(coeffs: Mapping[GwMonomial, int] | Iterable[tuple[GwMonomial, int]],
                     num_params: int) -> "GwElem":
         _check_params(num_params)
-        acc: dict[int, int] = {}
+        a, x = 0, {}  # split form a h + x
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for m, c in items:
             if m.d_subset and m.d_subset[-1] > num_params:
                 raise IndexError(f"{m} has a d index outside 1..{num_params}")
             k = _mask(m)
-            acc[k] = acc.get(k, 0) + c
-        return _canonical(acc, num_params)
+            if k & _NEG:  # <-q> = h - <q>, <-1> = h - <1> among them
+                a, k, c = a + c, k ^ _NEG, -c
+            x[k] = x.get(k, 0) + c
+        return unsplit((a, x), num_params)
 
     @staticmethod
     def zero(num_params: int = 0) -> "GwElem":
@@ -203,10 +196,7 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
 
     def __add__(self, other: "GwElem") -> "GwElem":
         self._binop(other)
-        acc = dict(self.masks)
-        for m, c in other.masks.items():
-            acc[m] = acc.get(m, 0) + c
-        return _canonical(acc, self.num_params)
+        return unsplit(split_sum([(1, split(self)), (1, split(other))]), self.num_params)
 
     def __neg__(self) -> "GwElem":
         return self * -1
@@ -216,16 +206,9 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _canonical({m: c * other for m, c in self.masks.items()}, self.num_params)
+            return unsplit(split_sum([(other, split(self))]), self.num_params)
         self._binop(other)
-        if other.masks == _UNIT:
-            return self
-        acc: dict[int, int] = {}
-        for m1, c1 in self.masks.items():
-            for m2, c2 in other.masks.items():
-                m = m1 ^ m2
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return _canonical(acc, self.num_params)
+        return unsplit(split_mul(split(self), split(other)), self.num_params)
 
     __rmul__ = __mul__
 
@@ -246,11 +229,9 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
         """Set d_i := 1 (drop i from every subset); num_params unchanged."""
         if not (1 <= i <= self.num_params):
             raise IndexError(f"parameter index {i} out of range 1..{self.num_params}")
-        acc: dict[int, int] = {}
-        for m, c in self.masks.items():
-            m &= ~(1 << i)
-            acc[m] = acc.get(m, 0) + c
-        return _canonical(acc, self.num_params)
+        a, x = split(self)
+        dropped = [(c, (0, {m & ~(1 << i): 1})) for m, c in x.items()]
+        return unsplit(split_sum([(1, (a, {}))] + dropped), self.num_params)
 
     def __str__(self):
         if not self.masks:
@@ -308,6 +289,7 @@ def split_sum(terms: Iterable[tuple[int, tuple]]) -> tuple[int, dict[int, int]]:
 
 
 def unsplit(e: tuple, num_params: int) -> GwElem:
+    """The canonical GwElem of a h + x: <-1> carries a, and <1> x's <1> plus a."""
     a, x = e
     return GwElem({m: c for m, c in {**x, 0: x.get(0, 0) + a, _NEG: a}.items() if c}, num_params)
 
@@ -338,12 +320,8 @@ class BetaForm(namedtuple("BetaForm", "h_coeff beta_coeffs one_coeff")):
         """The element over s = len(beta_coeffs) parameters."""
         s = len(self.beta_coeffs)
         _check_params(s)
-        acc = {0: self.h_coeff + self.one_coeff, _NEG: self.h_coeff}
-        for l, c in enumerate(self.beta_coeffs, start=1):
-            if c:
-                for m, k in beta_sym(l, s).masks.items():
-                    acc[m] = acc.get(m, 0) + c * k
-        return GwElem({m: k for m, k in acc.items() if k}, s)
+        return unsplit(split_sum([(self.h_coeff, (1, {})), (self.one_coeff, (0, {0: 1}))] + [
+            (c, split(beta_sym(l, s))) for l, c in enumerate(self.beta_coeffs, start=1) if c]), s)
 
 
 def built_once(least):
@@ -405,7 +383,7 @@ def beta_decompose(e: GwElem) -> BetaForm:
     no presentation exists.
     """
     s = e.num_params
-    masks = dict(e.masks)  # the remainder, solved in place
+    h_coeff, masks = split(e)  # the remainder, a fresh dict solved in place
     cs = [0] * (s + 1)  # cs[l] for l = 1..s
     for l in range(s, 0, -1):
         value = None
@@ -427,10 +405,9 @@ def beta_decompose(e: GwElem) -> BetaForm:
             cs[l] = value
             for m, c in beta_sym(l, s).masks.items():
                 masks[m] = masks.get(m, 0) - value * c
-    h_coeff = masks.get(_NEG, 0)
-    one_coeff = (masks.get(0, 0) - h_coeff) + masks.get(_TWO, 0)
-    remainder = GwElem({m: c for m, c in masks.items() if c}, s)
-    candidate = GwElem({m: c for m, c in ((0, h_coeff + one_coeff), (_NEG, h_coeff)) if c}, s)
+    one_coeff = masks.get(0, 0) + masks.get(_TWO, 0)
+    remainder = unsplit((h_coeff, masks), s)
+    candidate = unsplit((h_coeff, {0: one_coeff}), s)
     if not equals_mod(remainder, candidate):
         raise ResidualNotInSpan(
             f"residual {remainder - candidate} not in the two-shift lattice")
@@ -442,16 +419,8 @@ def beta_decompose(e: GwElem) -> BetaForm:
 
 def display(e: GwElem) -> tuple[int, list[tuple[GwMonomial, int]]]:
     """Split e as h_count * h + residual over sign-positive symbols."""
-    n = e.coeff(_MINUS_ONE)
-    residual = []
-    for m, c in e.terms:
-        if m == _MINUS_ONE:
-            continue
-        if m == _ONE:
-            c -= n
-        if c != 0:
-            residual.append((m, c))
-    return n, residual
+    n, x = split(e)
+    return n, sorted((_monomial(m), c) for m, c in x.items())
 
 
 def to_json_dict(e: GwElem) -> dict:

@@ -254,6 +254,37 @@ class TestDiagramBudget:
         assert exc.value.code == EXIT_PARSE
 
 
+class TestParamsBound:
+    """A row holds GW elements over at most MAX_PARAMS = 32 parameters, so
+    count and table refuse more pairs before any graph, walk or row;
+    enumerate builds no GW element and is not bounded."""
+
+    def test_table_refused_before_its_first_row(self):
+        # rows 0..32 of p1xp1:1,33 would each decompose in O(2^s)
+        proc = _fresh_cli("table", "p1xp1:1,33", timeout=5)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr == "error: num_params 33 outside 0..32\n"
+
+    def test_count_refused_before_the_graph(self, capsys, monkeypatch):
+        def refuse(spec, *args):
+            raise AssertionError(f"{spec} built or walked despite 33 pairs")
+
+        monkeypatch.setattr(diagrams, "_graphs", {})
+        monkeypatch.setattr(diagrams, "_build_graph", refuse)
+        monkeypatch.setattr(diagrams, "walk", refuse)
+        monkeypatch.setattr(counting, "walk", refuse)
+        assert main(["count", "p1xp1:1,33", "--pairs-count", "33"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: num_params 33 outside 0..32\n"
+
+    def test_enumerate_unbounded(self, capsys):
+        code, out = run(capsys, "enumerate", "p1xp1:1,33", "--pairs-count", "33")
+        assert code == 0
+        assert len(out.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "p2:3", "--threads", "2"],
     ["table", "p2:3", "--threads", "2"],

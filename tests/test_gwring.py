@@ -304,22 +304,50 @@ class TestSplit:
     @given(elements, elements)
     @settings(max_examples=200, deadline=None)
     def test_product_is_the_ring_product(self, e1, e2):
+        # against the products of the symbols, term by term
         product = split_mul(split(e1), split(e2))
         _assert_split_form(product)
-        assert unsplit(product, 4) == e1 * e2
+        expected = GwElem.from_coeffs(
+            [(m1 * m2, c1 * c2) for m1, c1 in e1.terms for m2, c2 in e2.terms], 4)
+        assert unsplit(product, 4) == e1 * e2 == expected
 
     @given(elements, elements, st.integers(-5, 5), st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
     def test_sum(self, e1, e2, k1, k2):
         total = split_sum([(k1, split(e1)), (k2, split(e2))])
         _assert_split_form(total)
-        assert unsplit(total, 4) == k1 * e1 + k2 * e2
+        expected = GwElem.from_coeffs(
+            [(m, k1 * c) for m, c in e1.terms] + [(m, k2 * c) for m, c in e2.terms], 4)
+        assert unsplit(total, 4) == k1 * e1 + k2 * e2 == expected
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_even_edge_factor_is_pure_h(self, m):
         # no {<1>: 0} entry is carried, so products with it stay in h
         assert split(m_a1(m, 4)) == (m // 2, {})
         assert split_mul(split(beta_elem(1, 4)), split(m_a1(m, 4))) == (m, {})
+
+
+def _assert_canonical(e):
+    assert all(c != 0 for c in e.masks.values()), e.masks
+    assert all(m & 1 == 0 or m == 1 for m in e.masks), e.masks  # <-1> the one sign-negative class
+
+
+class TestCanonicalForm:
+    """Every element is canonical: no zero coefficient, and no sign-negative
+    class but <-1>."""
+
+    @given(elements, elements, st.integers(-5, 5), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_results_are_canonical(self, e1, e2, k, i):
+        for e in (e1, e1 + e2, e1 * e2, k * e1, e1.substitute_square(i)):
+            _assert_canonical(e)
+
+    @given(elements, st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_substitute_square_drops_d_i(self, e, i):
+        dropped = [(GwMonomial(m.int_part, tuple(j for j in m.d_subset if j != i), m.sign), c)
+                   for m, c in e.terms]
+        assert e.substitute_square(i) == GwElem.from_coeffs(dropped, 4)
 
 
 def _symbols(args, num_params):
