@@ -29,10 +29,10 @@ import sys
 import time
 
 from . import gwring
-from .counting import OrbitWeightError, _named, count, kontsevich, merged_classes, \
-    resolve_pairs, verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
+from .counting import OrbitWeightError, count, kontsevich, merged_classes, resolve_pairs, \
+    verify_merge_invariance, verify_rank_and_signatures, verify_square_substitution
 from .degrees import n_delta, parse_degree
-from .diagrams import OverBudget, count_diagrams
+from .diagrams import OverBudget, _named, count_diagrams
 from .gwring import BetaForm, ResidualNotInSpan, equals_mod
 from .tables import FULL_EXTRA_SPECS, FULL_KONTSEVICH_SPECS, FULL_PLACEMENTS, \
     ISOMORPHIC_SPECS, KNOWN_COUNTS, KNOWN_WELSCHINGER, MERGE_INVARIANCE_SPECS, QUICK_SPECS
@@ -115,7 +115,7 @@ def _parse_pairs(text: str, n: int) -> list[tuple[int, int]]:
         pairs.append((a - 1, b - 1))
     for a, b in map(sorted, pairs):
         if b != a + 1 or b >= n:
-            raise ValueError(f"--pairs pair {a + 1},{b + 1} is not an "
+            raise ValueError(f"--pairs pair {_named([(a, b)])} is not an "
                              f"adjacent position pair of 1..{n}")
     return pairs
 

@@ -48,8 +48,8 @@ from functools import cache, lru_cache
 
 from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
-from .diagrams import FloorDiagram, PairLabels, _state_graph, check_pairs, count_diagrams, \
-    unpack, walk
+from .diagrams import FloorDiagram, PairLabels, _named, _state_graph, check_pairs, \
+    count_diagrams, unpack, walk
 from .gwring import GwElem, _check_params, beta_decompose, equals_mod, split, split_mul, \
     split_sum, unsplit
 from .multiplicity import TwinTreeSummary, row_mult, row_signature
@@ -120,11 +120,6 @@ def _restrict(entry: tuple, row: int, picked: list) -> tuple:
 class OrbitWeightError(Exception):
     """The orbit weights of a signature do not sum to whole classes, which
     no correct labelling allows."""
-
-
-def _named(pairs: tuple[tuple[int, int], ...]) -> str:
-    """The pairs as the command line takes them: 1-based, "a,b;c,d"."""
-    return ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
 
 
 def _orbits(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]):

@@ -27,9 +27,9 @@ _PARAMS = {
 
 
 class DegreeSpec(namedtuple("DegreeSpec", "family params")):
-    """family: "p2" | "p1xp1" | "bl1" | "bl2" | "bl3"; params: its positive
-    parameters (see _PARAMS).  InvalidDegree unless they name a degree
-    whose n fits an index."""
+    """family: "p2" | "p1xp1" | "bl1" | "bl2" | "bl3"; params: a tuple of its
+    positive int parameters (see _PARAMS).  InvalidDegree unless they name
+    a degree whose n fits an index."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -37,6 +37,8 @@ class DegreeSpec(namedtuple("DegreeSpec", "family params")):
     def __new__(cls, family: str, params: tuple[int, ...]):
         self = super().__new__(cls, family, params)
         f, p = family, params
+        if not isinstance(p, tuple) or any(type(x) is not int for x in p):
+            raise InvalidDegree(f"parameters must be a tuple of ints: {p!r}")
         if any(x < 1 for x in p):
             raise InvalidDegree(f"parameters must be positive: {self}")
         if f not in _PARAMS:

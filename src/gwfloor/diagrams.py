@@ -492,17 +492,22 @@ class PairLabels(namedtuple("PairLabels", "classification twin_trees")):
     __slots__ = ()
 
 
+def _named(pairs: tuple[tuple[int, int], ...]) -> str:
+    """The pairs as the command line takes them: 1-based, "a,b;c,d"."""
+    return ";".join(f"{a + 1},{b + 1}" for a, b in pairs)
+
+
 def check_pairs(pair_positions: Iterable[tuple[int, int]],
                 n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted 0-based position pairs; ValueError unless adjacent, disjoint, < n."""
+    """Sorted 0-based position pairs; ValueError, naming the pairs 1-based,
+    unless adjacent, disjoint, < n."""
     pairs = tuple(sorted(tuple(sorted(p)) for p in pair_positions))
-    used = set()
-    for a, b in pairs:
+    for k, (a, b) in enumerate(pairs):
         if not (0 <= a < b < n) or b != a + 1:
-            raise ValueError(f"pair ({a},{b}) is not an adjacent position pair")
-        if a in used or b in used:
-            raise ValueError("merge pairs must be disjoint")
-        used.update((a, b))
+            raise ValueError(f"pair {_named([(a, b)])} is not an adjacent position pair")
+        if k and pairs[k - 1][1] >= a:  # the pairs before are sorted and adjacent
+            raise ValueError(f"merge pairs {_named(pairs[k - 1:k])} and {_named([(a, b)])} "
+                             "must be disjoint")
     return pairs
 
 

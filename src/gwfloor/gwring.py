@@ -22,12 +22,10 @@ GwElem holds the canonical form that `unsplit` makes of a h + x: every
 class sign-positive but the single distinguished <-1>, which carries a.
 The one sign rewrite, <-q> = h - <q>, lives in `GwElem.from_coeffs`.
 
-The masks of a local factor do not depend on s, so a factor is built once,
-at the least s it needs (`built_once`), and shared by every larger s.  The
-basis element beta^{(l)}_s, the l-th elementary symmetric polynomial in
-beta_i = <2> + <2 d_i>, is built in closed form (`beta_sym`): the product
-of beta_i over a set J of l points is <2^l> sum_{K subset J} <d_K>, so
-beta^{(l)}_s puts C(s - |K|, l - |K|) on <2^{l mod 2} d_K> for each
+The basis element beta^{(l)}_s, the l-th elementary symmetric polynomial
+in beta_i = <2> + <2 d_i>, is built in closed form (`beta_sym`): the
+product of beta_i over a set J of l points is <2^l> sum_{K subset J} <d_K>,
+so beta^{(l)}_s puts C(s - |K|, l - |K|) on <2^{l mod 2} d_K> for each
 K subset {1..s} with |K| <= l.
 """
 
@@ -38,7 +36,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 
 class ResidualNotInSpan(Exception):
@@ -324,29 +322,7 @@ class BetaForm(namedtuple("BetaForm", "h_coeff beta_coeffs one_coeff")):
             (c, split(beta_sym(l, s))) for l, c in enumerate(self.beta_coeffs, start=1) if c]), s)
 
 
-def built_once(least):
-    """Cache a local factor f(*key, num_params) whose formula is evaluated
-    once, at the least num_params it needs, least(*key): every larger
-    num_params up to MAX_PARAMS gets a GwElem with the same masks.  Any
-    other num_params goes to the formula itself, whose checks raise.
-
-    A larger s reads the built factor from this cache, never through the
-    factor's module attribute, so a patched wrapper is applied once.
-    """
-    def decorate(formula):
-        @lru_cache(maxsize=None)
-        @wraps(formula)
-        def factor(*args):
-            *key, num_params = args
-            low = least(*key)
-            if not 0 <= low < num_params <= MAX_PARAMS:
-                return formula(*args)
-            return GwElem(factor(*key, low).masks, num_params)
-        return factor
-    return decorate
-
-
-@built_once(lambda i: i)
+@lru_cache(maxsize=None)
 def beta_elem(i: int, num_params: int) -> GwElem:
     """beta_i = <2> + <2 d_i>."""
     if not 1 <= i <= num_params:

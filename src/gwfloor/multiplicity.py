@@ -17,23 +17,21 @@ per edge as the pairs of the one label that absorbs it, so that
 one class's labels.  `row_mult` sums a row with pairs over its
 signatures in split form (see `gwring`); `counting` sums the row without
 pairs from m_a1 over the state graph.  The masks of a factor do not
-depend on s, so each is built once, at its least s (0 for m_a1, the
+depend on s, so `row_mult` reads each at its least s (0 for m_a1, the
 point index for gamma and beta_elem, the tree's last point for the
-twin-tree factor), and every larger s shares its masks
-(`gwring.built_once`).
+twin-tree factor), and only the row's sum is put over its s.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
-from .gwring import GwElem, beta_elem, built_once, h, one, split, split_mul, split_sum, \
-    unsplit
+from .gwring import GwElem, beta_elem, h, one, split, split_mul, split_sum, unsplit
 
 
-@built_once(lambda m: 0)
+@lru_cache(maxsize=None)
 def m_a1(m: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -54,7 +52,7 @@ def twin_edge_mult(m: int, i: int, num_params: int) -> GwElem:
     return (m * m // 2) * anisotropic + hyper
 
 
-@built_once(lambda m, i: i)
+@lru_cache(maxsize=None)
 def gamma(m: int, i: int, num_params: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
@@ -100,7 +98,7 @@ class TwinTreeSummary(namedtuple(
         return self.m_root + self.unbounded_twin_elevators
 
 
-@built_once(lambda tree: tree.point_indices[-1])
+@lru_cache(maxsize=None)
 def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
     total = one(num_params)
     for m, i in tree.elevator_marks:
@@ -132,23 +130,24 @@ def row_mult(tally, num_params: int) -> GwElem:
     classes) tally: per weight tuple the product of m_a1, per label part
     (twin trees, classification) the sum of those products times its
     twin-tree, gamma (type-A pair) and beta (free double point) factors.
-    Each factor is read from this module and split (`gwring.split`) once
-    per call, so a patched one is used; edge factors equal to <1> are left out.
+    Each factor is read from this module at its least s and split
+    (`gwring.split`) once per call, so a patched one is used; edge factors
+    equal to <1> are left out.
     """
-    factor = cache(lambda f, *args: split(f(*args, num_params)))
+    factor = cache(lambda f, *args: split(f(*args)))
     edges, parts = {}, {}  # per weight tuple its product; per label part its terms
     for (twin_trees, classification, weights), k in tally:
         if weights not in edges:
-            kept = [f for w in weights if (f := factor(m_a1, w)) != (0, {0: 1})]  # not <1>
+            kept = [f for w in weights if (f := factor(m_a1, w, 0)) != (0, {0: 1})]  # not <1>
             edges[weights] = reduce(split_mul, kept, (0, {0: 1}))
         parts.setdefault((twin_trees, classification), []).append((k, edges[weights]))
     terms = []
     for (twin_trees, classification), edge_terms in parts.items():
-        labels = [factor(twin_tree_mult, tree) for tree in twin_trees]
+        labels = [factor(twin_tree_mult, tree, tree.point_indices[-1]) for tree in twin_trees]
         for idx, label in enumerate(classification):
             if label[0] == "type_a":
-                labels.append(factor(gamma, label[1], idx + 1))
+                labels.append(factor(gamma, label[1], idx + 1, idx + 1))
             elif label[0] == "free":
-                labels.append(factor(beta_elem, idx + 1))
+                labels.append(factor(beta_elem, idx + 1, idx + 1))
         terms.append((1, reduce(split_mul, labels, split_sum(edge_terms))))
     return unsplit(split_sum(terms), num_params)

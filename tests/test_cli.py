@@ -147,6 +147,13 @@ class TestEnumerate:
         assert capsys.readouterr().err == \
             f"error: --pairs pair {pair} is not an adjacent position pair of 1..8\n"
 
+    @pytest.mark.parametrize("text,named", [
+        ("1,2;2,3", "1,2 and 2,3"), ("3,4;1,2;2,3", "1,2 and 2,3"), ("5,6;5,6", "5,6 and 5,6"),
+    ])
+    def test_overlapping_pairs_named_one_based(self, capsys, text, named):
+        assert main(["count", "p2:3", "--pairs", text]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: merge pairs {named} must be disjoint\n"
+
     def test_negative_pairs_count_exit_code(self, capsys):
         assert main(["enumerate", "p2:3", "--pairs-count", "-1"]) == EXIT_PARSE
         assert "need 0 <= 2s <= n" in capsys.readouterr().err

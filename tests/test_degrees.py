@@ -45,6 +45,18 @@ def test_invalid_names_family_and_condition(bad, condition):
         parse_degree(bad)
 
 
+@pytest.mark.parametrize("family,params", [
+    ("p2", [3]), ("p1xp1", [2, 2]), ("p2", 3), ("p2", "3"), ("p2", ("3",)),
+    ("p2", (3.0,)), ("p2", (True,)), ("p1xp1", (2, None)),
+])
+def test_params_not_a_tuple_of_ints_rejected(family, params):
+    # refused when built, not as a TypeError there or in a later cache
+    with pytest.raises(InvalidDegree, match="must be a tuple of ints"):
+        DegreeSpec(family, params)
+    with pytest.raises(InvalidDegree, match="must be a tuple of ints"):
+        DegreeSpec("p2", (3,))._replace(family=family, params=params)
+
+
 def test_n_delta_values():
     assert n_delta(parse_degree("p2:3")) == 8
     assert n_delta(parse_degree("p1xp1:2,3")) == 9

@@ -437,6 +437,15 @@ class TestMergedClasses:
         with pytest.raises(ValueError, match=message):
             merged_classes(parse_degree("p2:3"), pairs)
 
+    @pytest.mark.parametrize("pairs,message", [
+        ([(0, 2)], "pair 1,3 is not an adjacent position pair"),
+        ([(3, 2), (1, 2)], "merge pairs 2,3 and 3,4 must be disjoint"),
+    ])
+    def test_library_names_pairs_one_based(self, pairs, message):
+        # as the command line and the verify report name them
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            counting.count(parse_degree("p2:3"), len(pairs), pairs)
+
     # p1xp1:3,3 and bl3:5,2,1,1 hold diagrams whose class meets no member
     # under a single swap before them, only under the swaps of two pairs
     @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:3,3", "bl3:5,2,1,1"] + small_degrees(9))

@@ -7,10 +7,14 @@ import pytest
 
 import gwfloor
 import gwfloor.multiplicity as multiplicity
+from gwfloor.cli import main
+from gwfloor.counting import _signature_tally, default_pairs
+from gwfloor.degrees import parse_degree
 from gwfloor.gwring import MAX_PARAMS, GwElem, GwMonomial, beta_elem, equals_mod, h, one
 from gwfloor.diagrams import INCOMING, FloorDiagram, PairLabels, label
 from gwfloor.multiplicity import TwinTreeSummary, gamma, m_a1, twin_edge_mult, twin_tree_mult
 
+from conftest import clear_count_caches
 from kummer import trace_kummer
 from oracles import edge_mult
 
@@ -235,36 +239,34 @@ def test_twin_tree_mult_cached_per_tree_and_s():
     assert twin_tree_mult(tree, S + 1).num_params == S + 1
 
 
-def test_factors_built_once_per_degree():
-    # the masks of a factor do not depend on s: every s past the least
-    # one shares the masks built there
-    tree = _tree([2, 1], m_root=2, unbounded=0, floor_points=1)  # last point 3
-    for s in range(S, S + 3):
-        assert m_a1(3, s).masks is m_a1(3, 0).masks
-        assert gamma(3, 2, s).masks is gamma(3, 2, 2).masks
-        assert beta_elem(2, s).masks is beta_elem(2, 2).masks
-        assert twin_tree_mult(tree, s).masks is twin_tree_mult(tree, 3).masks
-        assert twin_tree_mult(tree, s).num_params == s
-
-
-def test_twin_tree_formula_runs_at_its_last_point(monkeypatch):
-    # the twin-edge factors are read once, at the tree's last point, and
-    # the patched one reaches every s
-    tree = _tree([3, 2], m_root=3, unbounded=1, floor_points=2)  # last point 4
+def test_row_mult_reads_factors_at_least_s(monkeypatch, capsys):
+    # the masks of a factor do not depend on s, so row_mult reads each at
+    # its least s, and a twin-tree factor is built once per degree
+    spec = parse_degree("p1xp1:2,5")
+    tallies = [_signature_tally(spec, default_pairs(s)) for s in range(1, 7)]
+    least = {"m_a1": lambda m, s: 0, "gamma": lambda m, i, s: i, "beta_elem": lambda i, s: i,
+             "twin_tree_mult": lambda tree, s: tree.point_indices[-1]}
     seen = []
 
-    def recorded(m, i, num_params):
-        seen.append(num_params)
-        return twin_edge_mult(m, i, num_params)
+    def recorded(name, real):
+        def factor(*args):
+            seen.append((name, args))
+            return real(*args)
+        return factor
 
-    monkeypatch.setattr(multiplicity, "twin_edge_mult", recorded)
-    twin_tree_mult.cache_clear()
-    try:
-        built = [twin_tree_mult(tree, s) for s in range(4, 9)]
-    finally:
-        twin_tree_mult.cache_clear()
-    assert seen == [4, 4]
-    assert built[0].num_params == 4 and all(e.masks is built[0].masks for e in built)
+    for name in least:
+        monkeypatch.setattr(multiplicity, name, recorded(name, getattr(multiplicity, name)))
+    for s, tally in enumerate(tallies, start=1):
+        multiplicity.row_mult(tally, s)
+    assert {name for name, _ in seen} == set(least)
+    assert [(name, args) for name, args in seen if args[-1] != least[name](*args)] == []
+
+    monkeypatch.undo()
+    clear_count_caches()
+    assert main(["table", "p1xp1:2,5"]) == 0
+    capsys.readouterr()
+    trees = {tree for tally in tallies for (twin_trees, _, _), _ in tally for tree in twin_trees}
+    assert twin_tree_mult.cache_info().misses == len(trees) == 6
 
 
 def test_patched_factor_applied_once(monkeypatch):
