@@ -15,10 +15,11 @@ group then counts as one check, a failed "residual_not_in_span" resp.
 "orbit_weights_not_whole" carrying the error text, after the failures it
 already found, and the remaining groups still run.  No verify row has a
 twin elevator of odd weight >= 3, so only unit tests check that branch
-of `multiplicity.twin_edge_mult`: the on-demand `tests/odd_twins.py`
-streams the default and the shifted cover of every degree with n <= 13
-and at most 200 000 diagrams, plus p2:5, and finds none, and verify's
-other covers (merge invariance) have no weight 3.
+of `multiplicity.twin_edge_mult`.  Two on-demand probes look and find
+none: `tests/odd_twins.py` streams the default and the shifted cover of
+every degree with n <= 13 and at most 200 000 diagrams, plus p2:5, and
+`tests/degree6.py` scans the p2:6 default cover; verify's other covers
+(merge invariance) have no weight 3.
 """
 
 from __future__ import annotations
@@ -98,13 +99,10 @@ def _csv_rows(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_pairs(text: str, n: int) -> list[tuple[int, int]]:
-    """Parse 1-based "1,2;3,4" into 0-based adjacent position pairs of 1..n.
-
-    ValueError, naming the chunk as typed, unless each chunk is two runs
-    of ASCII digits >= 1; then, naming the pair 1-based, if a pair is not
-    adjacent or past n.
-    """
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    """Parse 1-based "1,2;3,4" into 0-based position pairs, unchecked
+    (`diagrams.check_pairs` checks them); ValueError, naming the chunk as
+    typed, unless each chunk is two runs of ASCII digits >= 1."""
     pairs = []
     for chunk in text.split(";"):
         parts = [x.strip() for x in chunk.split(",")]
@@ -113,16 +111,12 @@ def _parse_pairs(text: str, n: int) -> list[tuple[int, int]]:
             raise ValueError(f"--pairs chunk {chunk!r} is not two positions >= 1")
         a, b = map(int, parts)
         pairs.append((a - 1, b - 1))
-    for a, b in map(sorted, pairs):
-        if b != a + 1 or b >= n:
-            raise ValueError(f"--pairs pair {_named([(a, b)])} is not an "
-                             f"adjacent position pair of 1..{n}")
     return pairs
 
 
 def _resolve_args_pairs(args, spec) -> tuple[tuple[int, int], ...]:
     """The checked pairs named by --pairs and --pairs-count."""
-    pairs = _parse_pairs(args.pairs, n_delta(spec)) if args.pairs is not None else None
+    pairs = _parse_pairs(args.pairs) if args.pairs is not None else None
     return resolve_pairs(spec, args.pairs_count, pairs)
 
 

@@ -50,8 +50,8 @@ from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
 from .diagrams import FloorDiagram, PairLabels, _named, _state_graph, check_pairs, \
     count_diagrams, unpack, walk
-from .gwring import GwElem, _check_params, beta_decompose, equals_mod, split, split_mul, \
-    split_sum, unsplit
+from .gwring import GwElem, _check_params, beta_decompose, equals_mod, one, split_mul, \
+    split_sum
 from .multiplicity import TwinTreeSummary, row_mult, row_signature
 
 
@@ -218,24 +218,24 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
     sum over its kept moves of total(child) times m_a1 of every strand the
     move closes (Stanley's transfer-matrix method).  The moves come in
     post-order, so one forward pass meets every child before its parent.
-    The totals are split (`gwring.split`), so an even m_a1 only scales h,
-    and a factor equal to <1> is left out.
+    The totals are in split form (see `gwring`), so an even m_a1 only
+    scales h, and a factor equal to <1> is left out.
     """
     root, moves, _ = _state_graph(spec)
     n = n_delta(spec)
-    # read at call time, so that a patched factor is used, and split once per weight
-    m_a1 = cache(lambda w: split(multiplicity.m_a1(w, 0)))
+    # read at call time, so that a patched factor is used, once per weight
+    m_a1, unit = cache(lambda w: multiplicity.m_a1(w, 0)), one(0)
     totals: dict = {}
     for state, kept in moves.items():
-        terms = [(1, (0, {0: 1}))] if state[0] == n else []
+        terms = [(1, unit)] if state[0] == n else []
         for (_, closed, _, _), child in kept:
             term = totals[child]
             for _, w in closed:
-                if (f := m_a1(w)) != (0, {0: 1}):  # not <1>
+                if (f := m_a1(w)) != unit:
                     term = split_mul(term, f)
             terms.append((1, term))
         totals[state] = split_sum(terms)
-    return unsplit(totals[root], 0)
+    return GwElem(*totals[root], 0)
 
 
 def count(spec: DegreeSpec, s: int,
@@ -293,11 +293,11 @@ def kontsevich(d: int) -> int:
 def _reindex_drop_last(e: GwElem, s: int) -> GwElem:
     """View an element of GW over d_1..d_s with d_s inert as one over d_1..d_{s-1}.
 
-    Raises IndexError when d_s occurs in e; otherwise the masks are e's.
+    Raises IndexError when d_s occurs in e; otherwise only num_params changes.
     """
-    if any(m >> s & 1 for m in e.masks):
+    if any(m >> s & 1 for m in e.rest):
         raise IndexError(f"d_{s} occurs in {e}")
-    return GwElem(e.masks, s - 1)
+    return e._replace(num_params=s - 1)
 
 
 def verify_square_substitution(spec: DegreeSpec, s: int) -> bool:

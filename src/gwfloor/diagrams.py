@@ -504,7 +504,7 @@ def check_pairs(pair_positions: Iterable[tuple[int, int]],
     pairs = tuple(sorted(tuple(sorted(p)) for p in pair_positions))
     for k, (a, b) in enumerate(pairs):
         if not (0 <= a < b < n) or b != a + 1:
-            raise ValueError(f"pair {_named([(a, b)])} is not an adjacent position pair")
+            raise ValueError(f"pair {_named([(a, b)])} is not an adjacent position pair of 1..{n}")
         if k and pairs[k - 1][1] >= a:  # the pairs before are sorted and adjacent
             raise ValueError(f"merge pairs {_named(pairs[k - 1:k])} and {_named([(a, b)])} "
                              "must be disjoint")

@@ -6,21 +6,22 @@ formal parameters d_1, ..., d_s.  Equality of expressions produced by the
 counting formulas is decided modulo the two-shift relation family
 2<m> = 2<2m>.
 
-Square classes form an F_2-vector space.  GwElem maps the mask of each
-class to its coefficient: bit 0 is the sign, bit i (1 <= i <= MAX_PARAMS)
-is d_i and bit MAX_PARAMS + 1 + j is the j-th prime in ascending order, so
-a product of classes is one XOR.  The fixed prime order makes the prime 2
-prime bit 0, so the mask _TWO of <2> is a constant.  GwMonomial is the
-readable form of a class, used only to build elements and to read them
-out.
+Square classes form an F_2-vector space, each class a mask: bit 0 is
+the sign, bit i (1 <= i <= MAX_PARAMS) is d_i and bit MAX_PARAMS + 1 + j
+is the j-th prime in ascending order, so a product of classes is one
+XOR.  The fixed prime order makes the prime 2 prime bit 0, so the mask
+_TWO of <2> is a constant.  GwMonomial is the readable form of a class,
+used only to build elements and to read them out.
 
-Every sum and product is taken in split form a h + x, x sign-positive
-(`split`): h<m> = h, so h only scales by rank, and
-(a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y (`split_mul`),
-x y being one XOR convolution that yields no sign-negative class.  A
-GwElem holds the canonical form that `unsplit` makes of a h + x: every
-class sign-positive but the single distinguished <-1>, which carries a.
-The one sign rewrite, <-q> = h - <q>, lives in `GwElem.from_coeffs`.
+A GwElem is (h_coeff, rest, num_params), worth h_coeff h + x for x the
+sum of rest[m] <m> over sign-positive classes m with non-zero
+coefficients.  Every sum and product is taken in that split form: h<m> =
+h, so h only scales by rank, and (a h + x)(b h + y) =
+(2ab + a rank y + b rank x) h + x y (`split_mul`), x y being one XOR
+convolution that yields no sign-negative class.  The one sign rewrite,
+<-q> = h - <q>, lives in `GwElem.from_coeffs`.  The one canonical
+readout is `GwElem.terms`, where <-1> carries h_coeff and <1> rest's <1>
+plus h_coeff; elements print in it, and `equals_mod` applies its rule.
 
 The basis element beta^{(l)}_s, the l-th elementary symmetric polynomial
 in beta_i = <2> + <2 d_i>, is built in closed form (`beta_sym`): the
@@ -145,12 +146,9 @@ def _check_params(num_params: int) -> None:
         raise ValueError(f"num_params {num_params} outside 0..{MAX_PARAMS}")
 
 
-class GwElem(namedtuple("GwElem", "masks num_params")):
-    """Integer combination of square-class symbols, in canonical form.
-
-    masks maps each class's mask to its non-zero coefficient; never
-    mutated.  Equal by (masks, num_params); unhashable, as masks is a dict.
-    """
+class GwElem(namedtuple("GwElem", "h_coeff rest num_params")):
+    """h_coeff h + sum rest[m] <m>: rest, never mutated, maps sign-positive
+    class masks to non-zero coefficients.  Equal by fields; unhashable."""
 
     __slots__ = ()
 
@@ -167,7 +165,7 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
             if k & _NEG:  # <-q> = h - <q>, <-1> = h - <1> among them
                 a, k, c = a + c, k ^ _NEG, -c
             x[k] = x.get(k, 0) + c
-        return unsplit((a, x), num_params)
+        return GwElem(a, {k: c for k, c in x.items() if c}, num_params)
 
     @staticmethod
     def zero(num_params: int = 0) -> "GwElem":
@@ -179,14 +177,17 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
 
     @property
     def terms(self) -> tuple[tuple[GwMonomial, int], ...]:
-        """(symbol, coefficient) pairs in ascending GwMonomial order."""
-        return tuple(sorted((_monomial(m), c) for m, c in self.masks.items()))
+        """(symbol, coefficient) pairs of the canonical form, in ascending
+        GwMonomial order: <-1> carries h_coeff, and <1> rest's <1> plus h_coeff."""
+        a, x = self.h_coeff, self.rest
+        canonical = {**x, 0: x.get(0, 0) + a, _NEG: a}
+        return tuple(sorted((_monomial(m), c) for m, c in canonical.items() if c))
 
     def coeff(self, m: GwMonomial) -> int:
-        return self.masks.get(_mask(m), 0)
+        return dict(self.terms).get(m, 0)
 
     def is_zero(self) -> bool:
-        return not self.masks
+        return not (self.h_coeff or self.rest)
 
     def _binop(self, other: "GwElem"):
         if self.num_params != other.num_params:
@@ -194,7 +195,7 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
 
     def __add__(self, other: "GwElem") -> "GwElem":
         self._binop(other)
-        return unsplit(split_sum([(1, split(self)), (1, split(other))]), self.num_params)
+        return GwElem(*split_sum([(1, self), (1, other)]), self.num_params)
 
     def __neg__(self) -> "GwElem":
         return self * -1
@@ -204,19 +205,19 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return unsplit(split_sum([(other, split(self))]), self.num_params)
+            return GwElem(*split_sum([(other, self)]), self.num_params)
         self._binop(other)
-        return unsplit(split_mul(split(self), split(other)), self.num_params)
+        return GwElem(*split_mul(self, other), self.num_params)
 
     __rmul__ = __mul__
 
     def rank(self) -> int:
-        return sum(self.masks.values())
+        return 2 * self.h_coeff + sum(self.rest.values())
 
     def signature(self, signs: Mapping[int, int]) -> int:
-        total = 0
-        for m, c in self.masks.items():
-            v = -1 if m & _NEG else 1
+        total = 0  # h has signature 0
+        for m, c in self.rest.items():
+            v = 1
             for i in range(1, self.num_params + 1):
                 if m >> i & 1:
                     v *= signs[i]
@@ -227,12 +228,11 @@ class GwElem(namedtuple("GwElem", "masks num_params")):
         """Set d_i := 1 (drop i from every subset); num_params unchanged."""
         if not (1 <= i <= self.num_params):
             raise IndexError(f"parameter index {i} out of range 1..{self.num_params}")
-        a, x = split(self)
-        dropped = [(c, (0, {m & ~(1 << i): 1})) for m, c in x.items()]
-        return unsplit(split_sum([(1, (a, {}))] + dropped), self.num_params)
+        dropped = [(c, (0, {m & ~(1 << i): 1})) for m, c in self.rest.items()]
+        return GwElem(*split_sum([(1, (self.h_coeff, {}))] + dropped), self.num_params)
 
     def __str__(self):
-        if not self.masks:
+        if self.is_zero():
             return "0"
         parts = []
         for m, c in self.terms:
@@ -258,16 +258,10 @@ def one(num_params: int = 0) -> GwElem:
     return GwElem.from_coeffs({_ONE: 1}, num_params)
 
 
-def split(e: GwElem) -> tuple[int, dict[int, int]]:
-    """(a, x) with e = a h + x: a is the <-1> coefficient, x the rest less a <1>."""
-    a = e.masks.get(_NEG, 0)
-    x = {**e.masks, 0: e.masks.get(0, 0) - a}
-    return a, {m: c for m, c in x.items() if c and m != _NEG}
-
-
 def split_mul(e1: tuple, e2: tuple) -> tuple[int, dict[int, int]]:
-    """(a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y."""
-    (a, x), (b, y) = e1, e2
+    """(a h + x)(b h + y) = (2ab + a rank y + b rank x) h + x y, for e1 and
+    e2 whose items 0 and 1 are (h count, rest): a GwElem or a bare pair."""
+    a, x, b, y = e1[0], e1[1], e2[0], e2[1]
     acc: dict[int, int] = {}
     for m1, c1 in x.items():
         for m2, c2 in y.items():
@@ -277,31 +271,30 @@ def split_mul(e1: tuple, e2: tuple) -> tuple[int, dict[int, int]]:
 
 
 def split_sum(terms: Iterable[tuple[int, tuple]]) -> tuple[int, dict[int, int]]:
-    """The sum of k e over the (k, e) pairs of split elements."""
+    """The sum of k e over the (k, e) pairs, each e a GwElem or a bare
+    (h count, rest) pair."""
     a, acc = 0, {}
-    for k, (b, y) in terms:
-        a += k * b
-        for m, c in y.items():
+    for k, e in terms:
+        a += k * e[0]
+        for m, c in e[1].items():
             acc[m] = acc.get(m, 0) + k * c
     return a, {m: c for m, c in acc.items() if c}
-
-
-def unsplit(e: tuple, num_params: int) -> GwElem:
-    """The canonical GwElem of a h + x: <-1> carries a, and <1> x's <1> plus a."""
-    a, x = e
-    return GwElem({m: c for m, c in {**x, 0: x.get(0, 0) + a, _NEG: a}.items() if c}, num_params)
 
 
 def equals_mod(e1: GwElem, e2: GwElem) -> bool:
     """Equality modulo the lattice generated by 2<m> - 2<2m>.
 
-    On each partner pair {<m>, <2m>} (masks differing in the bit of the
-    prime 2) the lattice is spanned by (2, -2), so a difference vector lies
-    in it iff the pair coefficients cancel and are even; <-1> has no
-    partner in canonical form, so its coordinate admits no relation.
+    In canonical form (`GwElem.terms`) <-1> carries h_coeff and has no
+    partner, so the h counts must be equal; 2<-q> - 2<-2q> = 2<2q> - 2<q>,
+    so every relation is one on rest.  On each partner pair {<m>, <2m>} of
+    rest (masks differing in the bit of the prime 2) the lattice is spanned
+    by (2, -2), so a difference vector lies in it iff the pair
+    coefficients cancel and are even.
     """
     e1._binop(e2)
-    a, b = e1.masks, e2.masks
+    if e1.h_coeff != e2.h_coeff:
+        return False
+    a, b = e1.rest, e2.rest
     for m in a.keys() | b.keys():
         c, partner = a.get(m, 0) - b.get(m, 0), m ^ _TWO
         if c % 2 or c + a.get(partner, 0) - b.get(partner, 0):
@@ -318,8 +311,8 @@ class BetaForm(namedtuple("BetaForm", "h_coeff beta_coeffs one_coeff")):
         """The element over s = len(beta_coeffs) parameters."""
         s = len(self.beta_coeffs)
         _check_params(s)
-        return unsplit(split_sum([(self.h_coeff, (1, {})), (self.one_coeff, (0, {0: 1}))] + [
-            (c, split(beta_sym(l, s))) for l, c in enumerate(self.beta_coeffs, start=1) if c]), s)
+        return GwElem(*split_sum([(self.h_coeff, (1, {})), (self.one_coeff, (0, {0: 1}))] + [
+            (c, beta_sym(l, s)) for l, c in enumerate(self.beta_coeffs, start=1) if c]), s)
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +338,7 @@ def beta_sym(l: int, num_params: int) -> GwElem:
         c = math.comb(num_params - k, l - k)
         for K in itertools.combinations(range(1, num_params + 1), k):
             masks[sum(1 << i for i in K) | two] = c
-    return GwElem(masks, num_params)
+    return GwElem(0, masks, num_params)
 
 
 def beta_decompose(e: GwElem) -> BetaForm:
@@ -354,12 +347,12 @@ def beta_decompose(e: GwElem) -> BetaForm:
     The system is triangular in decreasing d-subset size: the only beta
     term hitting monomials with |subset| = l after the larger ones are
     peeled off is c_l * <2^{l mod 2} prod_{i in K} d_i> with K the subset
-    itself.  It is solved on a copy of e's masks, from which each
-    c_l beta^{(l)} is subtracted in place.  Raises ResidualNotInSpan when
-    no presentation exists.
+    itself.  It is solved on a copy of e's rest, from which each
+    c_l beta^{(l)} is subtracted in place; h_coeff is e's.  Raises
+    ResidualNotInSpan when no presentation exists.
     """
     s = e.num_params
-    h_coeff, masks = split(e)  # the remainder, a fresh dict solved in place
+    masks = dict(e.rest)  # the remainder, solved in place
     cs = [0] * (s + 1)  # cs[l] for l = 1..s
     for l in range(s, 0, -1):
         value = None
@@ -379,24 +372,23 @@ def beta_decompose(e: GwElem) -> BetaForm:
                     f"inconsistent coefficient for beta^({l}): {value} vs {c} at {K}")
         if value:
             cs[l] = value
-            for m, c in beta_sym(l, s).masks.items():
+            for m, c in beta_sym(l, s).rest.items():
                 masks[m] = masks.get(m, 0) - value * c
     one_coeff = masks.get(0, 0) + masks.get(_TWO, 0)
-    remainder = unsplit((h_coeff, masks), s)
-    candidate = unsplit((h_coeff, {0: one_coeff}), s)
+    remainder = GwElem(*split_sum([(1, (e.h_coeff, masks))]), s)
+    candidate = GwElem(*split_sum([(1, (e.h_coeff, {0: one_coeff}))]), s)
     if not equals_mod(remainder, candidate):
         raise ResidualNotInSpan(
             f"residual {remainder - candidate} not in the two-shift lattice")
-    form = BetaForm(h_coeff, tuple(cs[1:]), one_coeff)
+    form = BetaForm(e.h_coeff, tuple(cs[1:]), one_coeff)
     if not equals_mod(form.expand(), e):
         raise ResidualNotInSpan(f"{form} does not expand back to {e}")
     return form
 
 
 def display(e: GwElem) -> tuple[int, list[tuple[GwMonomial, int]]]:
-    """Split e as h_count * h + residual over sign-positive symbols."""
-    n, x = split(e)
-    return n, sorted((_monomial(m), c) for m, c in x.items())
+    """e as h_count * h + residual over sign-positive symbols: its fields."""
+    return e.h_coeff, sorted((_monomial(m), c) for m, c in e.rest.items())
 
 
 def to_json_dict(e: GwElem) -> dict:

@@ -16,8 +16,8 @@ per edge as the pairs of the one label that absorbs it, so that
 `row_signature` reads the signature of every row within a cover from
 one class's labels.  `row_mult` sums a row with pairs over its
 signatures in split form (see `gwring`); `counting` sums the row without
-pairs from m_a1 over the state graph.  The masks of a factor do not
-depend on s, so `row_mult` reads each at its least s (0 for m_a1, the
+pairs from m_a1 over the state graph.  The fields of a factor but its
+num_params do not depend on s, so `row_mult` reads each at its least s (0 for m_a1, the
 point index for gamma and beta_elem, the tree's last point for the
 twin-tree factor), and only the row's sum is put over its s.
 """
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 
-from .gwring import GwElem, beta_elem, h, one, split, split_mul, split_sum, unsplit
+from .gwring import GwElem, beta_elem, h, one, split_mul, split_sum
 
 
 @lru_cache(maxsize=None)
@@ -130,24 +130,23 @@ def row_mult(tally, num_params: int) -> GwElem:
     classes) tally: per weight tuple the product of m_a1, per label part
     (twin trees, classification) the sum of those products times its
     twin-tree, gamma (type-A pair) and beta (free double point) factors.
-    Each factor is read from this module at its least s and split
-    (`gwring.split`) once per call, so a patched one is used; edge factors
-    equal to <1> are left out.
+    Each factor is read at its least s, by its name in this module at call
+    time, so a patched one is used; edge factors equal to <1> are left out.
     """
-    factor = cache(lambda f, *args: split(f(*args)))
+    unit = one(0)
     edges, parts = {}, {}  # per weight tuple its product; per label part its terms
     for (twin_trees, classification, weights), k in tally:
         if weights not in edges:
-            kept = [f for w in weights if (f := factor(m_a1, w, 0)) != (0, {0: 1})]  # not <1>
-            edges[weights] = reduce(split_mul, kept, (0, {0: 1}))
+            kept = [f for w in weights if (f := m_a1(w, 0)) != unit]
+            edges[weights] = reduce(split_mul, kept, unit)
         parts.setdefault((twin_trees, classification), []).append((k, edges[weights]))
     terms = []
     for (twin_trees, classification), edge_terms in parts.items():
-        labels = [factor(twin_tree_mult, tree, tree.point_indices[-1]) for tree in twin_trees]
+        labels = [twin_tree_mult(tree, tree.point_indices[-1]) for tree in twin_trees]
         for idx, label in enumerate(classification):
             if label[0] == "type_a":
-                labels.append(factor(gamma, label[1], idx + 1, idx + 1))
+                labels.append(gamma(label[1], idx + 1, idx + 1))
             elif label[0] == "free":
-                labels.append(factor(beta_elem, idx + 1, idx + 1))
+                labels.append(beta_elem(idx + 1, idx + 1))
         terms.append((1, reduce(split_mul, labels, split_sum(edge_terms))))
-    return unsplit(split_sum(terms), num_params)
+    return GwElem(*split_sum(terms), num_params)

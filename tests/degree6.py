@@ -12,21 +12,30 @@ identities that need no engine-only number:
   s = 1..8;
 * merge invariance on PLACEMENTS, two placements whose covers differ
   from the default rows' and from each other, so each is its own orbit
-  pass of about 7 s.
+  pass of about 7 s;
+* the default cover, default_pairs(8), is read back from the cache that
+  the rows filled (`counting._cover_profiles`), with no second pass.
+
+It then counts the twin elevator marks of odd weight >= 3 over the trees
+of that cover's label entries: no tier-1 or verify row reaches the odd
+branch of `multiplicity.twin_edge_mult` for m >= 3 (see
+tests/odd_twins.py), and this cover holds 300 890 classes.
 
 Run from the repository root (pytest does not collect it):
 
     PYTHONPATH=src python tests/degree6.py
 
-It prints each failed check and one summary line with the wall time and
-the peak RSS, and exits 1 if a check fails, 0 otherwise.
+It prints each failed check and each odd twin mark found, then one
+summary line with the number of each, the wall time and the peak RSS,
+and exits 1 if a check fails or a mark is found, 0 otherwise.
 """
 
 import resource
 import sys
 import time
 
-from gwfloor.counting import count, kontsevich, verify_square_substitution
+from gwfloor import counting
+from gwfloor.counting import count, default_pairs, kontsevich, verify_square_substitution
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import _named
 from gwfloor.gwring import equals_mod
@@ -52,6 +61,22 @@ def checks(spec):
         s = len(pairs)
         yield f"merge_invariance_s{s}_pairs_{_named(pairs)}", \
             equals_mod(count(spec, s, list(pairs)).total, count(spec, s).total)
+    misses = counting._cover_profiles.cache_info().misses
+    default_cover(spec)
+    yield "default_cover_cached", counting._cover_profiles.cache_info().misses == misses
+
+
+def default_cover(spec):
+    """The label entries of the degree's default cover, as the rows cached them."""
+    entries, _ = counting._cover_profiles(spec, default_pairs(n_delta(spec) // 2))
+    return entries
+
+
+def odd_twin_marks(entries):
+    """(weight, point) per twin elevator mark of odd weight >= 3 over the
+    entries' trees."""
+    return [(m, i) for _, trees, _ in entries for tree in trees
+            for m, i in tree.elevator_marks if m >= 3 and m % 2]
 
 
 def main() -> int:
@@ -63,10 +88,15 @@ def main() -> int:
         if not passed:
             failed += 1
             print(f"{spec} {name}: failed")
+    entries = default_cover(spec)
+    odd = odd_twin_marks(entries)
+    for m, i in odd:
+        print(f"{spec} default cover: twin elevator mark of weight {m} at point {i}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{spec}: {total} checks, {failed} failed, "
+    print(f"{spec}: {total} checks, {failed} failed; {len(entries)} label entries of the "
+          f"default cover: {len(odd)} twin elevator marks of odd weight >= 3; "
           f"{time.perf_counter() - start:.1f} s, peak RSS {peak_mb:.0f} MB")
-    return int(failed > 0)
+    return int(failed > 0 or len(odd) > 0)
 
 
 if __name__ == "__main__":

@@ -145,7 +145,7 @@ class TestEnumerate:
         # p2:3 has positions 1..8; the pair is named 1-based, not 0-based
         assert main(["count", "p2:3", "--pairs", text]) == EXIT_PARSE
         assert capsys.readouterr().err == \
-            f"error: --pairs pair {pair} is not an adjacent position pair of 1..8\n"
+            f"error: pair {pair} is not an adjacent position pair of 1..8\n"
 
     @pytest.mark.parametrize("text,named", [
         ("1,2;2,3", "1,2 and 2,3"), ("3,4;1,2;2,3", "1,2 and 2,3"), ("5,6;5,6", "5,6 and 5,6"),

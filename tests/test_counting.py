@@ -102,10 +102,10 @@ class TestCount:
 
 
 class TestPatchedFactors:
-    """`row_mult` and the s = 0 path sum split each local factor once per
-    call, reading it from `multiplicity` then: a patched factor reaches
-    every row that uses it, as the per-signature oracle says, and no split
-    factor outlives the call."""
+    """`row_mult` and the s = 0 path read each local factor by its name in
+    `multiplicity` at call time and keep none past the call: a patched
+    factor reaches every row that uses it, as the per-signature oracle
+    says."""
 
     @staticmethod
     def plus_one(real):

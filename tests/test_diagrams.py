@@ -438,7 +438,7 @@ class TestMergedClasses:
             merged_classes(parse_degree("p2:3"), pairs)
 
     @pytest.mark.parametrize("pairs,message", [
-        ([(0, 2)], "pair 1,3 is not an adjacent position pair"),
+        ([(0, 2)], "pair 1,3 is not an adjacent position pair of 1..8"),
         ([(3, 2), (1, 2)], "merge pairs 2,3 and 3,4 must be disjoint"),
     ])
     def test_library_names_pairs_one_based(self, pairs, message):

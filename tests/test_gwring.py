@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gwfloor
+from gwfloor import counting
+from gwfloor.counting import default_pairs
+from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.gwring import (
     MAX_PARAMS, BetaForm, GwElem, GwMonomial, ResidualNotInSpan, beta_decompose,
-    beta_elem, beta_sym, display, equals_mod, h, one, split, split_mul, split_sum,
-    to_json_dict, unsplit,
+    beta_elem, beta_sym, display, equals_mod, h, one, split_mul, split_sum,
+    to_json_dict,
 )
-from gwfloor.multiplicity import m_a1
+from gwfloor.multiplicity import m_a1, row_mult
 
 from kummer import trace_kummer
 from oracles import beta_sym_product
@@ -285,62 +288,82 @@ elements = st.lists(st.tuples(symbols, st.integers(-9, 9)), max_size=6).map(
 
 
 def _assert_split_form(e):
-    a, x = e
+    a, x = e[0], e[1]
     assert isinstance(a, int)
     assert all(c != 0 and m & 1 == 0 for m, c in x.items()), x  # bit 0: the sign
 
 
 class TestSplit:
-    """e = a h + x with x over sign-positive classes, the form in which a
-    row's products are summed."""
+    """e = h_coeff h + x with x over sign-positive classes: the fields of a
+    GwElem, and the form in which every sum and product is taken."""
 
     @given(elements)
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, e):
-        _assert_split_form(split(e))
-        assert unsplit(split(e), 4) == e
-        assert split(e)[0] == e.coeff(GwMonomial(1, (), -1))
+        _assert_split_form(e[:2])
+        assert GwElem(*e[:2], 4) == e
+        assert e[0] == e.coeff(GwMonomial(1, (), -1))
 
     @given(elements, elements)
     @settings(max_examples=200, deadline=None)
     def test_product_is_the_ring_product(self, e1, e2):
         # against the products of the symbols, term by term
-        product = split_mul(split(e1), split(e2))
+        product = split_mul(e1[:2], e2[:2])
         _assert_split_form(product)
         expected = GwElem.from_coeffs(
             [(m1 * m2, c1 * c2) for m1, c1 in e1.terms for m2, c2 in e2.terms], 4)
-        assert unsplit(product, 4) == e1 * e2 == expected
+        assert GwElem(*product, 4) == e1 * e2 == expected
 
     @given(elements, elements, st.integers(-5, 5), st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
     def test_sum(self, e1, e2, k1, k2):
-        total = split_sum([(k1, split(e1)), (k2, split(e2))])
+        total = split_sum([(k1, e1[:2]), (k2, e2[:2])])
         _assert_split_form(total)
         expected = GwElem.from_coeffs(
             [(m, k1 * c) for m, c in e1.terms] + [(m, k2 * c) for m, c in e2.terms], 4)
-        assert unsplit(total, 4) == k1 * e1 + k2 * e2 == expected
+        assert GwElem(*total, 4) == k1 * e1 + k2 * e2 == expected
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_even_edge_factor_is_pure_h(self, m):
         # no {<1>: 0} entry is carried, so products with it stay in h
-        assert split(m_a1(m, 4)) == (m // 2, {})
-        assert split_mul(split(beta_elem(1, 4)), split(m_a1(m, 4))) == (m, {})
+        assert m_a1(m, 4)[:2] == (m // 2, {})
+        assert split_mul(beta_elem(1, 4), m_a1(m, 4)) == (m, {})
 
 
 def _assert_canonical(e):
-    assert all(c != 0 for c in e.masks.values()), e.masks
-    assert all(m & 1 == 0 or m == 1 for m in e.masks), e.masks  # <-1> the one sign-negative class
+    assert isinstance(e, GwElem)
+    _assert_split_form(e)
+    terms = dict(e.terms)  # the canonical readout
+    assert all(c != 0 for c in terms.values()), terms
+    assert all(m.sign > 0 or m == GwMonomial(1, (), -1) for m in terms), terms
+    assert terms.get(GwMonomial(1, (), -1), 0) == e.h_coeff
 
 
 class TestCanonicalForm:
-    """Every element is canonical: no zero coefficient, and no sign-negative
-    class but <-1>."""
+    """Every element is in split form, with no zero coefficient and no
+    sign-negative class in rest, and its canonical readout (`terms`) has
+    no zero coefficient and no sign-negative class but <-1>, which
+    carries h_coeff."""
 
-    @given(elements, elements, st.integers(-5, 5), st.integers(1, 4))
+    @given(elements, elements, st.integers(-5, 5), st.integers(1, 4),
+           st.tuples(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=4),
+                     st.integers(-3, 3)))
     @settings(max_examples=200, deadline=None)
-    def test_results_are_canonical(self, e1, e2, k, i):
+    def test_results_are_canonical(self, e1, e2, k, i, form):
         for e in (e1, e1 + e2, e1 * e2, k * e1, e1.substitute_square(i)):
             _assert_canonical(e)
+        c_h, cs, c_0 = form
+        _assert_canonical(BetaForm(c_h, tuple(cs), c_0).expand())
+        for l in range(len(cs) + 2):
+            _assert_canonical(beta_sym(l, len(cs)))
+
+    @pytest.mark.parametrize("spec_str", ["p2:4", "p1xp1:2,4", "bl2:4,1,1"])
+    def test_rows_are_canonical(self, spec_str):
+        # row_mult and the s = 0 fold build their GwElem from the split form
+        spec = parse_degree(spec_str)
+        _assert_canonical(counting._edge_product_sum(spec))
+        for s in range(1, n_delta(spec) // 2 + 1):
+            _assert_canonical(row_mult(counting._signature_tally(spec, default_pairs(s)), s))
 
     @given(elements, st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
@@ -348,6 +371,35 @@ class TestCanonicalForm:
         dropped = [(GwMonomial(m.int_part, tuple(j for j in m.d_subset if j != i), m.sign), c)
                    for m, c in e.terms]
         assert e.substitute_square(i) == GwElem.from_coeffs(dropped, 4)
+
+
+def _canonical_rule(e1, e2):
+    """equals_mod as the rule on the canonical readouts (`terms`): on each
+    partner pair {<m>, <2m>} the difference cancels and is even."""
+    two, a, b = GwMonomial(2, ()), dict(e1.terms), dict(e2.terms)
+    return not any((c := a.get(m, 0) - b.get(m, 0)) % 2
+                   or c + a.get(m * two, 0) - b.get(m * two, 0) for m in a.keys() | b.keys())
+
+
+# lattice vectors k (2<m> - 2<2m>), sign-negative m among them
+lattice = st.lists(st.tuples(symbols, st.integers(-3, 3)), max_size=4).map(
+    lambda vs: GwElem.from_coeffs([t for (a, I), k in vs for t in (
+        (GwMonomial.of(a, I), 2 * k), (GwMonomial.of(2 * a, I), -2 * k))], 4))
+
+
+class TestEqualsModRule:
+    """equals_mod compares h counts, then rest by partner pairs; the rule on
+    the canonical readouts that it replaces agrees with it."""
+
+    @given(elements, elements, lattice, symbols, st.integers(-4, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_against_canonical_rule(self, e, other, v, odd_symbol, k):
+        # an odd symbol, or an odd multiple of h, which shifts h_coeff alone
+        odd = [(2 * k + 1) * GwElem.symbol(*odd_symbol, 4), (2 * k + 1) * h(4)]
+        for e2, equal in ((e + v, True), (e + v + odd[0], False), (e + v + odd[1], False),
+                          (other, None)):
+            assert equals_mod(e, e2) == equals_mod(e2, e) == _canonical_rule(e, e2), (e, e2)
+            assert equal is None or equals_mod(e, e2) == equal, (e, e2)
 
 
 def _symbols(args, num_params):

@@ -270,8 +270,8 @@ def test_row_mult_reads_factors_at_least_s(monkeypatch, capsys):
 
 
 def test_patched_factor_applied_once(monkeypatch):
-    # a larger s is served from the factor's own cache, not through the
-    # module attribute, so a wrapper patched there runs once per call
+    # a factor is a plain formula: a wrapper patched over the module
+    # attribute calls the real m_a1 once, at the s it is asked for
     calls = []
     real = multiplicity.m_a1
 
