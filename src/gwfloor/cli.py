@@ -99,10 +99,13 @@ def _csv_rows(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
+def _parse_pairs(text: str | None) -> list[tuple[int, int]] | None:
     """Parse 1-based "1,2;3,4" into 0-based position pairs, unchecked
-    (`diagrams.check_pairs` checks them); ValueError, naming the chunk as
-    typed, unless each chunk is two runs of ASCII digits >= 1."""
+    (`diagrams.check_pairs` checks them), None into None; ValueError,
+    naming the chunk as typed, unless each chunk is two runs of ASCII
+    digits >= 1."""
+    if text is None:
+        return None
     pairs = []
     for chunk in text.split(";"):
         parts = [x.strip() for x in chunk.split(",")]
@@ -112,12 +115,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         a, b = map(int, parts)
         pairs.append((a - 1, b - 1))
     return pairs
-
-
-def _resolve_args_pairs(args, spec) -> tuple[tuple[int, int], ...]:
-    """The checked pairs named by --pairs and --pairs-count."""
-    pairs = _parse_pairs(args.pairs) if args.pairs is not None else None
-    return resolve_pairs(spec, args.pairs_count, pairs)
 
 
 def _strip_timing(record: dict) -> dict:
@@ -135,9 +132,8 @@ def _parse_within_budget(args):
 
 def _run_count(args) -> tuple[str, int]:
     spec = _parse_within_budget(args)
-    pairs = _resolve_args_pairs(args, spec)
     t0 = time.monotonic()
-    result = count(spec, len(pairs), pairs)
+    result = count(spec, args.pairs_count, _parse_pairs(args.pairs))
     ms = (time.monotonic() - t0) * 1000
     record = output_record(result, ms)
     if args.format == "json":
@@ -168,7 +164,7 @@ def _run_table(args) -> tuple[str, int]:
 
 def _run_enumerate(args) -> tuple[str, int]:
     spec = _parse_within_budget(args)
-    pairs = _resolve_args_pairs(args, spec)
+    pairs = resolve_pairs(spec, args.pairs_count, _parse_pairs(args.pairs))
     lines = [json.dumps({
         "positions": list(range(1, d.n + 1)),
         "colors": list(d.colors),

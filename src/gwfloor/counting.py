@@ -224,7 +224,7 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
     root, moves, _ = _state_graph(spec)
     n = n_delta(spec)
     # read at call time, so that a patched factor is used, once per weight
-    m_a1, unit = cache(lambda w: multiplicity.m_a1(w, 0)), one(0)
+    m_a1, unit = cache(multiplicity.m_a1), one()
     totals: dict = {}
     for state, kept in moves.items():
         terms = [(1, unit)] if state[0] == n else []
@@ -235,17 +235,19 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
                     term = split_mul(term, f)
             terms.append((1, term))
         totals[state] = split_sum(terms)
-    return GwElem(*totals[root], 0)
+    return GwElem(*totals[root])
 
 
-def count(spec: DegreeSpec, s: int,
+def count(spec: DegreeSpec, s: int | None,
           pair_positions: list[tuple[int, int]] | None = None) -> CountResult:
     """The s-point count of the degree, with the given pairs or the default ones.
 
-    The pairs are checked on every call (`resolve_pairs`), and more than
+    s = None stands for the number of given pairs, 0 without them.  The
+    pairs are checked on every call (`resolve_pairs`), and more than
     MAX_PARAMS of them are refused before any graph or walk; the row is
     then computed once per (degree, sorted pairs) and cached, so the
     result is shared between callers and its `total` must not be mutated.
+    Only its beta presentation is over s; the total carries the d_i alone.
     """
     pairs = resolve_pairs(spec, s, pair_positions)
     _check_params(len(pairs))
@@ -259,12 +261,12 @@ def _row(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...]) -> CountResult:
     s = len(pairs)
     if pairs:
         tally = _signature_tally(spec, pairs)
-        total = row_mult(tally, s)
+        total = row_mult(tally)
         class_count = sum(k for _, k in tally)
     else:
         # each class is one diagram, whose multiplicity is m_a1 per edge
         total, class_count = _edge_product_sum(spec), count_diagrams(spec)
-    form = beta_decompose(total)
+    form = beta_decompose(total, s)
     return CountResult(
         spec=spec, r=n - 2 * s, s=s, total=total, beta_form=form,
         rank=total.rank(),
@@ -290,23 +292,12 @@ def kontsevich(d: int) -> int:
     return total
 
 
-def _reindex_drop_last(e: GwElem, s: int) -> GwElem:
-    """View an element of GW over d_1..d_s with d_s inert as one over d_1..d_{s-1}.
-
-    Raises IndexError when d_s occurs in e; otherwise only num_params changes.
-    """
-    if any(m >> s & 1 for m in e.rest):
-        raise IndexError(f"d_{s} occurs in {e}")
-    return e._replace(num_params=s - 1)
-
-
 def verify_square_substitution(spec: DegreeSpec, s: int) -> bool:
-    """Setting d_s := 1 in the s-point count yields the (s-1)-point count."""
+    """Setting d_s := 1 in the s-point count yields the (s-1)-point count,
+    compared as they are: the substitution leaves no d_s."""
     if s == 0:
         return True
-    bigger = count(spec, s).total.substitute_square(s)
-    smaller = count(spec, s - 1).total
-    return equals_mod(_reindex_drop_last(bigger, s), smaller)
+    return equals_mod(count(spec, s).total.substitute_square(s), count(spec, s - 1).total)
 
 
 def verify_merge_invariance(spec: DegreeSpec, s: int) -> bool:

@@ -13,15 +13,17 @@ XOR.  The fixed prime order makes the prime 2 prime bit 0, so the mask
 _TWO of <2> is a constant.  GwMonomial is the readable form of a class,
 used only to build elements and to read them out.
 
-A GwElem is (h_coeff, rest, num_params), worth h_coeff h + x for x the
-sum of rest[m] <m> over sign-positive classes m with non-zero
-coefficients.  Every sum and product is taken in that split form: h<m> =
-h, so h only scales by rank, and (a h + x)(b h + y) =
-(2ab + a rank y + b rank x) h + x y (`split_mul`), x y being one XOR
-convolution that yields no sign-negative class.  The one sign rewrite,
-<-q> = h - <q>, lives in `GwElem.from_coeffs`.  The one canonical
-readout is `GwElem.terms`, where <-1> carries h_coeff and <1> rest's <1>
-plus h_coeff; elements print in it, and `equals_mod` applies its rule.
+A GwElem is (h_coeff, rest), worth h_coeff h + x for x the sum of
+rest[m] <m> over sign-positive classes m with non-zero coefficients.
+It involves only the d_i that it carries, so it has no s: only the
+beta presentation of a row depends on s (`beta_decompose(e, s)`).
+Every sum and product is taken in that split form: h<m> = h, so h only
+scales by rank, and (a h + x)(b h + y) = (2ab + a rank y + b rank x) h
++ x y (`split_mul`), x y being one XOR convolution that yields no
+sign-negative class.  The one sign rewrite, <-q> = h - <q>, lives in
+`GwElem.from_coeffs`.  The one canonical readout is `GwElem.terms`,
+where <-1> carries h_coeff and <1> rest's <1> plus h_coeff; elements
+print in it, and `equals_mod` applies its rule.
 
 The basis element beta^{(l)}_s, the l-th elementary symmetric polynomial
 in beta_i = <2> + <2 d_i>, is built in closed form (`beta_sym`): the
@@ -47,6 +49,7 @@ class ResidualNotInSpan(Exception):
 MAX_PARAMS = 32                   # d bits 1..MAX_PARAMS of a mask
 _PRIME_SHIFT = MAX_PARAMS + 1     # bit of the prime 2
 _NEG, _TWO = 1, 1 << _PRIME_SHIFT  # masks of <-1> and <2>
+_D_BITS = _TWO - 2                # d bits of a mask
 _PRIMES = [2]                     # ascending primes found so far
 _PRIME_LIMIT = 1 << 20            # _PRIMES is not extended past this
 
@@ -125,10 +128,6 @@ class GwMonomial(namedtuple("GwMonomial", "int_part d_subset sign")):
         return f"<{body}{tail}>"
 
 
-_ONE = GwMonomial(1, ())
-_MINUS_ONE = GwMonomial(1, (), -1)
-
-
 @lru_cache(maxsize=None)
 def _mask(m: GwMonomial) -> int:
     mask = sum(1 << i for i in m.d_subset) | (_NEG if m.sign < 0 else 0)
@@ -146,34 +145,36 @@ def _check_params(num_params: int) -> None:
         raise ValueError(f"num_params {num_params} outside 0..{MAX_PARAMS}")
 
 
-class GwElem(namedtuple("GwElem", "h_coeff rest num_params")):
+def _check_point(i: int) -> None:
+    if not 1 <= i <= MAX_PARAMS:
+        raise IndexError(f"point index {i} out of range 1..{MAX_PARAMS}")
+
+
+class GwElem(namedtuple("GwElem", "h_coeff rest")):
     """h_coeff h + sum rest[m] <m>: rest, never mutated, maps sign-positive
     class masks to non-zero coefficients.  Equal by fields; unhashable."""
 
     __slots__ = ()
 
     @staticmethod
-    def from_coeffs(coeffs: Mapping[GwMonomial, int] | Iterable[tuple[GwMonomial, int]],
-                    num_params: int) -> "GwElem":
-        _check_params(num_params)
+    def from_coeffs(coeffs: Mapping[GwMonomial, int] | Iterable[tuple[GwMonomial, int]]
+                    ) -> "GwElem":
         a, x = 0, {}  # split form a h + x
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for m, c in items:
-            if m.d_subset and m.d_subset[-1] > num_params:
-                raise IndexError(f"{m} has a d index outside 1..{num_params}")
             k = _mask(m)
             if k & _NEG:  # <-q> = h - <q>, <-1> = h - <1> among them
                 a, k, c = a + c, k ^ _NEG, -c
             x[k] = x.get(k, 0) + c
-        return GwElem(a, {k: c for k, c in x.items() if c}, num_params)
+        return GwElem(a, {k: c for k, c in x.items() if c})
 
     @staticmethod
-    def zero(num_params: int = 0) -> "GwElem":
-        return GwElem.from_coeffs((), num_params)
+    def zero() -> "GwElem":
+        return GwElem(0, {})
 
     @staticmethod
-    def symbol(a: int, d_subset: Iterable[int] = (), num_params: int = 0) -> "GwElem":
-        return GwElem.from_coeffs({GwMonomial.of(a, d_subset): 1}, num_params)
+    def symbol(a: int, d_subset: Iterable[int] = ()) -> "GwElem":
+        return GwElem.from_coeffs({GwMonomial.of(a, d_subset): 1})
 
     @property
     def terms(self) -> tuple[tuple[GwMonomial, int], ...]:
@@ -189,13 +190,8 @@ class GwElem(namedtuple("GwElem", "h_coeff rest num_params")):
     def is_zero(self) -> bool:
         return not (self.h_coeff or self.rest)
 
-    def _binop(self, other: "GwElem"):
-        if self.num_params != other.num_params:
-            raise ValueError(f"mismatched num_params {self.num_params} != {other.num_params}")
-
     def __add__(self, other: "GwElem") -> "GwElem":
-        self._binop(other)
-        return GwElem(*split_sum([(1, self), (1, other)]), self.num_params)
+        return GwElem(*split_sum([(1, self), (1, other)]))
 
     def __neg__(self) -> "GwElem":
         return self * -1
@@ -205,9 +201,8 @@ class GwElem(namedtuple("GwElem", "h_coeff rest num_params")):
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GwElem(*split_sum([(other, self)]), self.num_params)
-        self._binop(other)
-        return GwElem(*split_mul(self, other), self.num_params)
+            return GwElem(*split_sum([(other, self)]))
+        return GwElem(*split_mul(self, other))
 
     __rmul__ = __mul__
 
@@ -218,18 +213,17 @@ class GwElem(namedtuple("GwElem", "h_coeff rest num_params")):
         total = 0  # h has signature 0
         for m, c in self.rest.items():
             v = 1
-            for i in range(1, self.num_params + 1):
+            for i in range(1, (m & _D_BITS).bit_length()):
                 if m >> i & 1:
                     v *= signs[i]
             total += c * v
         return total
 
     def substitute_square(self, i: int) -> "GwElem":
-        """Set d_i := 1 (drop i from every subset); num_params unchanged."""
-        if not (1 <= i <= self.num_params):
-            raise IndexError(f"parameter index {i} out of range 1..{self.num_params}")
+        """Set d_i := 1 (drop i from every subset)."""
+        _check_point(i)
         dropped = [(c, (0, {m & ~(1 << i): 1})) for m, c in self.rest.items()]
-        return GwElem(*split_sum([(1, (self.h_coeff, {}))] + dropped), self.num_params)
+        return GwElem(*split_sum([(1, (self.h_coeff, {}))] + dropped))
 
     def __str__(self):
         if self.is_zero():
@@ -247,15 +241,13 @@ class GwElem(namedtuple("GwElem", "h_coeff rest num_params")):
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
-def h(num_params: int = 0) -> GwElem:
+def h() -> GwElem:
     """The hyperbolic form <1> + <-1>."""
-    return GwElem.from_coeffs({_ONE: 1, _MINUS_ONE: 1}, num_params)
+    return GwElem(1, {})
 
 
-@lru_cache(maxsize=None)
-def one(num_params: int = 0) -> GwElem:
-    return GwElem.from_coeffs({_ONE: 1}, num_params)
+def one() -> GwElem:
+    return GwElem(0, {0: 1})
 
 
 def split_mul(e1: tuple, e2: tuple) -> tuple[int, dict[int, int]]:
@@ -291,7 +283,6 @@ def equals_mod(e1: GwElem, e2: GwElem) -> bool:
     by (2, -2), so a difference vector lies in it iff the pair
     coefficients cancel and are even.
     """
-    e1._binop(e2)
     if e1.h_coeff != e2.h_coeff:
         return False
     a, b = e1.rest, e2.rest
@@ -312,16 +303,14 @@ class BetaForm(namedtuple("BetaForm", "h_coeff beta_coeffs one_coeff")):
         s = len(self.beta_coeffs)
         _check_params(s)
         return GwElem(*split_sum([(self.h_coeff, (1, {})), (self.one_coeff, (0, {0: 1}))] + [
-            (c, beta_sym(l, s)) for l, c in enumerate(self.beta_coeffs, start=1) if c]), s)
+            (c, beta_sym(l, s)) for l, c in enumerate(self.beta_coeffs, start=1) if c]))
 
 
 @lru_cache(maxsize=None)
-def beta_elem(i: int, num_params: int) -> GwElem:
+def beta_elem(i: int) -> GwElem:
     """beta_i = <2> + <2 d_i>."""
-    if not 1 <= i <= num_params:
-        raise IndexError(f"point index {i} out of range 1..{num_params}")
-    return GwElem.from_coeffs(
-        {GwMonomial(2, ()): 1, GwMonomial(2, (i,)): 1}, num_params)
+    _check_point(i)
+    return GwElem.from_coeffs({GwMonomial(2, ()): 1, GwMonomial(2, (i,)): 1})
 
 
 @lru_cache(maxsize=None)
@@ -338,20 +327,21 @@ def beta_sym(l: int, num_params: int) -> GwElem:
         c = math.comb(num_params - k, l - k)
         for K in itertools.combinations(range(1, num_params + 1), k):
             masks[sum(1 << i for i in K) | two] = c
-    return GwElem(0, masks, num_params)
+    return GwElem(0, masks)
 
 
-def beta_decompose(e: GwElem) -> BetaForm:
-    """Solve e = c_h h + sum c_l beta^{(l)} + c_0 <1> modulo the two-shift lattice.
+def beta_decompose(e: GwElem, s: int) -> BetaForm:
+    """Solve e = c_h h + sum c_l beta^{(l)}_s + c_0 <1> modulo the two-shift lattice.
 
     The system is triangular in decreasing d-subset size: the only beta
     term hitting monomials with |subset| = l after the larger ones are
     peeled off is c_l * <2^{l mod 2} prod_{i in K} d_i> with K the subset
     itself.  It is solved on a copy of e's rest, from which each
     c_l beta^{(l)} is subtracted in place; h_coeff is e's.  Raises
-    ResidualNotInSpan when no presentation exists.
+    ResidualNotInSpan when no presentation exists, as when e carries a
+    d_i with i > s.
     """
-    s = e.num_params
+    _check_params(s)
     masks = dict(e.rest)  # the remainder, solved in place
     cs = [0] * (s + 1)  # cs[l] for l = 1..s
     for l in range(s, 0, -1):
@@ -375,8 +365,8 @@ def beta_decompose(e: GwElem) -> BetaForm:
             for m, c in beta_sym(l, s).rest.items():
                 masks[m] = masks.get(m, 0) - value * c
     one_coeff = masks.get(0, 0) + masks.get(_TWO, 0)
-    remainder = GwElem(*split_sum([(1, (e.h_coeff, masks))]), s)
-    candidate = GwElem(*split_sum([(1, (e.h_coeff, {0: one_coeff}))]), s)
+    remainder = GwElem(*split_sum([(1, (e.h_coeff, masks))]))
+    candidate = GwElem(*split_sum([(1, (e.h_coeff, {0: one_coeff}))]))
     if not equals_mod(remainder, candidate):
         raise ResidualNotInSpan(
             f"residual {remainder - candidate} not in the two-shift lattice")

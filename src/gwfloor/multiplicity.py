@@ -1,6 +1,6 @@
 """Local quadratic multiplicity contributions and their assembly.
 
-Every factor is a GwElem over the formal parameters d_1, ..., d_s:
+Every factor is a GwElem in the d_i of the points that it carries:
 
 * m_a1(m)            -- a bounded edge of weight m (one factor per edge),
 * twin_edge_mult     -- a twin elevator pair carrying the point q_i,
@@ -16,10 +16,7 @@ per edge as the pairs of the one label that absorbs it, so that
 `row_signature` reads the signature of every row within a cover from
 one class's labels.  `row_mult` sums a row with pairs over its
 signatures in split form (see `gwring`); `counting` sums the row without
-pairs from m_a1 over the state graph.  The fields of a factor but its
-num_params do not depend on s, so `row_mult` reads each at its least s (0 for m_a1, the
-point index for gamma and beta_elem, the tree's last point for the
-twin-tree factor), and only the row's sum is put over its s.
+pairs from m_a1 over the state graph.
 """
 
 from __future__ import annotations
@@ -28,40 +25,38 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache, reduce
 
-from .gwring import GwElem, beta_elem, h, one, split_mul, split_sum
+from .gwring import GwElem, _check_point, beta_elem, h, one, split_mul, split_sum
 
 
 @lru_cache(maxsize=None)
-def m_a1(m: int, num_params: int) -> GwElem:
+def m_a1(m: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
     if m % 2 == 1:
-        return GwElem.symbol(m, (), num_params) + ((m - 1) // 2) * h(num_params)
-    return (m // 2) * h(num_params)
+        return GwElem.symbol(m) + ((m - 1) // 2) * h()
+    return (m // 2) * h()
 
 
-def twin_edge_mult(m: int, i: int, num_params: int) -> GwElem:
+def twin_edge_mult(m: int, i: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
-    if not (1 <= i <= num_params):
-        raise IndexError(f"point index {i} out of range 1..{num_params}")
-    anisotropic = one(num_params) + GwElem.symbol(-1, (i,), num_params)  # <1> + <-d_i>
-    hyper = ((m ** 4 - m * m) // 2) * h(num_params)
+    _check_point(i)
+    anisotropic = one() + GwElem.symbol(-1, (i,))  # <1> + <-d_i>
+    hyper = ((m ** 4 - m * m) // 2) * h()
     if m % 2 == 1:
-        return one(num_params) + ((m * m - 1) // 2) * anisotropic + hyper
+        return one() + ((m * m - 1) // 2) * anisotropic + hyper
     return (m * m // 2) * anisotropic + hyper
 
 
 @lru_cache(maxsize=None)
-def gamma(m: int, i: int, num_params: int) -> GwElem:
+def gamma(m: int, i: int) -> GwElem:
     if m < 1:
         raise ValueError("edge weight must be positive")
-    if not (1 <= i <= num_params):
-        raise IndexError(f"point index {i} out of range 1..{num_params}")
+    _check_point(i)
     if m % 2 == 0:
-        return (m * m // 2) * h(num_params)
-    two_part = GwElem.symbol(2, (), num_params) + GwElem.symbol(-2, (i,), num_params)
-    return one(num_params) + ((m - 1) // 2) * two_part + (m * (m - 1) // 2) * h(num_params)
+        return (m * m // 2) * h()
+    two_part = GwElem.symbol(2) + GwElem.symbol(-2, (i,))
+    return one() + ((m - 1) // 2) * two_part + (m * (m - 1) // 2) * h()
 
 
 class TwinTreeSummary(namedtuple(
@@ -99,17 +94,17 @@ class TwinTreeSummary(namedtuple(
 
 
 @lru_cache(maxsize=None)
-def twin_tree_mult(tree: TwinTreeSummary, num_params: int) -> GwElem:
-    total = one(num_params)
+def twin_tree_mult(tree: TwinTreeSummary) -> GwElem:
+    total = one()
     for m, i in tree.elevator_marks:
-        total = total * twin_edge_mult(m, i, num_params)
+        total = total * twin_edge_mult(m, i)
     t = tree.t
-    total = total * GwElem.symbol(2 ** (t - 1), (), num_params)
+    total = total * GwElem.symbol(2 ** (t - 1))
     parity = tree.m_circ % 2
-    subset_sum = GwElem.zero(num_params)
+    subset_sum = GwElem.zero()
     for k in range(parity, t + 1, 2):
         for I in itertools.combinations(tree.point_indices, k):
-            subset_sum = subset_sum + GwElem.symbol(1, I, num_params)
+            subset_sum = subset_sum + GwElem.symbol(1, I)
     return total * subset_sum
 
 
@@ -125,28 +120,28 @@ def row_signature(classification, twin_trees, weights, masks, row: int) -> tuple
                                               if mask & row != mask])
 
 
-def row_mult(tally, num_params: int) -> GwElem:
+def row_mult(tally) -> GwElem:
     """Total quadratic multiplicity of a row, from its (signature, number of
     classes) tally: per weight tuple the product of m_a1, per label part
     (twin trees, classification) the sum of those products times its
     twin-tree, gamma (type-A pair) and beta (free double point) factors.
-    Each factor is read at its least s, by its name in this module at call
-    time, so a patched one is used; edge factors equal to <1> are left out.
+    Each factor is read by its name in this module at call time, so a
+    patched one is used; edge factors equal to <1> are left out.
     """
-    unit = one(0)
+    unit = one()
     edges, parts = {}, {}  # per weight tuple its product; per label part its terms
     for (twin_trees, classification, weights), k in tally:
         if weights not in edges:
-            kept = [f for w in weights if (f := m_a1(w, 0)) != unit]
+            kept = [f for w in weights if (f := m_a1(w)) != unit]
             edges[weights] = reduce(split_mul, kept, unit)
         parts.setdefault((twin_trees, classification), []).append((k, edges[weights]))
     terms = []
     for (twin_trees, classification), edge_terms in parts.items():
-        labels = [twin_tree_mult(tree, tree.point_indices[-1]) for tree in twin_trees]
+        labels = [twin_tree_mult(tree) for tree in twin_trees]
         for idx, label in enumerate(classification):
             if label[0] == "type_a":
-                labels.append(gamma(label[1], idx + 1, idx + 1))
+                labels.append(gamma(label[1], idx + 1))
             elif label[0] == "free":
-                labels.append(beta_elem(idx + 1, idx + 1))
+                labels.append(beta_elem(idx + 1))
         terms.append((1, reduce(split_mul, labels, split_sum(edge_terms))))
-    return GwElem(*split_sum(terms), num_params)
+    return GwElem(*split_sum(terms))

@@ -9,7 +9,7 @@ multiplicity.m_a1 with it.
 from gwfloor.gwring import GwElem, GwMonomial, h
 
 
-def trace_kummer(m: int, d: GwMonomial, which: str, num_params: int = 0) -> GwElem:
+def trace_kummer(m: int, d: GwMonomial, which: str) -> GwElem:
     """Closed forms of the trace of <1> resp. <x> from L[x]/(x^m - d) to L."""
     if m < 1:
         raise ValueError("m must be positive")
@@ -18,10 +18,10 @@ def trace_kummer(m: int, d: GwMonomial, which: str, num_params: int = 0) -> GwEl
     md = GwMonomial.of(m) * d
     if which == "unit":
         if m % 2 == 1:
-            return GwElem.from_coeffs({GwMonomial.of(m): 1}, num_params) + \
-                ((m - 1) // 2) * h(num_params)
-        return GwElem.from_coeffs({GwMonomial.of(m): 1, md: 1}, num_params) + \
-            ((m - 2) // 2) * h(num_params)
+            return GwElem.from_coeffs({GwMonomial.of(m): 1}) + \
+                ((m - 1) // 2) * h()
+        return GwElem.from_coeffs({GwMonomial.of(m): 1, md: 1}) + \
+            ((m - 2) // 2) * h()
     if m % 2 == 1:
-        return GwElem.from_coeffs({md: 1}, num_params) + ((m - 1) // 2) * h(num_params)
-    return (m // 2) * h(num_params)
+        return GwElem.from_coeffs({md: 1}) + ((m - 1) // 2) * h()
+    return (m // 2) * h()

@@ -134,13 +134,13 @@ def complex_mult(d: FloorDiagram) -> int:
     return math.prod(w for _, _, w in d.edges)
 
 
-def edge_mult(m: int, num_params: int = 0) -> GwElem:
+def edge_mult(m: int) -> GwElem:
     """A whole non-twin bounded elevator of weight m, = m_a1(m)^2."""
     if m < 1:
         raise ValueError("edge weight must be positive")
     if m % 2 == 1:
-        return one(num_params) + ((m * m - 1) // 2) * h(num_params)
-    return (m * m // 2) * h(num_params)
+        return one() + ((m * m - 1) // 2) * h()
+    return (m * m // 2) * h()
 
 
 def signature(d: FloorDiagram, pairs, classification, twin_trees) -> tuple:
@@ -150,7 +150,7 @@ def signature(d: FloorDiagram, pairs, classification, twin_trees) -> tuple:
                          (1 << len(pairs)) - 1)
 
 
-def signature_mult(sig: tuple, num_params: int) -> GwElem:
+def signature_mult(sig: tuple) -> GwElem:
     """Total quadratic multiplicity of the merged diagrams with this signature.
 
     Product of twin-tree factors, gamma factors for type-A pairs (a floor
@@ -159,16 +159,16 @@ def signature_mult(sig: tuple, num_params: int) -> GwElem:
     from `multiplicity` at call time, so that a patched factor is used.
     """
     twin_trees, classification, weights = sig
-    total = one(num_params)
+    total = one()
     for tree in twin_trees:
-        total = total * multiplicity.twin_tree_mult(tree, num_params)
+        total = total * multiplicity.twin_tree_mult(tree)
     for idx, label in enumerate(classification):
         if label[0] == "type_a":
-            total = total * multiplicity.gamma(label[1], idx + 1, num_params)
+            total = total * multiplicity.gamma(label[1], idx + 1)
         elif label[0] == "free":
-            total = total * multiplicity.beta_elem(idx + 1, num_params)
+            total = total * multiplicity.beta_elem(idx + 1)
     for w in weights:
-        total = total * multiplicity.m_a1(w, num_params)
+        total = total * multiplicity.m_a1(w)
     return total
 
 
@@ -180,7 +180,7 @@ def witt_compare(spec1: DegreeSpec, spec2: DegreeSpec, s: int) -> GwElem:
     """
     diff = count(spec1, s).total - count(spec2, s).total
     n = diff.coeff(GwMonomial(1, (), -1))
-    return diff - n * h(s)
+    return diff - n * h()
 
 
 def beta_form_from_signatures(rank: int, welschinger) -> tuple[int, tuple[int, ...], int]:
@@ -211,13 +211,13 @@ def beta_form_from_signatures(rank: int, welschinger) -> tuple[int, tuple[int, .
     return h_coeff, tuple(cs), c0
 
 
-def beta_sym_product(l: int, num_params: int) -> GwElem:
-    """beta^{(l)} over s = num_params parameters by its definition: the sum
-    over the l-sets J of 1..s of the product of beta_i over J."""
-    total = GwElem.zero(num_params)
-    for J in itertools.combinations(range(1, num_params + 1), l):
-        prod = one(num_params)
+def beta_sym_product(l: int, s: int) -> GwElem:
+    """beta^{(l)} over s parameters by its definition: the sum over the
+    l-sets J of 1..s of the product of beta_i over J."""
+    total = GwElem.zero()
+    for J in itertools.combinations(range(1, s + 1), l):
+        prod = one()
         for i in J:
-            prod = prod * beta_elem(i, num_params)
+            prod = prod * beta_elem(i)
         total = total + prod
     return total

@@ -406,19 +406,19 @@ CLASSIFY_MUTANTS = {
 
 def _gamma_classes_swapped(gamma):
     # <2> + <-2 d_i> in the odd-weight factor becomes <-2> + <2 d_i>
-    def mutant(m, i, num_params):
+    def mutant(m, i):
         def sym(a, d=()):
-            return GwElem.symbol(a, d, num_params)
+            return GwElem.symbol(a, d)
         wrong = sym(-2) + sym(2, (i,)) - sym(2) - sym(-2, (i,))
-        return gamma(m, i, num_params) + (m % 2) * ((m - 1) // 2) * wrong
+        return gamma(m, i) + (m % 2) * ((m - 1) // 2) * wrong
     return mutant
 
 
 def _twin_parity_flipped(twin_tree_mult):
     # one more unbounded twin elevator flips the parity of m_circ
-    def mutant(tree, num_params):
+    def mutant(tree):
         flipped = tree._replace(unbounded_twin_elevators=tree.unbounded_twin_elevators + 1)
-        return twin_tree_mult(flipped, num_params)
+        return twin_tree_mult(flipped)
     return mutant
 
 
@@ -431,16 +431,16 @@ LOCAL_FACTOR_MUTANTS = {
 
 def _twin_edge_sign_flipped(twin_edge_mult):
     # <1> + <d_i> in place of the anisotropic <1> + <-d_i>
-    def mutant(m, i, num_params):
-        wrong = GwElem.symbol(1, (i,), num_params) - GwElem.symbol(-1, (i,), num_params)
-        return twin_edge_mult(m, i, num_params) + (m * m // 2) * wrong
+    def mutant(m, i):
+        wrong = GwElem.symbol(1, (i,)) - GwElem.symbol(-1, (i,))
+        return twin_edge_mult(m, i) + (m * m // 2) * wrong
     return mutant
 
 
 def _m_a1_four_off_by_one(m_a1):
-    def mutant(m, num_params):
-        real = m_a1(m, num_params)
-        return real + GwElem.symbol(1, (), num_params) if m == 4 else real
+    def mutant(m):
+        real = m_a1(m)
+        return real + GwElem.symbol(1, ()) if m == 4 else real
     return mutant
 
 
@@ -538,8 +538,8 @@ class TestVerify:
         import gwfloor.multiplicity as mult
         real_gamma = mult.gamma
 
-        def broken_gamma(m, i, num_params):
-            return real_gamma(m + 1, i, num_params)
+        def broken_gamma(m, i):
+            return real_gamma(m + 1, i)
 
         monkeypatch.setattr(mult, "gamma", broken_gamma)
         from gwfloor.counting import verify_rank_and_signatures

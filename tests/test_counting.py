@@ -14,8 +14,7 @@ import gwfloor.diagrams as diagrams_module
 import gwfloor.multiplicity as multiplicity
 from gwfloor.cli import main
 from gwfloor.counting import (
-    OrbitWeightError, _disjoint_adjacent_pairs, _reindex_drop_last, _signature_tally, count,
-    default_pairs,
+    OrbitWeightError, _disjoint_adjacent_pairs, _signature_tally, count, default_pairs,
     kontsevich, merged_classes, verify_merge_invariance, verify_rank_and_signatures,
     verify_square_substitution,
 )
@@ -53,7 +52,7 @@ class TestKontsevich:
 class TestCount:
     def test_one_line(self):
         res = count(parse_degree("p2:1"), 0)
-        assert res.total == one(0)
+        assert res.total == one()
         assert res.class_count == 1
 
     def test_cubic_three_pairs(self):
@@ -86,9 +85,9 @@ class TestCount:
         spec = parse_degree(spec_str)
         for s in range(n_delta(spec) // 2 + 1):
             pairs = default_pairs(s)
-            per_class = GwElem.zero(s)
+            per_class = GwElem.zero()
             for d, labels in merged_classes(spec, pairs):
-                per_class = per_class + signature_mult(signature(d, pairs, *labels), s)
+                per_class = per_class + signature_mult(signature(d, pairs, *labels))
             assert count(spec, s).total == per_class, s
 
     def test_signatures_fewer_than_classes(self):
@@ -109,7 +108,7 @@ class TestPatchedFactors:
 
     @staticmethod
     def plus_one(real):
-        return lambda *args: real(*args) + one(args[-1])
+        return lambda *args: real(*args) + one()
 
     @pytest.mark.parametrize("name,label", [
         ("m_a1", None), ("gamma", "type_a"), ("twin_tree_mult", "twin"), ("beta_elem", "free"),
@@ -117,16 +116,16 @@ class TestPatchedFactors:
     def test_rows_with_pairs(self, name, label, monkeypatch):
         spec = parse_degree("p2:4")
         tallies = [_signature_tally(spec, default_pairs(s)) for s in range(1, 6)]
-        before = [row_mult(tally, s) for s, tally in enumerate(tallies, start=1)]
+        before = [row_mult(tally) for tally in tallies]
         monkeypatch.setattr(multiplicity, name, self.plus_one(getattr(multiplicity, name)))
         clear_count_caches()
         try:
             changed = 0
             for s, tally in enumerate(tallies, start=1):
-                patched = row_mult(tally, s)
-                oracle = GwElem.zero(s)
+                patched = row_mult(tally)
+                oracle = GwElem.zero()
                 for sig, k in tally:
-                    oracle = oracle + k * signature_mult(sig, s)
+                    oracle = oracle + k * signature_mult(sig)
                 assert patched == oracle, (name, s)
                 uses = label is None or any(c[0] == label for (_, labels, _), _ in tally
                                             for c in labels)
@@ -143,9 +142,9 @@ class TestPatchedFactors:
         monkeypatch.setattr(multiplicity, "m_a1", self.plus_one(multiplicity.m_a1))
         try:
             patched = counting._edge_product_sum(spec)
-            oracle = GwElem.zero(0)
+            oracle = GwElem.zero()
             for d in enumerate_diagrams(spec):
-                oracle = oracle + signature_mult(((), (), [w for _, _, w in d.edges]), 0)
+                oracle = oracle + signature_mult(((), (), [w for _, _, w in d.edges]))
             assert patched == oracle != before
         finally:
             clear_count_caches()
@@ -167,13 +166,13 @@ class TestOrbitWeights:
         diagrams = enumerate_diagrams(spec)
         for s in range(1, n_delta(spec) // 2 + 1):
             pairs = default_pairs(s)
-            total, weight_sum = GwElem.zero(s), 0
+            total, weight_sum = GwElem.zero(), 0
             for d in diagrams:
                 joined = {(u, v) for u, v, _ in d.edges}
                 labels = classify(d, pairs)
                 v = sum(pair not in joined for pair in pairs)
                 w = 2 ** (s - v + len(labels.twin_trees))
-                total = total + w * signature_mult(signature(d, pairs, *labels), s)
+                total = total + w * signature_mult(signature(d, pairs, *labels))
                 weight_sum += w
             res = count(spec, s)
             assert total == 2 ** s * res.total, s
@@ -626,12 +625,12 @@ class TestRowWithoutPairs:
     def test_sum_over_diagrams(self, spec_str):
         spec = parse_degree(spec_str)
         diagrams = enumerate_diagrams(spec)
-        expected = GwElem.zero(0)
+        expected = GwElem.zero()
         for weights, k in Counter(tuple(sorted(w for _, _, w in d.edges))
                                   for d in diagrams).items():
-            product = one(0)
+            product = one()
             for w in weights:
-                product = product * m_a1(w, 0)
+                product = product * m_a1(w)
             expected = expected + k * product
         res = count(spec, 0)
         assert res.total == expected
@@ -714,12 +713,6 @@ class TestSquareSubstitution:
     def test_vacuous_at_zero(self):
         assert verify_square_substitution(parse_degree("p2:2"), 0)
 
-    def test_reindex_requires_inert_last_parameter(self):
-        assert _reindex_drop_last(GwElem.symbol(3, (1,), 2), 2) == \
-            GwElem.symbol(3, (1,), 1)
-        with pytest.raises(IndexError):
-            _reindex_drop_last(GwElem.symbol(3, (1, 2), 2), 2)
-
 
 class TestMergeInvariance:
     def test_cubic_single_pair_all_positions(self):
@@ -783,7 +776,7 @@ class TestWittComparison:
             diff = witt_compare(s1, s2, s)
             mult = r1.beta_form.one_coeff - r2.beta_form.one_coeff
             assert mult == -16
-            assert equals_mod(diff, mult * one(s))
+            assert equals_mod(diff, mult * one())
 
     def test_cubic_vs_quadric(self):
         s1, s2 = parse_degree("p2:3"), parse_degree("p1xp1:2,2")

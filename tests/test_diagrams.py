@@ -576,6 +576,6 @@ class TestClassSoundness:
         complex_total = sum(complex_mult(d) for d in diagrams)
         for s in range(n_delta(spec) // 2 + 1):
             pairs = default_pairs(s)
-            total_rank = sum(signature_mult(signature(d, pairs, *m), s).rank()
+            total_rank = sum(signature_mult(signature(d, pairs, *m)).rank()
                              for d, m in merged_classes(spec, pairs))
             assert total_rank == complex_total

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import subprocess
 import sys
@@ -23,8 +24,8 @@ from kummer import trace_kummer
 from oracles import beta_sym_product
 
 
-def sym(a, ds=(), s=0):
-    return GwElem.symbol(a, ds, s)
+def sym(a, ds=()):
+    return GwElem.symbol(a, ds)
 
 
 class TestMonomial:
@@ -51,8 +52,8 @@ class TestRingOps:
     def test_hyperbolic_absorption(self):
         # <m> * h = h for any symbol
         for q, ds in [(1, ()), (2, ()), (3, (1,)), (6, (1, 2))]:
-            assert sym(q, ds, 2) * h(2) == h(2)
-            assert sym(-q, ds, 2) * h(2) == h(2)
+            assert sym(q, ds) * h() == h()
+            assert sym(-q, ds) * h() == h()
 
     def test_h_squared(self):
         assert h() * h() == 2 * h()
@@ -64,118 +65,111 @@ class TestRingOps:
 
     def test_negative_canonicalization(self):
         # <m> + <-m> collapses to h exactly
-        e = sym(5, (1,), 1) + sym(-5, (1,), 1)
-        assert e == h(1)
-
-    def test_mismatched_params_rejected(self):
-        with pytest.raises(ValueError):
-            sym(1, (), 1) + sym(1, (), 2)
-        with pytest.raises(ValueError):
-            sym(1, (), 1) * sym(1, (), 2)
-        with pytest.raises(ValueError):
-            equals_mod(one(1), one(2))
+        e = sym(5, (1,)) + sym(-5, (1,))
+        assert e == h()
 
 
 class TestRankSignature:
     def test_rank_examples(self):
         assert h().rank() == 2
-        e = 2 * h(3) + beta_sym(1, 3) + 2 * one(3)
+        e = 2 * h() + beta_sym(1, 3) + 2 * one()
         assert e.rank() == 12
-        e = 190 * h(5) + beta_sym(3, 5) + 2 * beta_sym(2, 5) + 8 * beta_sym(1, 5)
+        e = 190 * h() + beta_sym(3, 5) + 2 * beta_sym(2, 5) + 8 * beta_sym(1, 5)
         assert e.rank() == 620
 
     def test_signature_examples(self):
         assert h().signature({}) == 0
-        e = 2 * h(3) + beta_sym(1, 3) + 2 * one(3)
+        e = 2 * h() + beta_sym(1, 3) + 2 * one()
         assert e.signature({1: -1, 2: -1, 3: -1}) == 2
-        e = 2 * h(1) + beta_sym(1, 1) + 6 * one(1)
+        e = 2 * h() + beta_sym(1, 1) + 6 * one()
         assert e.signature({1: 1}) == 8
 
     @given(st.integers(1, 10), st.integers(1, 10), st.booleans())
     @settings(max_examples=50)
     def test_homomorphisms(self, q1, q2, flip):
         signs = {1: -1 if flip else 1, 2: 1}
-        e1 = sym(q1, (1,), 2) + 2 * h(2)
-        e2 = sym(q2, (2,), 2) - one(2)
+        e1 = sym(q1, (1,)) + 2 * h()
+        e2 = sym(q2, (2,)) - one()
         assert (e1 * e2).rank() == e1.rank() * e2.rank()
         assert (e1 * e2).signature(signs) == e1.signature(signs) * e2.signature(signs)
 
     def test_signature_constant_on_two_shift_classes(self):
         signs = {1: -1}
-        assert (2 * sym(3, (1,), 1)).signature(signs) == \
-            (2 * sym(6, (1,), 1)).signature(signs)
+        assert (2 * sym(3, (1,))).signature(signs) == \
+            (2 * sym(6, (1,))).signature(signs)
 
 
 class TestSubstituteSquare:
     def test_beta_becomes_two_twos(self):
-        b = beta_elem(1, 1)
-        assert b.substitute_square(1) == 2 * sym(2, (), 1)
+        b = beta_elem(1)
+        assert b.substitute_square(1) == 2 * sym(2)
 
     def test_gamma_case(self):
         # gamma(3, d1) with d1 := 1 collapses to <1> + 4h exactly
-        g = one(1) + (sym(2, (), 1) + sym(-2, (1,), 1)) + 3 * h(1)
-        assert g.substitute_square(1) == one(1) + 4 * h(1)
+        g = one() + (sym(2) + sym(-2, (1,))) + 3 * h()
+        assert g.substitute_square(1) == one() + 4 * h()
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            one(1).substitute_square(2)
+        for i in (0, MAX_PARAMS + 1):
+            with pytest.raises(IndexError):
+                one().substitute_square(i)
 
 
 class TestEqualsBeyondCanonical:
     def test_two_shift_instances(self):
-        assert equals_mod(2 * one(0), 2 * sym(2))
-        d = sym(-1, (1,), 1)
-        assert equals_mod(2 * (one(1) + d), 2 * (sym(2, (), 1) + sym(-2, (1,), 1)))
+        assert equals_mod(2 * one(), 2 * sym(2))
+        d = sym(-1, (1,))
+        assert equals_mod(2 * (one() + d), 2 * (sym(2) + sym(-2, (1,))))
 
     def test_generic_forms_differ(self):
-        e1 = one(1) + sym(1, (1,), 1)
-        e2 = sym(2, (), 1) + sym(2, (1,), 1)
+        e1 = one() + sym(1, (1,))
+        e2 = sym(2) + sym(2, (1,))
         assert e1.rank() == e2.rank()
         assert e1.signature({1: 1}) == e2.signature({1: 1})
         assert not equals_mod(e1, e2)
 
     def test_odd_multiple_not_equal(self):
-        assert not equals_mod(one(0), sym(2))
-        assert not equals_mod(3 * one(0), 3 * sym(2))
+        assert not equals_mod(one(), sym(2))
+        assert not equals_mod(3 * one(), 3 * sym(2))
 
 
 class TestBetaDecompose:
     def test_trivial(self):
-        assert beta_decompose(one(0)) == BetaForm(0, (), 1)
+        assert beta_decompose(one(), 0) == BetaForm(0, (), 1)
 
     def test_cubic_row(self):
-        e = 2 * h(1) + beta_elem(1, 1) + 6 * one(1)
-        assert beta_decompose(e) == BetaForm(2, (1,), 6)
+        e = 2 * h() + beta_elem(1) + 6 * one()
+        assert beta_decompose(e, 1) == BetaForm(2, (1,), 6)
 
     def test_product_expansion(self):
         # <1> + <d1> + <d2> + <d1 d2> is beta_1 beta_2 after square reduction
-        e = one(2) + sym(1, (1,), 2) + sym(1, (2,), 2) + sym(1, (1, 2), 2)
-        assert beta_decompose(e) == BetaForm(0, (0, 1), 0)
+        e = one() + sym(1, (1,)) + sym(1, (2,)) + sym(1, (1, 2))
+        assert beta_decompose(e, 2) == BetaForm(0, (0, 1), 0)
 
     def test_residual_not_in_span(self):
         with pytest.raises(ResidualNotInSpan):
-            beta_decompose(sym(1, (1,), 1))
+            beta_decompose(sym(1, (1,)), 1)
         with pytest.raises(ResidualNotInSpan):
-            beta_decompose(sym(3, (), 0))
+            beta_decompose(sym(3), 0)
 
     def test_parity_failure(self):
         # <d1> alone: beta^(1) puts its d1 part on <2 d1>, and one (2, -2)
         # move cannot carry a single <d1> there
         with pytest.raises(ResidualNotInSpan, match=r"^parity failure on subset \(1,\)"):
-            beta_decompose(sym(1, (1,), 1))
+            beta_decompose(sym(1, (1,)), 1)
 
     def test_inconsistent_coefficient(self):
         # beta_1 over two parameters: d1 asks for one beta^(1), d2 for none
         with pytest.raises(ResidualNotInSpan,
                            match=r"^inconsistent coefficient for beta\^\(1\): 1 vs 0 at \(2,\)"):
-            beta_decompose(beta_elem(1, 2))
+            beta_decompose(beta_elem(1), 2)
 
     def test_residual_outside_lattice(self):
         # every beta coefficient is solved, and <3> is left over
         with pytest.raises(ResidualNotInSpan, match=r"^residual <3> not in the two-shift lattice"):
-            beta_decompose(sym(3, (), 0))
+            beta_decompose(sym(3), 0)
         with pytest.raises(ResidualNotInSpan, match=r"^residual <3> not in the two-shift lattice"):
-            beta_decompose(beta_sym(2, 2) + sym(3, (), 2))
+            beta_decompose(beta_sym(2, 2) + sym(3), 2)
 
     @pytest.mark.parametrize("s", range(9))
     def test_closed_form_is_the_definition(self, s):
@@ -185,8 +179,8 @@ class TestBetaDecompose:
             assert beta_sym(l, s) == beta_sym_product(l, s), (l, s)
 
     def test_closed_form_past_s_is_zero(self):
-        assert beta_sym(3, 2) == GwElem.zero(2)
-        assert beta_sym(0, 0) == one(0)
+        assert beta_sym(3, 2) == GwElem.zero()
+        assert beta_sym(0, 0) == one()
         with pytest.raises(ValueError):
             beta_sym(-1, 2)
         with pytest.raises(ValueError):
@@ -201,22 +195,22 @@ class TestBetaDecompose:
             tuple(data.draw(coeffs) for _ in range(s)),
             data.draw(coeffs))
         expanded = form.expand()
-        assert beta_decompose(expanded) == form
-        assert equals_mod(beta_decompose(expanded).expand(), expanded)
+        assert beta_decompose(expanded, s) == form
+        assert equals_mod(beta_decompose(expanded, s).expand(), expanded)
 
 
 class TestTraceKummer:
     def test_examples(self):
         d1 = GwMonomial.of(1, [1])
-        assert trace_kummer(1, d1, "unit", 1) == one(1)
-        assert trace_kummer(2, d1, "unit", 1) == beta_elem(1, 1)
-        assert trace_kummer(3, d1, "x", 1) == sym(3, (1,), 1) + h(1)
-        assert trace_kummer(4, d1, "x", 1) == 2 * h(1)
+        assert trace_kummer(1, d1, "unit") == one()
+        assert trace_kummer(2, d1, "unit") == beta_elem(1)
+        assert trace_kummer(3, d1, "x") == sym(3, (1,)) + h()
+        assert trace_kummer(4, d1, "x") == 2 * h()
 
     @pytest.mark.parametrize("which", ["unit", "x"])
     @pytest.mark.parametrize("m", range(1, 13))
     def test_rank_is_m(self, m, which):
-        assert trace_kummer(m, GwMonomial.of(1, [1]), which, 1).rank() == m
+        assert trace_kummer(m, GwMonomial.of(1, [1]), which).rank() == m
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -228,7 +222,7 @@ class TestDisplay:
         assert display(h()) == (1, [])
 
     def test_mixed(self):
-        e = sym(2, (), 1) + sym(-2, (1,), 1)
+        e = sym(2) + sym(-2, (1,))
         n, residual = display(e)
         assert n == 1
         assert residual == [(GwMonomial.of(2), 1), (GwMonomial.of(2, [1]), -1)]
@@ -237,12 +231,12 @@ class TestDisplay:
         assert display(3 * one()) == (0, [(GwMonomial.of(1), 3)])
 
     def test_round_trip(self):
-        e = 4 * h(2) - beta_elem(2, 2) + 5 * one(2)
+        e = 4 * h() - beta_elem(2) + 5 * one()
         n, residual = display(e)
-        assert n * h(2) + GwElem.from_coeffs(dict(residual), 2) == e
+        assert n * h() + GwElem.from_coeffs(dict(residual)) == e
 
     def test_json(self):
-        d = to_json_dict(2 * h(1) + beta_elem(1, 1))
+        d = to_json_dict(2 * h() + beta_elem(1))
         assert d["h"] == 2
         assert {"sign": 1, "q": 2, "d": [1], "c": 1} in d["terms"]
 
@@ -255,22 +249,20 @@ class TestMaskEncoding:
     @given(nonzero, subsets, nonzero, subsets)
     @settings(max_examples=200, deadline=None)
     def test_symbol_product_is_xor(self, a, I, b, J):
-        assert sym(a, I, 4) * sym(b, J, 4) == sym(a * b, I ^ J, 4)
+        assert sym(a, I) * sym(b, J) == sym(a * b, I ^ J)
 
     def test_same_masks_in_a_spawned_process(self):
         # This process has long met the prime 2; a fresh one meets 99991
         # first.  Masks must not depend on the order primes are first seen.
         args = [(-99991, (1,)), (3 * 65537, (2, 3)), (2, ()), (-6, (1, 3))]
-        expected = [sym(a, ds, 3) for a, ds in args]
+        expected = [sym(a, ds) for a, ds in args]
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            future = pool.submit(_symbols, args, 3)
+            future = pool.submit(_symbols, args)
             got = future.result(timeout=120)
         assert got == expected
 
     def test_index_outside_layout_rejected(self):
-        with pytest.raises(ValueError):
-            GwElem.zero(MAX_PARAMS + 1)
         with pytest.raises(ValueError):
             GwMonomial(1, (0,))
         with pytest.raises(ValueError):
@@ -284,13 +276,31 @@ class TestMaskEncoding:
 # elements over d_1..d_4 with <-1>, <-m> and d-classes among their symbols
 symbols = st.tuples(st.one_of(st.sampled_from([1, -1, 2, -2, 3, -6]), nonzero), subsets)
 elements = st.lists(st.tuples(symbols, st.integers(-9, 9)), max_size=6).map(
-    lambda terms: GwElem.from_coeffs([(GwMonomial.of(a, I), c) for (a, I), c in terms], 4))
+    lambda terms: GwElem.from_coeffs([(GwMonomial.of(a, I), c) for (a, I), c in terms]))
 
 
 def _assert_split_form(e):
     a, x = e[0], e[1]
     assert isinstance(a, int)
     assert all(c != 0 and m & 1 == 0 for m, c in x.items()), x  # bit 0: the sign
+
+
+class TestSignature:
+    """`signature` reads the d bits of each class alone, up to d_MAX_PARAMS,
+    whose bit is next to that of the prime 2."""
+
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([1, -1, 2, -2, 3, -6]), nonzero),
+                              st.frozensets(st.sampled_from([1, 2, 5, MAX_PARAMS])),
+                              st.integers(-9, 9)), max_size=6),
+           st.lists(st.sampled_from([1, -1]), min_size=MAX_PARAMS, max_size=MAX_PARAMS))
+    @settings(max_examples=200, deadline=None)
+    def test_against_terms(self, terms, sign_list):
+        e = GwElem.from_coeffs([(GwMonomial.of(a, I), c) for a, I, c in terms])
+        signs = dict(enumerate(sign_list, start=1))
+        # <a> has signature sign(a), so h, as <1> + <-1>, has 0
+        expected = sum(c * m.sign * math.prod(signs[i] for i in m.d_subset)
+                       for m, c in e.terms)
+        assert e.signature(signs) == expected
 
 
 class TestSplit:
@@ -301,7 +311,7 @@ class TestSplit:
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, e):
         _assert_split_form(e[:2])
-        assert GwElem(*e[:2], 4) == e
+        assert GwElem(*e[:2]) == e
         assert e[0] == e.coeff(GwMonomial(1, (), -1))
 
     @given(elements, elements)
@@ -311,8 +321,8 @@ class TestSplit:
         product = split_mul(e1[:2], e2[:2])
         _assert_split_form(product)
         expected = GwElem.from_coeffs(
-            [(m1 * m2, c1 * c2) for m1, c1 in e1.terms for m2, c2 in e2.terms], 4)
-        assert GwElem(*product, 4) == e1 * e2 == expected
+            [(m1 * m2, c1 * c2) for m1, c1 in e1.terms for m2, c2 in e2.terms])
+        assert GwElem(*product) == e1 * e2 == expected
 
     @given(elements, elements, st.integers(-5, 5), st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
@@ -320,14 +330,14 @@ class TestSplit:
         total = split_sum([(k1, e1[:2]), (k2, e2[:2])])
         _assert_split_form(total)
         expected = GwElem.from_coeffs(
-            [(m, k1 * c) for m, c in e1.terms] + [(m, k2 * c) for m, c in e2.terms], 4)
-        assert GwElem(*total, 4) == k1 * e1 + k2 * e2 == expected
+            [(m, k1 * c) for m, c in e1.terms] + [(m, k2 * c) for m, c in e2.terms])
+        assert GwElem(*total) == k1 * e1 + k2 * e2 == expected
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_even_edge_factor_is_pure_h(self, m):
         # no {<1>: 0} entry is carried, so products with it stay in h
-        assert m_a1(m, 4)[:2] == (m // 2, {})
-        assert split_mul(beta_elem(1, 4), m_a1(m, 4)) == (m, {})
+        assert m_a1(m)[:2] == (m // 2, {})
+        assert split_mul(beta_elem(1), m_a1(m)) == (m, {})
 
 
 def _assert_canonical(e):
@@ -363,14 +373,14 @@ class TestCanonicalForm:
         spec = parse_degree(spec_str)
         _assert_canonical(counting._edge_product_sum(spec))
         for s in range(1, n_delta(spec) // 2 + 1):
-            _assert_canonical(row_mult(counting._signature_tally(spec, default_pairs(s)), s))
+            _assert_canonical(row_mult(counting._signature_tally(spec, default_pairs(s))))
 
     @given(elements, st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
     def test_substitute_square_drops_d_i(self, e, i):
         dropped = [(GwMonomial(m.int_part, tuple(j for j in m.d_subset if j != i), m.sign), c)
                    for m, c in e.terms]
-        assert e.substitute_square(i) == GwElem.from_coeffs(dropped, 4)
+        assert e.substitute_square(i) == GwElem.from_coeffs(dropped)
 
 
 def _canonical_rule(e1, e2):
@@ -384,7 +394,7 @@ def _canonical_rule(e1, e2):
 # lattice vectors k (2<m> - 2<2m>), sign-negative m among them
 lattice = st.lists(st.tuples(symbols, st.integers(-3, 3)), max_size=4).map(
     lambda vs: GwElem.from_coeffs([t for (a, I), k in vs for t in (
-        (GwMonomial.of(a, I), 2 * k), (GwMonomial.of(2 * a, I), -2 * k))], 4))
+        (GwMonomial.of(a, I), 2 * k), (GwMonomial.of(2 * a, I), -2 * k))]))
 
 
 class TestEqualsModRule:
@@ -395,15 +405,15 @@ class TestEqualsModRule:
     @settings(max_examples=300, deadline=None)
     def test_against_canonical_rule(self, e, other, v, odd_symbol, k):
         # an odd symbol, or an odd multiple of h, which shifts h_coeff alone
-        odd = [(2 * k + 1) * GwElem.symbol(*odd_symbol, 4), (2 * k + 1) * h(4)]
+        odd = [(2 * k + 1) * GwElem.symbol(*odd_symbol), (2 * k + 1) * h()]
         for e2, equal in ((e + v, True), (e + v + odd[0], False), (e + v + odd[1], False),
                           (other, None)):
             assert equals_mod(e, e2) == equals_mod(e2, e) == _canonical_rule(e, e2), (e, e2)
             assert equal is None or equals_mod(e, e2) == equal, (e, e2)
 
 
-def _symbols(args, num_params):
-    return [GwElem.symbol(a, ds, num_params) for a, ds in args]
+def _symbols(args):
+    return [GwElem.symbol(a, ds) for a, ds in args]
 
 
 class TestChecksRaise:
@@ -421,24 +431,27 @@ class TestChecksRaise:
         with pytest.raises(ValueError):
             GwMonomial.of(0)
 
-    def test_from_coeffs_index_range(self):
-        with pytest.raises(IndexError):
-            GwElem.from_coeffs({GwMonomial.of(1, [3]): 1}, 2)
-        with pytest.raises(IndexError):
-            sym(1, (3,), 2)
+    def test_beta_decompose_refuses_d_past_s(self):
+        # an element that carries d_3 has no presentation over s = 2
+        with pytest.raises(ResidualNotInSpan):
+            beta_decompose(GwElem.symbol(1, (3,)), 2)
 
-    @pytest.mark.parametrize("i", [0, 3])
+    def test_signature_needs_every_sign_that_occurs(self):
+        with pytest.raises(KeyError):
+            (one() + sym(2, (1, 3))).signature({1: -1, 2: -1})
+
+    @pytest.mark.parametrize("i", [0, MAX_PARAMS + 1])
     def test_beta_elem_range(self, i):
         with pytest.raises(IndexError):
-            beta_elem(i, 2)
+            beta_elem(i)
 
     def test_beta_decompose_self_check(self, monkeypatch):
         # a presentation that does not expand back to its input is refused
         real = BetaForm.expand
         monkeypatch.setattr(BetaForm, "expand",
-                            lambda form: real(form) + 2 * one(len(form.beta_coeffs)))
+                            lambda form: real(form) + 2 * one())
         with pytest.raises(ResidualNotInSpan):
-            beta_decompose(2 * h(1) + beta_elem(1, 1) + 6 * one(1))
+            beta_decompose(2 * h() + beta_elem(1) + 6 * one(), 1)
 
     def test_checks_survive_optimize(self):
         src = str(Path(gwfloor.__file__).resolve().parents[1])

@@ -10,7 +10,8 @@ import gwfloor.multiplicity as multiplicity
 from gwfloor.cli import main
 from gwfloor.counting import _signature_tally, default_pairs
 from gwfloor.degrees import parse_degree
-from gwfloor.gwring import MAX_PARAMS, GwElem, GwMonomial, beta_elem, equals_mod, h, one
+from gwfloor.gwring import MAX_PARAMS, GwElem, GwMonomial, beta_decompose, beta_elem, equals_mod, \
+    h, one
 from gwfloor.diagrams import INCOMING, FloorDiagram, PairLabels, label
 from gwfloor.multiplicity import TwinTreeSummary, gamma, m_a1, twin_edge_mult, twin_tree_mult
 
@@ -18,13 +19,11 @@ from conftest import clear_count_caches
 from kummer import trace_kummer
 from oracles import edge_mult
 
-S = 6  # ambient parameter count used throughout
-
 
 def test_m_a1_examples():
-    assert m_a1(1, 0) == one()
-    assert m_a1(2, 0) == h()
-    assert m_a1(3, 0) == GwElem.symbol(3) + h()
+    assert m_a1(1) == one()
+    assert m_a1(2) == h()
+    assert m_a1(3) == GwElem.symbol(3) + h()
 
 
 def test_edge_mult_examples():
@@ -34,49 +33,49 @@ def test_edge_mult_examples():
 
 
 def test_twin_edge_mult_examples():
-    assert twin_edge_mult(1, 1, S) == one(S)
-    d1 = GwElem.symbol(-1, (1,), S)
-    assert twin_edge_mult(2, 1, S) == 2 * (one(S) + d1) + 6 * h(S)
-    assert twin_edge_mult(3, 1, S) == one(S) + 4 * (one(S) + d1) + 36 * h(S)
+    assert twin_edge_mult(1, 1) == one()
+    d1 = GwElem.symbol(-1, (1,))
+    assert twin_edge_mult(2, 1) == 2 * (one() + d1) + 6 * h()
+    assert twin_edge_mult(3, 1) == one() + 4 * (one() + d1) + 36 * h()
 
 
 def test_gamma_examples():
-    assert gamma(1, 1, S) == one(S)
-    expected = one(S) + GwElem.symbol(2, (), S) + GwElem.symbol(-2, (2,), S) + 3 * h(S)
-    assert gamma(3, 2, S) == expected
-    assert gamma(2, 1, S) == 2 * h(S)
+    assert gamma(1, 1) == one()
+    expected = one() + GwElem.symbol(2) + GwElem.symbol(-2, (2,)) + 3 * h()
+    assert gamma(3, 2) == expected
+    assert gamma(2, 1) == 2 * h()
 
 
 def test_beta_signature():
-    b = beta_elem(1, S)
+    b = beta_elem(1)
     assert b.rank() == 2
-    assert b.signature({i: -1 for i in range(1, S + 1)}) == 0
+    assert b.signature({1: -1}) == 0
 
 
 @pytest.mark.parametrize("s", range(4))
 @pytest.mark.parametrize("m", range(1, 13))
 def test_m_a1_is_kummer_trace(m, s):
-    assert m_a1(m, s) == trace_kummer(m, GwMonomial.of(1), "x", s)
+    assert m_a1(m) == trace_kummer(m, GwMonomial.of(1), "x")
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_edge_mult_is_m_a1_squared(m):
-    assert m_a1(m, 0) * m_a1(m, 0) == edge_mult(m)
+    assert m_a1(m) * m_a1(m) == edge_mult(m)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_ranks(m):
     assert edge_mult(m).rank() == m * m
-    assert gamma(m, 1, S).rank() == m * m
-    assert twin_edge_mult(m, 1, S).rank() == m ** 4
+    assert gamma(m, 1).rank() == m * m
+    assert twin_edge_mult(m, 1).rank() == m ** 4
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_square_substitution_collapses(m):
     # setting d_i square: gamma -> edge mult, twin edge -> edge mult squared
-    assert gamma(m, 1, S).substitute_square(1) == edge_mult(m, S)
-    assert twin_edge_mult(m, 1, S).substitute_square(1) == \
-        edge_mult(m, S) * edge_mult(m, S)
+    assert gamma(m, 1).substitute_square(1) == edge_mult(m)
+    assert twin_edge_mult(m, 1).substitute_square(1) == \
+        edge_mult(m) * edge_mult(m)
 
 
 def _tree(weights, m_root, unbounded, floor_points=0):
@@ -90,11 +89,11 @@ def _tree(weights, m_root, unbounded, floor_points=0):
 def test_twin_tree_figures():
     # simplest doubled unbounded elevator
     t1 = _tree([1], m_root=1, unbounded=1)
-    assert twin_tree_mult(t1, S) == one(S)
+    assert twin_tree_mult(t1) == one()
     # doubled floor over a root elevator
     t2 = TwinTreeSummary((1, 2), ((1, 2),), 1, 0)
-    expected = GwElem.symbol(2, (1,), S) + GwElem.symbol(2, (2,), S)
-    assert twin_tree_mult(t2, S) == expected
+    expected = GwElem.symbol(2, (1,)) + GwElem.symbol(2, (2,))
+    assert twin_tree_mult(t2) == expected
 
 
 def test_twin_tree_weighted_example():
@@ -102,13 +101,13 @@ def test_twin_tree_weighted_example():
     # m_root = 2 and one unbounded twin elevator
     weights = [2, 1, 1, 1]
     tree = _tree(weights, m_root=2, unbounded=1, floor_points=3)
-    e = twin_tree_mult(tree, 7)
-    factor = twin_edge_mult(2, 1, 7)
-    subset_sum = GwElem.zero(7)
+    e = twin_tree_mult(tree)
+    factor = twin_edge_mult(2, 1)
+    subset_sum = GwElem.zero()
     for k in range(1, 8, 2):
         for I in itertools.combinations(range(1, 8), k):
-            subset_sum = subset_sum + GwElem.symbol(1, I, 7)
-    assert e == factor * GwElem.symbol(2 ** 6, (), 7) * subset_sum
+            subset_sum = subset_sum + GwElem.symbol(1, I)
+    assert e == factor * GwElem.symbol(2 ** 6) * subset_sum
 
 
 @pytest.mark.parametrize("weights,m_root,unbounded,floors", [
@@ -125,13 +124,13 @@ def test_twin_tree_square_substitution(weights, m_root, unbounded, floors):
     tree = _tree(weights, m_root, unbounded, floors)
     t = tree.t
     for j in tree.point_indices:
-        lhs = twin_tree_mult(tree, t).substitute_square(j)
-        rhs = one(t)
+        lhs = twin_tree_mult(tree).substitute_square(j)
+        rhs = one()
         for w, _ in tree.elevator_marks:
-            rhs = rhs * edge_mult(w, t) * edge_mult(w, t)
+            rhs = rhs * edge_mult(w) * edge_mult(w)
         for i in tree.point_indices:
             if i != j:
-                rhs = rhs * beta_elem(i, t)
+                rhs = rhs * beta_elem(i)
         assert equals_mod(lhs, rhs)
 
 
@@ -145,7 +144,7 @@ def test_twin_tree_square_substitution(weights, m_root, unbounded, floors):
 def test_twin_tree_signature_rule(weights, m_root, unbounded, floors):
     tree = _tree(weights, m_root, unbounded, floors)
     t = tree.t
-    sig = twin_tree_mult(tree, t).signature({i: -1 for i in range(1, t + 1)})
+    sig = twin_tree_mult(tree).signature({i: -1 for i in range(1, t + 1)})
     prod = 1
     for w in weights:
         prod *= w * w
@@ -155,11 +154,11 @@ def test_twin_tree_signature_rule(weights, m_root, unbounded, floors):
 
 def test_invalid_weight_rejected():
     with pytest.raises(ValueError):
-        m_a1(0, 0)
+        m_a1(0)
     with pytest.raises(ValueError):
         edge_mult(0)
     with pytest.raises(IndexError):
-        gamma(1, 7, S)
+        gamma(1, MAX_PARAMS + 1)
 
 
 @pytest.mark.parametrize("points,marks,m_root", [
@@ -235,33 +234,13 @@ def test_edge_between_two_labels_raises():
 
 def test_twin_tree_mult_cached_per_tree_and_s():
     tree = _tree([2, 1], m_root=2, unbounded=0, floor_points=1)
-    assert twin_tree_mult(tree, S) is twin_tree_mult(_tree([2, 1], 2, 0, 1), S)
-    assert twin_tree_mult(tree, S + 1).num_params == S + 1
+    assert twin_tree_mult(tree) is twin_tree_mult(_tree([2, 1], 2, 0, 1))
 
 
-def test_row_mult_reads_factors_at_least_s(monkeypatch, capsys):
-    # the masks of a factor do not depend on s, so row_mult reads each at
-    # its least s, and a twin-tree factor is built once per degree
+def test_twin_tree_mult_built_once_per_tree(capsys):
+    # a twin-tree factor does not depend on s: one per distinct summary
     spec = parse_degree("p1xp1:2,5")
     tallies = [_signature_tally(spec, default_pairs(s)) for s in range(1, 7)]
-    least = {"m_a1": lambda m, s: 0, "gamma": lambda m, i, s: i, "beta_elem": lambda i, s: i,
-             "twin_tree_mult": lambda tree, s: tree.point_indices[-1]}
-    seen = []
-
-    def recorded(name, real):
-        def factor(*args):
-            seen.append((name, args))
-            return real(*args)
-        return factor
-
-    for name in least:
-        monkeypatch.setattr(multiplicity, name, recorded(name, getattr(multiplicity, name)))
-    for s, tally in enumerate(tallies, start=1):
-        multiplicity.row_mult(tally, s)
-    assert {name for name, _ in seen} == set(least)
-    assert [(name, args) for name, args in seen if args[-1] != least[name](*args)] == []
-
-    monkeypatch.undo()
     clear_count_caches()
     assert main(["table", "p1xp1:2,5"]) == 0
     capsys.readouterr()
@@ -271,32 +250,34 @@ def test_row_mult_reads_factors_at_least_s(monkeypatch, capsys):
 
 def test_patched_factor_applied_once(monkeypatch):
     # a factor is a plain formula: a wrapper patched over the module
-    # attribute calls the real m_a1 once, at the s it is asked for
+    # attribute calls the real m_a1 once
     calls = []
     real = multiplicity.m_a1
 
-    def wrapper(m, num_params):
-        calls.append(num_params)
-        return real(m, num_params)
+    def wrapper(m):
+        calls.append(m)
+        return real(m)
 
     monkeypatch.setattr(multiplicity, "m_a1", wrapper)
-    real.cache_clear()  # so that the call builds m_a1(5, 0) anew
-    assert multiplicity.m_a1(5, 4) == GwElem.symbol(5, (), 4) + 2 * h(4)
-    assert calls == [4]
+    real.cache_clear()  # so that the call builds m_a1(5) anew
+    assert multiplicity.m_a1(5) == GwElem.symbol(5) + 2 * h()
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("call,error", [
-    (lambda: m_a1(0, 3), ValueError),
-    (lambda: m_a1(3, -1), ValueError),
-    (lambda: m_a1(3, MAX_PARAMS + 1), ValueError),
-    (lambda: gamma(0, 1, 3), ValueError),
-    (lambda: gamma(3, 0, 3), IndexError),
-    (lambda: gamma(3, 4, 3), IndexError),
-    (lambda: gamma(3, 1, MAX_PARAMS + 1), ValueError),
-    (lambda: beta_elem(2, 1), IndexError),
-    (lambda: beta_elem(1, MAX_PARAMS + 1), ValueError),
-    (lambda: twin_tree_mult(_tree([2, 1], 2, 0, 1), 2), IndexError),
-    (lambda: twin_tree_mult(_tree([2, 1], 2, 0, 1), MAX_PARAMS + 1), ValueError),
+    (lambda: m_a1(0), ValueError),
+    (lambda: GwElem.symbol(1, (0,)), ValueError),
+    (lambda: GwElem.symbol(1, (MAX_PARAMS + 1,)), ValueError),
+    (lambda: gamma(0, 1), ValueError),
+    (lambda: gamma(3, 0), IndexError),
+    (lambda: gamma(3, MAX_PARAMS + 1), IndexError),
+    (lambda: twin_edge_mult(0, 1), ValueError),
+    (lambda: twin_edge_mult(3, 0), IndexError),
+    (lambda: twin_edge_mult(3, MAX_PARAMS + 1), IndexError),
+    (lambda: beta_decompose(one(), MAX_PARAMS + 1), ValueError),
+    (lambda: twin_tree_mult(TwinTreeSummary((1, MAX_PARAMS + 1), ((1, MAX_PARAMS + 1),), 1, 0)),
+     IndexError),
+    (lambda: twin_tree_mult(_tree([0, 1], 1, 0, 1)), ValueError),
 ])
 def test_factor_range_checks_kept(call, error):
     with pytest.raises(error):
