@@ -146,7 +146,7 @@ def _run_count(args) -> tuple[str, int]:
 def _run_table(args) -> tuple[str, int]:
     spec = _parse_within_budget(args)
     n = n_delta(spec)
-    gwring._check_params(n // 2)  # before the first row, whose decomposition is O(2^s)
+    gwring._check_params(n // 2)  # before the first row: a class mask holds d bits 1..32
     records, lines = [], []
     for s in range(n // 2 + 1):
         t0 = time.monotonic()

@@ -187,7 +187,9 @@ _graphs: dict = {}  # per degree, its state graph, once a build has finished
 def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple, dict, int]:
     """The degree's state graph (`_build_graph`), built once: a build that
     finishes within at_most is the whole graph, so it is kept.  OverBudget
-    past at_most, with the message of a fresh build."""
+    past at_most, with the message of a fresh build.  `_graphs` keeps
+    every degree's graph for the life of the process, so a caller who
+    counts p2:9 and then p2:10 holds both."""
     graph = _graphs.get(spec)
     if graph is None:
         graph = _graphs[spec] = _build_graph(spec, at_most)
@@ -215,7 +217,9 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
     loop over a stack of states, each with its moves left to list,
     finishes a state once all its children are, so the dict is in
     post-order: every kept child comes before its parent, and the root
-    comes last.  The dict is shared, so callers must not mutate it.
+    comes last.  Each move and child is interned as it is listed, so a kept
+    child is the dict's own key and equal moves of different states are
+    one object.  The dict is shared, so callers must not mutate it.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
@@ -313,17 +317,19 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
     root = (0, 0, 0, 0, 0, 0, ())
     graph: dict = {}
     paths: dict = {}  # per finished state, its path count
+    known: dict = {}  # one object per listed move and per child state
     stack = [(root, listed(root), [])]  # per state: its moves to list, and those listed
     while stack:
         state, todo, found = stack[-1]
-        for move in todo:
-            found.append(move)
-            if move[1] not in paths:
-                stack.append((move[1], listed(move[1]), []))
+        for move, child in todo:
+            child = known.setdefault(child, child)
+            found.append((known.setdefault(move, move), child))
+            if child not in paths:
+                stack.append((child, listed(child), []))
                 break
         else:  # every child is finished, so the state is
             stack.pop()
-            kept = [(m, c) for m, c in found if paths[c]]
+            kept = [pair for pair in found if paths[pair[1]]]
             ranks = [_rank(m) for m, _ in kept]
             if ranks != sorted(ranks):  # the premise of the walk's pruning
                 raise RuntimeError(f"{spec}: the moves of state {state} are not in rank order")
@@ -398,7 +404,9 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
         # strands: the one with the larger new weights comes first
         return [-s[1] for s, k in zip(child[0], move[2]) if k < 0]
 
-    ties: dict = {}  # per (move at a, move at a + 1), the tie's outcome without mirrors
+    # per (state at a, move at a, move at a + 1), the tie's outcome without
+    # mirrors; moves are shared between states, so the state is part of the key
+    ties: dict = {}
     stack = [(records[root], (), (), (), (), 0, (), (), None)]
     while stack:
         record, origins, leaks, edges, ends, joined, mirrors, trees, low = stack.pop()
@@ -437,9 +445,9 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
                 elif rank < rank_a:
                     continue  # the swap places this vertex earlier at a
             elif low:  # a tie, so no edge: the least image of this vertex at a
-                key = id(move_a), id(move)
+                key = id(record_a), id(move_a), id(move)
                 free = not (mirrors_a and any(bit[u] for u, _, _ in closes))
-                if free and key in ties:  # the two moves alone fix the outcome
+                if free and key in ties:  # the state at a and the two moves fix the outcome
                     swaps, stays = ties[key]
                 else:
                     swaps, image = 0, spots(0, record_a[0], origins_a, closes)

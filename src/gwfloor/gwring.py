@@ -340,13 +340,24 @@ def beta_decompose(e: GwElem, s: int) -> BetaForm:
     c_l beta^{(l)} is subtracted in place; h_coeff is e's.  Raises
     ResidualNotInSpan when no presentation exists, as when e carries a
     d_i with i > s.
+
+    A level with more l-subsets than the remainder has masks visits only
+    the l-subsets K present in it, in lexicographic order, and the first
+    absent one: an absent K has a = b = 0, so it passes the parity test
+    with c = 0, and every later absent one repeats its check.  So a level
+    costs at most the size of the remainder, not C(s, l).
     """
     _check_params(s)
     masks = dict(e.rest)  # the remainder, solved in place
+    within = (2 << s) - 2  # d bits 1..s
     cs = [0] * (s + 1)  # cs[l] for l = 1..s
     for l in range(s, 0, -1):
-        value = None
-        for K in itertools.combinations(range(1, s + 1), l):
+        value, subsets = None, itertools.combinations(range(1, s + 1), l)
+        if math.comb(s, l) > len(masks):  # some l-subset is absent
+            found = sorted({tuple(i for i in range(1, s + 1) if d >> i & 1) for m in masks
+                            if not (d := m & ~_TWO) & ~within and d.bit_count() == l})
+            subsets = sorted(found + [next(K for K, P in zip(subsets, found + [None]) if K != P)])
+        for K in subsets:
             odd = sum(1 << i for i in K)
             a, b = masks.get(odd, 0), masks.get(odd | _TWO, 0)
             c = a + b

@@ -267,11 +267,22 @@ class TestParamsBound:
     enumerate builds no GW element and is not bounded."""
 
     def test_table_refused_before_its_first_row(self):
-        # rows 0..32 of p1xp1:1,33 would each decompose in O(2^s)
+        # a class mask holds the d_i in bits 1..32, so row 33 has no mask layout
         proc = _fresh_cli("table", "p1xp1:1,33", timeout=5)
         assert proc.returncode == EXIT_PARSE
         assert proc.stdout == ""
         assert proc.stderr == "error: num_params 33 outside 0..32\n"
+
+    @pytest.mark.parametrize("argv,last", [
+        (("count", "p1xp1:1,32", "--pairs-count", "32"), "⟨1⟩"),
+        (("table", "p1xp1:1,32"), "(1, 32)  ⟨1⟩"),
+    ])
+    def test_32_pairs_decompose_in_the_size_of_the_total(self, argv, last):
+        # one diagram, total <1>: a decomposition over all 2^32 subsets of
+        # the pairs would not finish
+        proc = _fresh_cli(*argv, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == last
 
     def test_count_refused_before_the_graph(self, capsys, monkeypatch):
         def refuse(spec, *args):

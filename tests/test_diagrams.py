@@ -83,6 +83,18 @@ class TestEnumeration:
             seen.add(state)
         assert state == root
 
+    @pytest.mark.parametrize("spec_str,kept_moves,distinct", [
+        ("p2:5", 617, 153), ("p1xp1:2,5", 559, 219), ("bl3:5,2,1,1", 674, 94),
+    ])
+    def test_graph_holds_one_object_per_state_and_move(self, spec_str, kept_moves, distinct):
+        # the graph costs its distinct states and moves, not one copy per parent
+        _, moves, _ = _state_graph(parse_degree(spec_str))
+        keys = {id(state) for state in moves}
+        kept = [pair for pairs in moves.values() for pair in pairs]
+        assert all(id(child) in keys for _, child in kept)
+        assert len(kept) == kept_moves
+        assert len({id(move) for move, _ in kept}) == len({move for move, _ in kept}) == distinct
+
     @pytest.mark.parametrize("spec_str", small_degrees(12))
     def test_moves_in_rank_order(self, spec_str):
         # the walk's pruning rests on it, and the build checks it; within a

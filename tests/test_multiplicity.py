@@ -55,7 +55,10 @@ def test_beta_signature():
 @pytest.mark.parametrize("s", range(4))
 @pytest.mark.parametrize("m", range(1, 13))
 def test_m_a1_is_kummer_trace(m, s):
-    assert m_a1(m) == trace_kummer(m, GwMonomial.of(1), "x")
+    # the trace of <x> from L[x]/(x^m - d) is <d> m_a1(m), at d = 1 for
+    # s = 0 and at d = d_s otherwise
+    d = GwMonomial.of(1, (s,) if s else ())
+    assert m_a1(m) * GwElem.from_coeffs({d: 1}) == trace_kummer(m, d, "x")
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -232,7 +235,7 @@ def test_edge_between_two_labels_raises():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_twin_tree_mult_cached_per_tree_and_s():
+def test_twin_tree_mult_cached_per_tree():
     tree = _tree([2, 1], m_root=2, unbounded=0, floor_points=1)
     assert twin_tree_mult(tree) is twin_tree_mult(_tree([2, 1], 2, 0, 1))
 
