@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -289,12 +290,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that opening path to write would, creating and
+    truncating nothing: a new file is made and removed at once, an
+    existing file or directory opened without truncation.  Other existing
+    paths (pipes, devices, dangling links) are left to the write."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        if os.path.isfile(path) or os.path.isdir(path):
+            os.close(os.open(path, os.O_WRONLY))
+    else:
+        os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and write its text to stdout or --out; every error
-    becomes one `error:` line on stderr and an exit code."""
+    becomes one `error:` line on stderr and an exit code.  An --out that
+    cannot be written fails before the command runs."""
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)  # before the command, so that it fails fast
         text, code = args.func(args)
+        if args.out is not None:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            return code
+    except OSError as exc:  # the commands open no file but --out
+        message, code = f"cannot write --out {args.out}: {exc.strerror}", EXIT_PARSE
     except ValueError as exc:  # InvalidDegree is one
         message, code = str(exc), EXIT_PARSE
     except ResidualNotInSpan as exc:
@@ -307,15 +331,8 @@ def main(argv: list[str] | None = None) -> int:
         what = args.spec if args.command != "verify" else f"--scope {args.scope}"
         message, code = f"out of memory on {args.command} {what}", EXIT_BUDGET
     else:
-        if args.out is None:
-            sys.stdout.write(text)
-            return code
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            return code
-        except OSError as exc:
-            message, code = f"cannot write --out {args.out}: {exc.strerror}", EXIT_PARSE
+        sys.stdout.write(text)
+        return code
     print(f"error: {message}", file=sys.stderr)
     return code
 

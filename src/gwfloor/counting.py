@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, namedtuple
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from . import diagrams, multiplicity
 from .degrees import DegreeSpec, n_delta
@@ -216,26 +216,30 @@ def _edge_product_sum(spec: DegreeSpec) -> GwElem:
     each of its edges closes a strand in exactly one move of the path.  So
     the sum is total(root), where total(top) = <1> and total(state) is the
     sum over its kept moves of total(child) times m_a1 of every strand the
-    move closes (Stanley's transfer-matrix method).  The moves come in
-    post-order, so one forward pass meets every child before its parent.
+    move closes (Stanley's transfer-matrix method).  The states are
+    numbered in post-order, so one forward pass meets every child before
+    its parent and keeps the totals in a list by number.  The moves are
+    shared between states, so each distinct move's factors are read once.
     The totals are in split form (see `gwring`), so an even m_a1 only
     scales h, and a factor equal to <1> is left out.
     """
-    root, moves, _ = _state_graph(spec)
-    n = n_delta(spec)
-    # read at call time, so that a patched factor is used, once per weight
-    m_a1, unit = cache(multiplicity.m_a1), one()
-    totals: dict = {}
-    for state, kept in moves.items():
-        terms = [(1, unit)] if state[0] == n else []
-        for (_, closed, _, _), child in kept:
+    graph = _state_graph(spec)
+    # read at call time, so that a patched factor is used
+    m_a1, unit = multiplicity.m_a1, one()
+    factors: dict = {}  # per distinct move (by id), its factors other than <1>
+    totals: list = []
+    for state, (kept, kids) in enumerate(zip(graph.moves, graph.children)):
+        terms = [(1, unit)] if state == graph.top else []
+        for move, child in zip(kept, kids):
             term = totals[child]
-            for _, w in closed:
-                if (f := m_a1(w)) != unit:
-                    term = split_mul(term, f)
+            found = factors.get(id(move))
+            if found is None:
+                found = factors[id(move)] = [f for _, w in move[1] if (f := m_a1(w)) != unit]
+            for f in found:
+                term = split_mul(term, f)
             terms.append((1, term))
-        totals[state] = split_sum(terms)
-    return GwElem(*totals[root])
+        totals.append(split_sum(terms))
+    return GwElem(*totals[-1])
 
 
 def count(spec: DegreeSpec, s: int | None,

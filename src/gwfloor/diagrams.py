@@ -16,14 +16,19 @@ components matter only through equality and are numbered by first
 appearance.  `_build_graph` builds the graph of these states with an
 explicit stack, lists each state's moves in sweep order and keeps a move
 only if its child has a completion, counting the paths to the top per
-state; `_state_graph` keeps it per degree, once a build, budgeted or
+state.  It numbers each kept state as it finishes, so the kept states
+come in post-order, and returns one compact `StateGraph`: per state
+number its strands, its kept moves (shared objects) and their children's
+numbers.  `_state_graph` keeps it per degree, once a build, budgeted or
 not, finishes.  `count_diagrams` reads the root's path count, or stops
 the build past a budget, without building a diagram;
 `walk` streams the packed keys (leaks, edges) from the root with a stack
 too, carrying the concrete origin of each strand, and yields one at the
-top of every path it follows, so no branch is a dead end;
-`enumerate_diagrams` builds the diagrams of the walk without pairs,
-uncached; `counting.count` sums the s = 0 row over the graph's paths.
+top of every path it follows, so no branch is a dead end; it reads the
+graph by number, through per-state records that the degree's first walk
+builds and keeps in the graph.  `enumerate_diagrams` builds
+the diagrams of the walk without pairs, uncached; `counting.count` sums
+the s = 0 row over the graph's paths in one pass over the numbers.
 
 The move generators build only children that can still complete.  Every
 later black closes a seek-black strand (a splice or an outgoing end) or
@@ -37,8 +42,8 @@ seek-white strand of a component, so no component keeps more of them
 than floors are left, checked where that changes: at a floor and at a
 splice.  The floors above a floor carry at most one leak of each sign
 each.  On p1xp1:2,5 the build makes 612 children and
-memoises 289 states, not 2653 and 866, to keep 254; on p1xp1:3,4 it
-makes 1461 children and memoises 457 states to keep 432; the p2:5 graph
+meets 289 states, not 2653 and 866, to keep 254; on p1xp1:3,4 it
+makes 1461 children and meets 457 states to keep 432; the p2:5 graph
 has no dead state (617 children, 186 states).
 
 Merging declares disjoint adjacent position pairs to be double points.
@@ -69,7 +74,7 @@ strands (mapped through the live sets, strands of one (origin, weight)
 taken in order).  `_rank` puts floors before blacks, floors by (-1 leaks,
 +1 leaks, strands closed) and blacks as splice < incoming end < outgoing
 end, and each state's kept moves are in nondecreasing rank, which
-`_state_graph` checks, so a lower rank at a + 1 is skipped at once and a
+`_build_graph` checks, so a lower rank at a + 1 is skipped at once and a
 higher one parts.  A tie, of equal rank, compares the two moves at a as
 the generators list them (a test checks it): by the sorted indices of the
 strands they close, then, for floors, by their new weights, largest
@@ -177,33 +182,55 @@ def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
     """The strands with origins and components numbered by first appearance."""
     origins: dict = {}
     comps: dict = {}
-    return tuple((origins.setdefault(o, len(origins)), w, stage, comps.setdefault(c, len(comps)))
-                 for o, w, stage, c in strands)
+    return tuple([(origins.setdefault(o, len(origins)), w, stage, comps.setdefault(c, len(comps)))
+                  for o, w, stage, c in strands])
+
+
+class StateGraph:
+    """The kept sweep-state graph of a degree (`_build_graph`), its live
+    states numbered in post-order: every kept child before its parent,
+    the top (if live) first and the root last.
+
+    strands[i] is state i's strands, each strand one object per distinct
+    value; moves[i] its kept moves in sweep order and children[i] their
+    children's numbers; top is the top's number, -1 if it is not live,
+    and paths the root's number of paths to the top.  records is None
+    until `walk` first reads the graph, then per state its kept moves as
+    (move, child, rank).  The graph is shared, so callers must not mutate it.
+    """
+
+    __slots__ = ("strands", "moves", "children", "top", "paths", "records")
+
+    def __init__(self, strands: list, moves: list, children: list, top: int, paths: int):
+        self.strands, self.moves, self.children = strands, moves, children
+        self.top, self.paths, self.records = top, paths, None
 
 
 _graphs: dict = {}  # per degree, its state graph, once a build has finished
 
 
-def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple, dict, int]:
+def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
     """The degree's state graph (`_build_graph`), built once: a build that
     finishes within at_most is the whole graph, so it is kept.  OverBudget
     past at_most, with the message of a fresh build.  `_graphs` keeps
-    every degree's graph for the life of the process, so a caller who
-    counts p2:9 and then p2:10 holds both."""
+    every degree's graph, with the walk's records once a walk has read
+    it, for the life of the process, so a caller who counts p2:9 and then
+    p2:10 holds both."""
     graph = _graphs.get(spec)
     if graph is None:
         graph = _graphs[spec] = _build_graph(spec, at_most)
-    elif graph[2] > at_most:
+    elif graph.paths > at_most:
         _build_graph(spec, at_most)  # the root has more paths, so this raises
     return graph
 
 
-def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple, dict, int]:
-    """The root sweep state, the kept moves of each state, and the path count.
+def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
+    """The kept sweep-state graph of the degree, numbered in post-order.
 
-    The moves are given for the root and every state with a completion,
-    and the path count is the number of paths from the root to the top;
-    OverBudget once a state has more than at_most paths, a lower bound on the root's.
+    A state is kept if it has a completion, or is the root, and a move if
+    its child is kept; the root's path count is the number of paths from
+    the root to the top.  OverBudget once a state has more than at_most
+    paths, a lower bound on the root's.
 
     A state is (position, whites, -1 leaks, +1 leaks, incoming ends,
     outgoing ends, strands), a strand being (origin, weight, stage,
@@ -211,15 +238,20 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
     A move is (leaks or None for a black, closed strands as (index,
     weight), layout, end): the new strands are the old ones at the layout
     indices, -1 standing for a strand that starts at the position.  Moves
-    are listed in sweep order and kept only if their child has a completion;
-    no child is built that the module docstring's bounds rule out (room,
-    the last floor, a floor above, seek-white strands and leaks).  One
-    loop over a stack of states, each with its moves left to list,
-    finishes a state once all its children are, so the dict is in
-    post-order: every kept child comes before its parent, and the root
-    comes last.  Each move and child is interned as it is listed, so a kept
-    child is the dict's own key and equal moves of different states are
-    one object.  The dict is shared, so callers must not mutate it.
+    are listed in sweep order; no child is built that the module
+    docstring's bounds rule out (room, the last floor, a floor above,
+    seek-white strands and leaks).  One loop over a stack of states, each
+    with its moves left to list, finishes a state once all its children
+    are, and numbers it then if it is kept: a child listed while its
+    state is unfinished is new, as positions rise along a path.  So one
+    dict lookup per listed child gives its number, or -1 if it is dead,
+    or nothing if it is new; the path counts are a list by number.  A
+    finished state's strands are interned, one object per strand, and the
+    dict holds the state with them, so a listed child's own strands die.
+    A kept state keeps those strands and its kept moves, each move
+    interned with its rank, which must not fall along them (the premise
+    of the walk's pruning; RuntimeError if it does).  The dicts die with
+    the build, so the graph holds no state tuple.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
@@ -250,20 +282,20 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
                     comps = {strands[i][3] for i in chosen}
                     if len(comps) != k:
                         continue  # closing two strands of one component: cycle
-                    out_flow = sum(strands[i][1] for i in chosen) - (lp - lm)
+                    out_flow = sum([strands[i][1] for i in chosen]) - (lp - lm)
                     if out_flow < 0 or not (floors_after or out_flow == room):
                         continue
                     # the floor joins the closed components; -1 is a new one
                     comp = min(comps, default=-1)
                     layout = [i for i in range(len(strands)) if i not in chosen]
                     rest = [(o, w, stage, comp if c in comps else c)
-                            for o, w, stage, c in (strands[i] for i in layout)]
+                            for o, w, stage, c in map(strands.__getitem__, layout)]
                     if len(open_sw) - k > floors_after:
                         waiting = [c for _, _, stage, c in rest if stage == _SEEK_WHITE]
                         if any(waiting.count(c) > floors_after for c in waiting):
                             continue  # a component has more strands than floors to close them
-                    closed = tuple((i, strands[i][1]) for i in chosen)
-                    sealed = all(s[3] != comp for s in rest)
+                    closed = tuple([(i, strands[i][1]) for i in chosen])
+                    sealed = comp not in [s[3] for s in rest]
                     for parts in _partitions(out_flow, out_flow if floors_after else 1, room):
                         if sealed and not parts and pos != n - 1:
                             continue  # a component closed off below the top
@@ -315,35 +347,58 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> tuple[tuple
             yield from black_moves(*state)
 
     root = (0, 0, 0, 0, 0, 0, ())
-    graph: dict = {}
-    paths: dict = {}  # per finished state, its path count
-    known: dict = {}  # one object per listed move and per child state
-    stack = [(root, listed(root), [])]  # per state: its moves to list, and those listed
+    number: dict = {}  # per finished state, its number if kept, else -1
+    paths: list = []  # per number, the state's path count
+    interned: dict = {}  # one object per strand
+    ranked: dict = {}  # per move, one object for it and its rank
+    strands, moves, children, top_number = [], [], [], -1
+    # per state: its moves left to list, its kept moves and their children, the move to it
+    stack = [(root, listed(root), [], [], None)]
     while stack:
-        state, todo, found = stack[-1]
+        state, todo, kept, kids, via = stack[-1]
         for move, child in todo:
-            child = known.setdefault(child, child)
-            found.append((known.setdefault(move, move), child))
-            if child not in paths:
-                stack.append((child, listed(child), []))
+            k = number.get(child)
+            if k is None:  # new, so finish it first
+                stack.append((child, listed(child), [], [], move))
                 break
+            if k >= 0:
+                kept.append(move)
+                kids.append(k)
         else:  # every child is finished, so the state is
             stack.pop()
-            kept = [pair for pair in found if paths[pair[1]]]
-            ranks = [_rank(m) for m, _ in kept]
+            ranks = []
+            for i, move in enumerate(kept):
+                entry = ranked.get(move)
+                if entry is None:
+                    entry = ranked[move] = move, _rank(move)
+                kept[i], rank = entry
+                ranks.append(rank)
             if ranks != sorted(ranks):  # the premise of the walk's pruning
                 raise RuntimeError(f"{spec}: the moves of state {state} are not in rank order")
-            paths[state] = total = sum((paths[c] for _, c in kept), int(state == top))
+            total = sum([paths[k] for k in kids], int(state == top))
             if total > at_most:  # the state is reachable, so its paths bound the root's
                 raise OverBudget(f"{spec} has at least {total} floor diagram" + "s" * (total > 1))
-            if total or not stack:  # a live state, or the root
-                graph[state] = kept
-    return root, graph, paths[root]
+            # numbered -1 if dead, unless the root; the key holds the
+            # interned strands, so that the listed ones die
+            own = tuple([interned.setdefault(strand, strand) for strand in state[6]])
+            k = number[state[:6] + (own,)] = len(paths) if total or not stack else -1
+            if k < 0:
+                continue
+            if state == top:
+                top_number = k
+            paths.append(total)
+            strands.append(own)
+            moves.append(tuple(kept))
+            children.append(tuple(kids))
+            if stack:  # the parent keeps the move to the state
+                stack[-1][2].append(via)
+                stack[-1][3].append(k)
+    return StateGraph(strands, moves, children, top_number, paths[-1])
 
 
 def count_diagrams(spec: DegreeSpec, at_most: int | None = None) -> int:
     """The number of floor diagrams of the degree, without building any; OverBudget past at_most."""
-    return _state_graph(spec, float("inf") if at_most is None else at_most)[2]
+    return _state_graph(spec, float("inf") if at_most is None else at_most).paths
 
 
 def _rank(move) -> tuple:
@@ -368,18 +423,24 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
     all closed, so the class has 2^(s - |joined| - len(trees)) diagrams.
     A move is skipped, with all it leads to, as soon as a swap of pairs
     below maps the path so far to one with an earlier move (see the module
-    docstring), so with no pairs every diagram is met.
+    docstring), so with no pairs every diagram is met.  The stack holds
+    state numbers of the graph, and each state's kept moves are read from
+    the walk's records, built on the degree's first walk and kept in the
+    graph; the tie memo is keyed by the state's number.
     """
-    root, moves, _ = _state_graph(spec)
+    graph = _state_graph(spec)
+    if graph.records is None:  # the degree's first walk: rank each distinct move once
+        ranks = {id(move): move for kept in graph.moves for move in kept}
+        for key, move in ranks.items():
+            ranks[key] = _rank(move)
+        graph.records = [tuple(zip(kept, kids, [ranks[id(move)] for move in kept]))
+                         for kept, kids in zip(graph.moves, graph.children)]
+    records, strands_of = graph.records, graph.strands
     n = n_delta(spec)
     bit, partner = [0] * n, list(range(n))
     for k, (a, b) in enumerate(pairs):
         bit[a] = bit[b] = 1 << k
         partner[a], partner[b] = b, a
-    # per state: its strands, and its kept moves as (move, the child's record, rank)
-    records = {state: (state[6], []) for state in moves}
-    for state, kept in moves.items():
-        records[state][1].extend((move, records[child], _rank(move)) for move, child in kept)
 
     def spots(swaps, strands, origins, closes):
         # the sorted indices of the strands (origin, weight) with the origins
@@ -402,23 +463,24 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
     def weights(move, child):
         # the order of two floor moves of one rank that close the same
         # strands: the one with the larger new weights comes first
-        return [-s[1] for s, k in zip(child[0], move[2]) if k < 0]
+        return [-s[1] for s, k in zip(strands_of[child], move[2]) if k < 0]
 
     # per (state at a, move at a, move at a + 1), the tie's outcome without
     # mirrors; moves are shared between states, so the state is part of the key
     ties: dict = {}
-    stack = [(records[root], (), (), (), (), 0, (), (), None)]
+    stack = [(len(records) - 1, (), (), (), (), 0, (), (), None)]
     while stack:
-        record, origins, leaks, edges, ends, joined, mirrors, trees, low = stack.pop()
+        state, origins, leaks, edges, ends, joined, mirrors, trees, low = stack.pop()
         pos = len(leaks)
         if pos == n:
             yield (leaks, tuple(sorted(edges))), ends, joined, trees
             continue
-        strands, frames = record[0], []
+        strands, frames = strands_of[state], []
         lower = bit[pos] and partner[pos] > pos  # pos is a of a pair (a, a + 1)
         if low:  # pos is a + 1 of a pair (a, a + 1)
-            record_a, origins_a, move_a, child_a, rank_a, mirrors_a, b = low
-        for move, child, rank in record[1]:
+            state_a, origins_a, move_a, child_a, rank_a, mirrors_a, b = low
+            strands_a = strands_of[state_a]
+        for move, child, rank in records[state]:
             leak, closed, layout, end = move
             closes = [(origins[i], pos, w) for i, w in closed]  # the edges the move closes
             kept, t, j_bits = mirrors, trees, joined
@@ -445,15 +507,15 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
                 elif rank < rank_a:
                     continue  # the swap places this vertex earlier at a
             elif low:  # a tie, so no edge: the least image of this vertex at a
-                key = id(record_a), id(move_a), id(move)
+                key = state_a, id(move_a), id(move)
                 free = not (mirrors_a and any(bit[u] for u, _, _ in closes))
                 if free and key in ties:  # the state at a and the two moves fix the outcome
                     swaps, stays = ties[key]
                 else:
-                    swaps, image = 0, spots(0, record_a[0], origins_a, closes)
+                    swaps, image = 0, spots(0, strands_a, origins_a, closes)
                     for mirror in mirrors_a:
                         if any(bit[u] & mirror for u, _, _ in closes) and (other := spots(
-                                swaps ^ mirror, record_a[0], origins_a, closes)) < image:
+                                swaps ^ mirror, strands_a, origins_a, closes)) < image:
                             swaps, image = swaps ^ mirror, other
                     own = [i for i, _ in move_a[1]]
                     if image == own and not rank[0]:  # floors: larger new weights come first
@@ -474,7 +536,7 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
             frames.append((child, tuple([pos if k < 0 else origins[k] for k in layout]),
                            leaks + (leak,), edges + tuple(closes),
                            ends if end is None else ends + ((pos, end),), j_bits, kept, t,
-                           (record, origins, move, child, rank, mirrors, bit[pos])
+                           (state, origins, move, child, rank, mirrors, bit[pos])
                            if lower else None))
         stack += reversed(frames)
 

@@ -346,13 +346,33 @@ class TestOptions:
     @pytest.mark.parametrize("argv", [
         ["count", "p2:3"], ["table", "p2:3"], ["enumerate", "p2:3"], ["verify"],
     ], ids=["count", "table", "enumerate", "verify"])
-    def test_unwritable_out_exit_code(self, argv, tmp_path, capsys):
+    def test_unwritable_out_exit_code(self, argv, tmp_path, capsys, monkeypatch):
+        # --out is checked before the command runs: with every cache empty,
+        # any count would build a graph, and none is built
+        built = []
+        monkeypatch.setattr(diagrams, "_graphs", {})
+        monkeypatch.setattr(diagrams, "_build_graph", lambda spec, *budget: built.append(spec))
+        clear_count_caches()
         target = tmp_path / "missing" / "rows.json"
         assert main(argv + ["--out", str(target)]) == EXIT_PARSE
+        assert built == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == \
             f"error: cannot write --out {target}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_failed_command_leaves_out_alone(self, tmp_path, capsys):
+        # the check creates no file and truncates none, so a command that
+        # fails after it leaves --out as it was
+        kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+        kept.write_text("old rows\n")
+        for target in (kept, new):
+            assert main(["table", "p2:0", "--out", str(target)]) == EXIT_PARSE
+        assert kept.read_text() == "old rows\n" and not new.exists()
+        assert capsys.readouterr().out == ""
+        assert main(["table", "p2:3", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            f"error: cannot write --out {tmp_path}: {os.strerror(errno.EISDIR)}\n"
 
     def test_empty_out_exit_code(self, capsys):
         # an empty --out names no file; it does not mean stdout

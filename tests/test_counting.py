@@ -701,6 +701,74 @@ class TestRankOracles:
         assert count(spec, 0).rank == blowup_count(family, params)
 
 
+def arithmetic_genus(spec) -> int:
+    """The arithmetic genus of the degree's curve class, from the class alone.
+
+    The plane families are the classes d L - a1 E1 - a2 E2 - a3 E3, the
+    corner cuts of the triangle being the multiplicities at the blown-up
+    points (params (d, a1, a2, a3), an absent one 0): (d - 1)(d - 2)/2 -
+    sum a_i(a_i - 1)/2.  The quadric's bidegree (a1, a2) has genus
+    (a1 - 1)(a2 - 1).
+    """
+    if spec.family == "p1xp1":
+        a1, a2 = spec.params
+        return (a1 - 1) * (a2 - 1)
+    d, *cuts = spec.params
+    return (d - 1) * (d - 2) // 2 - sum(a * (a - 1) // 2 for a in cuts)
+
+
+GENUS_ZERO = [spec for spec in small_degrees(13) if arithmetic_genus(parse_degree(spec)) == 0]
+
+
+class TestGenusZero:
+    """The enriched count of a class of arithmetic genus 0 is <1> at every
+    s and on every placement of the pairs.
+
+    The count sums, over the rational curves of the class through the
+    k-rational points and the pairs of conjugate points in k(sqrt d_i), a
+    quadratic multiplicity, the product over the curve's nodes (Kass,
+    Levine, Solomon and Wickelgren, "A quadratically enriched count of
+    rational curves", 2023); a curve not defined over k enters through a
+    trace.  With arithmetic genus 0 the class has C^2 = n - 1 and
+    -K.C = n + 1, so its linear system has dimension (C^2 - K.C)/2 = n,
+    and exactly one curve passes through n general points; it is
+    irreducible, so smooth and rational, with no node.  The point set is
+    Galois-invariant, so the one curve through it is too, and is defined
+    over k.  So the count is one curve whose multiplicity is the empty
+    product, <1>, whatever s and the pairs.  The degrees are chosen by the genus of
+    their class, not by the engine's rank.
+    """
+
+    def test_genus_zero_degrees(self):
+        # 37 classes with n <= 13: among them p2:1, p2:2, p1xp1:1,k and
+        # p1xp1:k,1, bl1:d,d-1, bl2:d,d-1,1, bl3:4,2,2,2 and bl3:d,1,1,d-1
+        assert len(GENUS_ZERO) == 37
+        assert {"p2:1", "p2:2", "p1xp1:1,6", "p1xp1:6,1", "bl1:4,3", "bl2:5,4,1",
+                "bl3:4,2,2,2", "bl3:5,1,1,4"} <= set(GENUS_ZERO)
+        assert "p2:3" not in GENUS_ZERO and "p1xp1:2,2" not in GENUS_ZERO
+
+    @pytest.mark.parametrize("spec_str", GENUS_ZERO)
+    def test_one_at_every_placement(self, spec_str):
+        spec = parse_degree(spec_str)
+        n = n_delta(spec)
+        for s in range(n // 2 + 1):
+            for pairs in _disjoint_adjacent_pairs(n, s):
+                assert count(spec, s, list(pairs)).total == one(), (s, pairs)
+
+    def test_placements_checked(self):
+        n_values = [n_delta(parse_degree(spec)) for spec in GENUS_ZERO]
+        assert sum(math.comb(n - s, s) for n in n_values for s in range(n // 2 + 1)) == 2964
+
+    @pytest.mark.parametrize("spec_str", [f"p1xp1:{a},{b}" for k in (8, 16, 32)
+                                          for a, b in ((1, k), (k, 1))])
+    def test_one_on_every_default_row(self, spec_str):
+        # up to 32 pairs, the most a row takes
+        spec = parse_degree(spec_str)
+        assert arithmetic_genus(spec) == 0
+        for s in range(n_delta(spec) // 2 + 1):
+            assert count(spec, s).total == one(), s
+
+
 class TestSquareSubstitution:
     @pytest.mark.parametrize("spec_str", ["p2:3", "p1xp1:2,3", "bl1:4,2",
                                           "bl2:4,2,1", "bl3:3,1,1,1",

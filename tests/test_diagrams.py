@@ -75,44 +75,92 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("spec_str", ENUMERATED_SPECS)
     def test_state_graph_in_post_order(self, spec_str):
-        # the s = 0 row sums the graph in one forward pass over this order
-        root, moves, _ = _state_graph(parse_degree(spec_str))
-        seen = set()
-        for state, kept in moves.items():
-            assert all(child in seen for _, child in kept), state
-            seen.add(state)
-        assert state == root
+        # the s = 0 row sums the graph in one forward pass over this order:
+        # every kept child is numbered before its parent, the top first and
+        # the root last
+        graph = _state_graph(parse_degree(spec_str))
+        assert len(graph.strands) == len(graph.moves) == len(graph.children)
+        for state, (kept, kids) in enumerate(zip(graph.moves, graph.children)):
+            assert len(kept) == len(kids) and all(child < state for child in kids), state
+        if graph.paths:  # the top, with no move
+            assert graph.top == 0 and graph.strands[0] == () and graph.moves[0] == ()
+        else:  # no diagram (bl1:d,d): the root alone
+            assert graph.top == -1 and graph.moves == [()]
+        assert graph.strands[-1] == ()  # the root
 
     @pytest.mark.parametrize("spec_str,kept_moves,distinct", [
         ("p2:5", 617, 153), ("p1xp1:2,5", 559, 219), ("bl3:5,2,1,1", 674, 94),
     ])
     def test_graph_holds_one_object_per_state_and_move(self, spec_str, kept_moves, distinct):
-        # the graph costs its distinct states and moves, not one copy per parent
-        _, moves, _ = _state_graph(parse_degree(spec_str))
-        keys = {id(state) for state in moves}
-        kept = [pair for pairs in moves.values() for pair in pairs]
-        assert all(id(child) in keys for _, child in kept)
-        assert len(kept) == kept_moves
-        assert len({id(move) for move, _ in kept}) == len({move for move, _ in kept}) == distinct
+        # the graph costs its distinct moves and strands, not one copy per
+        # parent: a kept move is a move object and a child number
+        graph = _state_graph(parse_degree(spec_str))
+        kept = [move for moves in graph.moves for move in moves]
+        assert sum(map(len, graph.children)) == len(kept) == kept_moves
+        assert all(type(child) is int for kids in graph.children for child in kids)
+        assert len({id(move) for move in kept}) == len(set(kept)) == distinct
+        strands = [strand for state in graph.strands for strand in state]
+        assert len({id(strand) for strand in strands}) == len(set(strands))
+
+    @pytest.mark.parametrize("spec_str,states,met", [("p1xp1:2,5", 254, 289), ("p2:5", 186, 186)])
+    def test_no_dead_state_kept(self, spec_str, states, met):
+        # every kept state but the top has a kept move and every one but the
+        # root is a child: the build meets 35 dead states on p1xp1:2,5 and
+        # keeps none, nor their path counts or the build's dicts
+        numbered = {}
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is diagrams_module._build_graph.__code__:
+                numbered.update(frame.f_locals["number"])
+
+        sys.setprofile(profile)
+        try:
+            graph = diagrams_module._build_graph(parse_degree(spec_str))  # past the cache
+        finally:
+            sys.setprofile(None)
+        assert (len(graph.strands), len(numbered)) == (states, met)
+        assert sorted(k for k in numbered.values() if k >= 0) == list(range(states))
+        assert all(kept for state, kept in enumerate(graph.moves) if state != graph.top)
+        children = {child for kids in graph.children for child in kids}
+        assert children == set(range(states - 1))
+
+    def test_walk_records_built_once(self, monkeypatch):
+        # the count path builds no walk records; the first walk of a degree
+        # builds them, and every later walk, with or without pairs, reads them
+        monkeypatch.setattr(diagrams_module, "_graphs", {})
+        spec = parse_degree("p2:4")
+        assert counting._edge_product_sum(spec) is not None
+        graph = _state_graph(spec)
+        assert graph.records is None
+        first = list(walk(spec))
+        records = graph.records
+        assert len(records) == len(graph.moves)
+        assert list(walk(spec)) == first
+        list(walk(spec, default_pairs(5)))
+        assert graph.records is records
 
     @pytest.mark.parametrize("spec_str", small_degrees(12))
     def test_moves_in_rank_order(self, spec_str):
         # the walk's pruning rests on it, and the build checks it; within a
         # rank the walk orders moves by their closed strands, then by their
         # new weights, largest first, which must be the order they are kept in
-        _, moves, _ = _state_graph(parse_degree(spec_str))
-        for state, kept in moves.items():
-            ranks = [_rank(move) for move, _ in kept]
+        graph = _state_graph(parse_degree(spec_str))
+        for state, (kept, kids) in enumerate(zip(graph.moves, graph.children)):
+            ranks = [_rank(move) for move in kept]
             assert ranks == sorted(ranks), state
             keys = [(_rank(move), [i for i, _ in move[1]],
-                     [-strand[1] for strand, k in zip(child[6], move[2]) if k < 0])
-                    for move, child in kept]
+                     [-strand[1] for strand, k in zip(graph.strands[child], move[2]) if k < 0])
+                    for move, child in zip(kept, kids)]
             assert all(key < after for key, after in zip(keys, keys[1:])), state
 
     def test_moves_out_of_rank_order_raise(self, monkeypatch):
-        monkeypatch.setattr(diagrams_module, "_rank", lambda move: -_rank(move)[0])
+        ranked = []
+        monkeypatch.setattr(diagrams_module, "_rank",
+                            lambda move: ranked.append(move) or -_rank(move)[0])
         with pytest.raises(RuntimeError, match=r"^p2:3: the moves of state .* rank order$"):
             diagrams_module._build_graph(parse_degree("p2:3"))  # past the cache
+        # the build ranks each distinct move once
+        assert len(ranked) == len(set(ranked))
 
     @pytest.mark.parametrize("spec_str,children,states,paths", [
         ("p1xp1:3,4", 1461, 432, 26422), ("bl3:6,1,1,3", 5449, 1082, 106006),
@@ -126,8 +174,8 @@ class TestEnumeration:
         real = diagrams_module._canonical
         monkeypatch.setattr(diagrams_module, "_canonical",
                             lambda strands: built.append(strands) or real(strands))
-        _, moves, total = diagrams_module._build_graph(parse_degree(spec_str))  # past the cache
-        assert (len(built), len(moves), total) == (children, states, paths)
+        graph = diagrams_module._build_graph(parse_degree(spec_str))  # past the cache
+        assert (len(built), len(graph.strands), graph.paths) == (children, states, paths)
 
     @pytest.mark.parametrize("spec_str,expected", [
         ("p2:3", 12), ("p2:4", 620),
