@@ -291,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Raise the OSError that opening path to write would, creating and
-    truncating nothing: a new file is made and removed at once, an
-    existing file or directory opened without truncation.  Other existing
-    paths (pipes, devices, dangling links) are left to the write."""
+    """Raise the OSError that writing path would, creating and truncating
+    nothing; pipes, devices and dangling links are left to the write."""
     try:
         os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
     except FileExistsError:

@@ -16,19 +16,16 @@ components matter only through equality and are numbered by first
 appearance.  `_build_graph` builds the graph of these states with an
 explicit stack, lists each state's moves in sweep order and keeps a move
 only if its child has a completion, counting the paths to the top per
-state.  It numbers each kept state as it finishes, so the kept states
-come in post-order, and returns one compact `StateGraph`: per state
-number its strands, its kept moves (shared objects) and their children's
-numbers.  `_state_graph` keeps it per degree, once a build, budgeted or
-not, finishes.  `count_diagrams` reads the root's path count, or stops
+state, and numbers the kept states in post-order (`StateGraph`);
+`_state_graph` keeps it per degree, once a build, budgeted or not,
+finishes.  `count_diagrams` reads the root's path count, or stops
 the build past a budget, without building a diagram;
 `walk` streams the packed keys (leaks, edges) from the root with a stack
 too, carrying the concrete origin of each strand, and yields one at the
-top of every path it follows, so no branch is a dead end; it reads the
-graph by number, through per-state records that the degree's first walk
-builds and keeps in the graph.  `enumerate_diagrams` builds
-the diagrams of the walk without pairs, uncached; `counting.count` sums
-the s = 0 row over the graph's paths in one pass over the numbers.
+top of every path it follows, so no branch is a dead end, reading the
+graph through records that the degree's first walk keeps in it;
+`enumerate_diagrams` builds the diagrams of the walk without pairs,
+uncached; `counting.count` sums the s = 0 row over the graph's paths.
 
 The move generators build only children that can still complete.  Every
 later black closes a seek-black strand (a splice or an outgoing end) or
@@ -187,17 +184,11 @@ def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
 
 
 class StateGraph:
-    """The kept sweep-state graph of a degree (`_build_graph`), its live
-    states numbered in post-order: every kept child before its parent,
-    the top (if live) first and the root last.
-
-    strands[i] is state i's strands, each strand one object per distinct
-    value; moves[i] its kept moves in sweep order and children[i] their
-    children's numbers; top is the top's number, -1 if it is not live,
-    and paths the root's number of paths to the top.  records is None
-    until `walk` first reads the graph, then per state its kept moves as
-    (move, child, rank).  The graph is shared, so callers must not mutate it.
-    """
+    """A degree's kept states, numbered in post-order (children first, the
+    root last): per number, its strands, its kept moves and their
+    children's numbers; the top's number (-1 if dead) and the root's
+    path count; and None, or the walk's (move, child, rank) records once
+    a walk has read it.  Shared, so callers must not mutate it."""
 
     __slots__ = ("strands", "moves", "children", "top", "paths", "records")
 
@@ -213,9 +204,8 @@ def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
     """The degree's state graph (`_build_graph`), built once: a build that
     finishes within at_most is the whole graph, so it is kept.  OverBudget
     past at_most, with the message of a fresh build.  `_graphs` keeps
-    every degree's graph, with the walk's records once a walk has read
-    it, for the life of the process, so a caller who counts p2:9 and then
-    p2:10 holds both."""
+    every degree's graph, and its walk records, for the life of the
+    process, so a caller who counts p2:9 and then p2:10 holds both."""
     graph = _graphs.get(spec)
     if graph is None:
         graph = _graphs[spec] = _build_graph(spec, at_most)
@@ -225,12 +215,9 @@ def _state_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
 
 
 def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
-    """The kept sweep-state graph of the degree, numbered in post-order.
-
-    A state is kept if it has a completion, or is the root, and a move if
-    its child is kept; the root's path count is the number of paths from
-    the root to the top.  OverBudget once a state has more than at_most
-    paths, a lower bound on the root's.
+    """The root and the states with a completion, with their moves whose
+    child has one, and the root's number of paths to the top; OverBudget
+    once a state has more than at_most paths, a lower bound on the root's.
 
     A state is (position, whites, -1 leaks, +1 leaks, incoming ends,
     outgoing ends, strands), a strand being (origin, weight, stage,
@@ -242,16 +229,12 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
     docstring's bounds rule out (room, the last floor, a floor above,
     seek-white strands and leaks).  One loop over a stack of states, each
     with its moves left to list, finishes a state once all its children
-    are, and numbers it then if it is kept: a child listed while its
-    state is unfinished is new, as positions rise along a path.  So one
-    dict lookup per listed child gives its number, or -1 if it is dead,
-    or nothing if it is new; the path counts are a list by number.  A
-    finished state's strands are interned, one object per strand, and the
-    dict holds the state with them, so a listed child's own strands die.
-    A kept state keeps those strands and its kept moves, each move
-    interned with its rank, which must not fall along them (the premise
-    of the walk's pruning; RuntimeError if it does).  The dicts die with
-    the build, so the graph holds no state tuple.
+    are and numbers it then, in post-order, or -1 if dead: positions rise
+    along a path, so a listed child is finished or new, and one dict
+    lookup tells which.
+    A finished state's strands are interned, and its kept moves with
+    their ranks, which must not fall (the premise of the walk's pruning;
+    RuntimeError if they do).  The dicts die with the build.
     """
     n = n_delta(spec)
     w_total, _ = white_spec(spec)
@@ -423,10 +406,8 @@ def walk(spec: DegreeSpec, pairs: tuple[tuple[int, int], ...] = ()):
     all closed, so the class has 2^(s - |joined| - len(trees)) diagrams.
     A move is skipped, with all it leads to, as soon as a swap of pairs
     below maps the path so far to one with an earlier move (see the module
-    docstring), so with no pairs every diagram is met.  The stack holds
-    state numbers of the graph, and each state's kept moves are read from
-    the walk's records, built on the degree's first walk and kept in the
-    graph; the tie memo is keyed by the state's number.
+    docstring), so with no pairs every diagram is met.  The first walk
+    of a degree keeps its records in the graph for every later one.
     """
     graph = _state_graph(spec)
     if graph.records is None:  # the degree's first walk: rank each distinct move once
