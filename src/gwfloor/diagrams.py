@@ -13,10 +13,12 @@ upper positions can still do depends only on a sweep state: the
 position, the counts of floors, leaks and ends placed so far, and the
 ordered strands as (origin, weight, stage, component), where origins and
 components matter only through equality and are numbered by first
-appearance.  `_build_graph` builds the graph of these states with an
-explicit stack, lists each state's moves in sweep order and keeps a move
-only if its child has a completion, counting the paths to the top per
-state, and numbers the kept states in post-order (`StateGraph`);
+appearance; the move generators write each child so from its parent's
+numbers, and renumber none from scratch.  `_build_graph` builds the
+graph of these states with an explicit stack, lists each state's moves
+in sweep order and keeps a move only if its child has a completion,
+counting the paths to the top per state, and numbers the kept states in
+post-order (`StateGraph`);
 `_state_graph` keeps it per degree, once a build, budgeted or not,
 finishes.  `count_diagrams` reads the root's path count, or stops
 the build past a budget, without building a diagram;
@@ -175,12 +177,18 @@ def _partitions(rest: int, bound: int, parts_left: int) -> tuple[tuple[int, ...]
     return tuple(found)
 
 
-def _canonical(strands) -> tuple[tuple[int, int, int, int], ...]:
-    """The strands with origins and components numbered by first appearance."""
+def _renumbered(strands, i, m, q, new=()) -> tuple[tuple[int, int, int, int], ...]:
+    """Canonical strands with strands[i] dropped, or replaced by the strands
+    new of an origin that no strand has, numbered by first appearance in
+    one pass: strands[:i] hold the origins < m and the components < q and
+    keep their numbers, so only the later strands are numbered, from m
+    and q on."""
     origins: dict = {}
     comps: dict = {}
-    return tuple([(origins.setdefault(o, len(origins)), w, stage, comps.setdefault(c, len(comps)))
-                  for o, w, stage, c in strands])
+    return strands[:i] + tuple([
+        (o if o < m else origins.setdefault(o, m + len(origins)), w, stage,
+         c if c < q else comps.setdefault(c, q + len(comps)))
+        for o, w, stage, c in new + strands[i + 1:]])
 
 
 class StateGraph:
@@ -222,6 +230,13 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
     A state is (position, whites, -1 leaks, +1 leaks, incoming ends,
     outgoing ends, strands), a strand being (origin, weight, stage,
     component) with origins and components numbered by first appearance.
+    Each child is written so from its parent: a floor renumbers the
+    strands it keeps once per closed strand set, in the pass that joins
+    the closed components, and its new strands take the next origin and
+    the joined component's number (a new one if none is kept); an
+    incoming end appends a strand of the next origin and component; a
+    splice or an outgoing end keeps the strands before it and renumbers
+    the later ones (`_renumbered`).
     A move is (leaks or None for a black, closed strands as (index,
     weight), layout, end): the new strands are the old ones at the layout
     indices, -1 standing for a strand that starts at the position.  Moves
@@ -268,23 +283,30 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
                     out_flow = sum([strands[i][1] for i in chosen]) - (lp - lm)
                     if out_flow < 0 or not (floors_after or out_flow == room):
                         continue
-                    # the floor joins the closed components; -1 is a new one
+                    # the floor joins the closed components (-1 if none) in the
+                    # pass that renumbers the kept strands by first appearance
                     comp = min(comps, default=-1)
-                    layout = [i for i in range(len(strands)) if i not in chosen]
-                    rest = [(o, w, stage, comp if c in comps else c)
-                            for o, w, stage, c in map(strands.__getitem__, layout)]
+                    layout, rest, origins, numbers = [], [], {}, {}
+                    for i, (o, w, stage, c) in enumerate(strands):
+                        if i not in chosen:
+                            c = comp if c in comps else c
+                            layout.append(i)
+                            rest.append((origins.setdefault(o, len(origins)), w, stage,
+                                         numbers.setdefault(c, len(numbers))))
                     if len(open_sw) - k > floors_after:
                         waiting = [c for _, _, stage, c in rest if stage == _SEEK_WHITE]
                         if any(waiting.count(c) > floors_after for c in waiting):
                             continue  # a component has more strands than floors to close them
                     closed = tuple([(i, strands[i][1]) for i in chosen])
-                    sealed = comp not in [s[3] for s in rest]
+                    sealed = comp not in numbers
+                    # the new strands: the next origin, and the floor's component
+                    origin, comp = len(origins), numbers.get(comp, len(numbers))
                     for parts in _partitions(out_flow, out_flow if floors_after else 1, room):
                         if sealed and not parts and pos != n - 1:
                             continue  # a component closed off below the top
                         yield ((leak, closed, tuple(layout) + (-1,) * len(parts), None),
                                (pos + 1, whites + 1, minus + lm, plus + lp, inc, out,
-                                _canonical(rest + [(-1, w, _SEEK_BLACK, comp) for w in parts])))
+                                tuple(rest + [(origin, w, _SEEK_BLACK, comp) for w in parts])))
 
     def black_moves(pos, whites, minus, plus, inc, out, strands):
         everyone = tuple(range(len(strands)))
@@ -294,33 +316,37 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
         # the components of the seek-white strands, when they might outnumber the floors left
         waiting = [s[3] for s in strands if s[2] == _SEEK_WHITE] \
             if splice and len(strands) >= w_total - whites else []
+        m = q = 0  # strands[:i] hold the origins < m and the components < q
         for i, (o, w, stage, c) in enumerate(strands):
             if splice and stage == _SEEK_BLACK and (o, w) not in seen:
                 seen.add((o, w))
-                if waiting.count(c) >= w_total - whites:
-                    continue  # the component would have more strands than floors to close them
-                new = list(strands)
-                new[i] = (-1, w, _SEEK_WHITE, c)
-                yield ((None, ((i, w),), everyone[:i] + (-1,) + everyone[i + 1:], None),
-                       (pos + 1, whites, minus, plus, inc, out, _canonical(new)))
-        # (b) consume an incoming end: a weight-1 strand of a new component
+                # unless the component would have more strands than floors to close them
+                if waiting.count(c) < w_total - whites:
+                    new = ((len(strands), w, _SEEK_WHITE, c),)  # an origin that no strand has
+                    yield ((None, ((i, w),), everyone[:i] + (-1,) + everyone[i + 1:], None),
+                           (pos + 1, whites, minus, plus, inc, out,
+                            _renumbered(strands, i, m, q, new)))
+            m, q = m + (o == m), q + (c == q)
+        # (b) consume an incoming end: a weight-1 strand of the next origin and
+        # component, m and q now that the loop has passed every strand
         if whites < w_total and inc < in_total:
             yield ((None, (), everyone + (-1,), INCOMING),
                    (pos + 1, whites, minus, plus, inc + 1, out,
-                    _canonical(strands + ((-1, 1, _SEEK_WHITE, -1),))))
+                    strands + ((m, 1, _SEEK_WHITE, q),)))
         # (c) close a weight-1 strand with an outgoing end, one per origin
         if out < out_total:
             seen = set()
+            m = q = 0
             for i, (o, w, stage, c) in enumerate(strands):
-                if stage != _SEEK_BLACK or w != 1 or o in seen:
-                    continue
-                seen.add(o)
-                layout = everyone[:i] + everyone[i + 1:]
-                if pos != n - 1 and all(strands[j][3] != c for j in layout):
-                    continue  # sealing the component early
-                yield ((None, ((i, 1),), layout, OUTGOING),
-                       (pos + 1, whites, minus, plus, inc, out + 1,
-                        _canonical([strands[j] for j in layout])))
+                if stage == _SEEK_BLACK and w == 1 and o not in seen:
+                    seen.add(o)
+                    layout = everyone[:i] + everyone[i + 1:]
+                    # unless the component is sealed early
+                    if pos == n - 1 or any(strands[j][3] == c for j in layout):
+                        yield ((None, ((i, 1),), layout, OUTGOING),
+                               (pos + 1, whites, minus, plus, inc, out + 1,
+                                _renumbered(strands, i, m, q)))
+                m, q = m + (o == m), q + (c == q)
 
     def listed(state):
         # at the top every floor and every black is placed, so nothing is listed

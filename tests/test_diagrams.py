@@ -11,9 +11,9 @@ import gwfloor.diagrams as diagrams_module
 from gwfloor.cli import main
 from gwfloor.degrees import n_delta, parse_degree
 from gwfloor.diagrams import (
-    INCOMING, OUTGOING, FloorDiagram, OverBudget, PairLabels, _partitions, _rank,
-    _state_graph, _twin_tree_summary, check_pairs, count_diagrams, enumerate_diagrams, label,
-    unpack, walk,
+    INCOMING, OUTGOING, _SEEK_BLACK, _SEEK_WHITE, FloorDiagram, OverBudget, PairLabels,
+    _partitions, _rank, _state_graph, _twin_tree_summary, check_pairs, count_diagrams,
+    enumerate_diagrams, label, unpack, walk,
 )
 from gwfloor.counting import _disjoint_adjacent_pairs, _orbits, default_pairs, merged_classes
 
@@ -31,6 +31,38 @@ SMALL_SPECS = ["p2:1", "p2:2", "p2:3", "p1xp1:1,1", "p1xp1:2,2", "p1xp1:2,3",
 # larger degrees of every family, and those whose leak budget forces each floor's leaks
 ENUMERATED_SPECS = SMALL_SPECS + ["p2:4", "p1xp1:2,4", "bl2:4,1,1", "bl3:4,1,1,2"] + \
     [spec for spec in FORCED_BUDGETS if spec not in SMALL_SPECS]
+
+
+def canonical(strands) -> tuple:
+    """The strands with origins and components numbered by first appearance."""
+    origins, comps = {}, {}
+    return tuple([(origins.setdefault(o, len(origins)), w, stage, comps.setdefault(c, len(comps)))
+                  for o, w, stage, c in strands])
+
+
+def replay(strands, move, child) -> tuple:
+    """The strands after the move, built from the parent's strands along the
+    move's layout and renumbered by `canonical`.  A new strand's origin is
+    "new", and so is its component at an incoming end and at a floor,
+    where the closed components join it; a floor's new weights are read
+    from the child's strands."""
+    leak, closed, layout, end = move
+    merged = set()  # the components that become "new"
+    if leak is not None:  # a floor: it joins the components it closes
+        merged = {strands[i][3] for i, _ in closed}
+        added = [("new", s[1], _SEEK_BLACK, "new") for s, k in zip(child, layout) if k < 0]
+    elif end == INCOMING:
+        added = [("new", 1, _SEEK_WHITE, "new")]
+    elif end is None:  # a splice: the spliced strand's component
+        (i, w), = closed
+        added = [("new", w, _SEEK_WHITE, strands[i][3])]
+    else:  # an outgoing end
+        added = []
+    added, replayed = iter(added), []
+    for k in layout:  # the new strands stand at -1, in order
+        o, w, stage, c = next(added) if k < 0 else strands[k]
+        replayed.append((o, w, stage, "new" if c in merged else c))
+    return canonical(replayed)
 
 
 class TestEnumeration:
@@ -166,16 +198,40 @@ class TestEnumeration:
         ("p1xp1:3,4", 1461, 432, 26422), ("bl3:6,1,1,3", 5449, 1082, 106006),
         ("p2:5", 617, 186, 25871),
     ])
-    def test_children_built(self, monkeypatch, spec_str, children, states, paths):
+    def test_children_built(self, spec_str, children, states, paths):
         # no child holds more seek-white strands of one component than there
         # are floors left to close them: 46 and 122 fewer children than
-        # without that bound, and the same kept graph
+        # without that bound, and the same kept graph; every listed child,
+        # kept or not, is its replay from its parent
         built = []
-        real = diagrams_module._canonical
-        monkeypatch.setattr(diagrams_module, "_canonical",
-                            lambda strands: built.append(strands) or real(strands))
-        graph = diagrams_module._build_graph(parse_degree(spec_str))  # past the cache
+        listed = next(code for code in diagrams_module._build_graph.__code__.co_consts
+                      if getattr(code, "co_name", None) == "listed")
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is listed and arg is not None:
+                built.append((frame.f_locals["state"], *arg))  # listed yields (move, child)
+
+        sys.setprofile(profile)
+        try:
+            graph = diagrams_module._build_graph(parse_degree(spec_str))  # past the cache
+        finally:
+            sys.setprofile(None)
         assert (len(built), len(graph.strands), graph.paths) == (children, states, paths)
+        assert all(replay(state[6], move, child[6]) == child[6] for state, move, child in built)
+
+    @pytest.mark.parametrize("spec_str", ["p2:5", "p1xp1:3,4", "bl1:4,2", "bl2:5,1,1",
+                                          "bl3:5,2,1,1"])
+    def test_children_written_canonical(self, spec_str):
+        # each kept move's child, replayed from its parent's strands and
+        # renumbered from scratch, is the child's stored strands: the build
+        # writes each child canonical from its canonical parent
+        graph = _state_graph(parse_degree(spec_str))
+        for state, (kept, kids) in enumerate(zip(graph.moves, graph.children)):
+            strands = graph.strands[state]
+            assert canonical(strands) == strands, state
+            for move, child in zip(kept, kids):
+                assert replay(strands, move, graph.strands[child]) == graph.strands[child], \
+                    (state, move)
 
     @pytest.mark.parametrize("spec_str,expected", [
         ("p2:3", 12), ("p2:4", 620),
