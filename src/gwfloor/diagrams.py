@@ -299,14 +299,14 @@ def _build_graph(spec: DegreeSpec, at_most: float = float("inf")) -> StateGraph:
                             continue  # a component has more strands than floors to close them
                     closed = tuple([(i, strands[i][1]) for i in chosen])
                     sealed = comp not in numbers
-                    # the new strands: the next origin, and the floor's component
-                    origin, comp = len(origins), numbers.get(comp, len(numbers))
+                    # the new strands: the next origin, and the joined component's number
+                    origin, joined = len(origins), numbers.get(comp, len(numbers))
                     for parts in _partitions(out_flow, out_flow if floors_after else 1, room):
                         if sealed and not parts and pos != n - 1:
                             continue  # a component closed off below the top
                         yield ((leak, closed, tuple(layout) + (-1,) * len(parts), None),
                                (pos + 1, whites + 1, minus + lm, plus + lp, inc, out,
-                                tuple(rest + [(origin, w, _SEEK_BLACK, comp) for w in parts])))
+                                tuple(rest + [(origin, w, _SEEK_BLACK, joined) for w in parts])))
 
     def black_moves(pos, whites, minus, plus, inc, out, strands):
         everyone = tuple(range(len(strands)))
